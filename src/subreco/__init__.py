@@ -23,11 +23,9 @@ from .core import (
     UniverseMismatchError,
     check_monotone,
     check_submodular,
-    evaluate,
     is_adjacent,
     modular_upper_bound,
     neighbors,
-    parse_subset,
     residual,
     sequence_value,
     total_curvature,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (including a feasible search), 1 for a definite
 negative answer (no sequence, failed validation, counterexample found), 2 for
-an inconclusive answer (a search or check budget ran out), 3 for input errors.
+an inconclusive answer (a search or check budget ran out, or an enumeration
+exceeded its size guard), 3 for input errors.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .core import (
     total_curvature,
     validate_sequence,
 )
-from .exact import optimal_value
 from .experiment import ExperimentConfig, run_experiment
 from .fileio import (
     InstanceParseError,
+    ids_1indexed,
     load_cnf,
     load_edge_list,
     load_instance,
@@ -68,8 +69,8 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, help="A* node-expansion budget")
 
 
-def _config_from(args, algorithm: str) -> ExperimentConfig:
-    return ExperimentConfig(
+def _run_solver(args, algorithm: str, restriction=None) -> int:
+    cfg = ExperimentConfig(
         algorithm=algorithm,
         instance=args.instance,
         graph_path=args.graph,
@@ -84,13 +85,10 @@ def _config_from(args, algorithm: str) -> ExperimentConfig:
         theta_frac=args.theta_frac,
         out=args.out,
         budget=args.budget,
-        restriction=getattr(args, "_restriction", None),
+        restriction=restriction,
     )
-
-
-def _run_solver(args, algorithm: str) -> int:
-    report = run_experiment(_config_from(args, algorithm))
-    print(report.summary())
+    report = run_experiment(cfg)
+    print(report.summary() + ("" if restriction is None else " restricted=yes"))
     if report.csv_path is not None:
         print(f"csv={report.csv_path}")
     if report.status in ("ok", "found"):
@@ -105,35 +103,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if args.restrict is not None:
-        # resolved later once the oracle (and its universe size) is known
-        cfg = _config_from(args, "exact")
-        from .experiment import _resolve_instance
-
-        base = _resolve_instance(cfg)
-        restriction = parse_ids_1indexed(args.restrict, base.oracle.universe.n)
-        value = optimal_value(
-            base.oracle,
-            base.x,
-            base.y,
-            base.rule,
-            cardinality_k=base.cardinality_k,
-            restriction=restriction,
-        )
-        print(f"algorithm=exact rule={base.rule.token} value={value:.6g} restricted=yes")
-        return OK
-    return _run_solver(args, "exact")
+    restriction = None if args.restrict is None else ids_1indexed(args.restrict)
+    return _run_solver(args, "exact", restriction)
 
 
 def _cmd_validate(args) -> int:
     spec = load_instance(args.instance)
-    theta = args.theta
-    if theta is None and args.theta_frac is not None:
-        v = min(spec.oracle.evaluate(spec.x), spec.oracle.evaluate(spec.y))
-        theta = args.theta_frac * v
-    instance = spec.to_problem_instance(
-        theta if (args.theta is not None or args.theta_frac is not None) else "unset"
-    )
+    instance = spec.to_problem_instance(spec.resolve_theta(args.theta, args.theta_frac))
     seq = load_sequence_csv(args.sequence, spec.oracle.universe.n)
     verdict = validate_sequence(instance, seq)
     if verdict:
@@ -141,10 +117,6 @@ def _cmd_validate(args) -> int:
         return OK
     print(f"invalid at step {verdict.index}: {verdict.reason}")
     return INFEASIBLE
-
-
-def _parse_cover(text: str, n: int):
-    return parse_ids_1indexed(text, n)
 
 
 def _cmd_gen(args) -> int:
@@ -162,8 +134,8 @@ def _cmd_gen(args) -> int:
         graph = load_edge_list(args.graph)
         vc = VcReconfigInstance(
             graph,
-            _parse_cover(args.x, graph.n),
-            _parse_cover(args.y, graph.n),
+            parse_ids_1indexed(args.x, graph.n),
+            parse_ids_1indexed(args.y, graph.n),
         )
         instance = vc_to_msreco(vc) if name == "vc2msreco" else minvc_to_usreco_tjar(vc)
         write_instance_for(instance, out)
@@ -194,7 +166,6 @@ def _cmd_gen(args) -> int:
             else [0.0] * (args.n or 0)
         )
         gadget = inapprox_gadget(modular_oracle(weights), args.upsilon)
-        gadget.oracle.serial = ("gadget", (args.upsilon, tuple(weights)))
         write_instance(
             out, gadget.oracle, gadget.x, gadget.y, AdjacencyRule.TJAR
         )
@@ -214,13 +185,9 @@ def _cmd_curvature(args) -> int:
 def _cmd_check(args) -> int:
     spec = load_instance(args.instance)
     checker = check_submodular if args.property == "submodular" else check_monotone
-    try:
-        verdict = checker(
-            spec.oracle, mode=args.mode, sample_count=args.samples, seed=args.seed
-        )
-    except BudgetExceededError as exc:
-        print(f"inconclusive: {exc}")
-        return INCONCLUSIVE
+    verdict = checker(
+        spec.oracle, mode=args.mode, sample_count=args.samples, seed=args.seed
+    )
     if verdict:
         print("ok")
         return OK
@@ -299,10 +266,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceededError as exc:
+        print(f"inconclusive: {exc}")
+        return INCONCLUSIVE
     except (InstanceParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -163,17 +163,6 @@ class Subset:
         return "{" + ",".join(str(e) for e in self) + "}"
 
 
-def parse_subset(text: str, n: int) -> Subset:
-    """Parse the ``{i1,i2,...}`` textual form (0-indexed ids)."""
-    body = text.strip()
-    if body.startswith("{") and body.endswith("}"):
-        body = body[1:-1]
-    body = body.strip()
-    if not body:
-        return Subset.empty(n)
-    return Subset(n, (int(tok) for tok in body.replace(",", " ").split()))
-
-
 class AdjacencyRule(Enum):
     """Elementary move allowed between consecutive sets of a sequence.
 
@@ -240,8 +229,8 @@ class SetFunctionOracle:
                 f"subset over universe {s.n} queried on oracle over {self.universe.n}"
             )
         value = self._fn(s)
-        if self.claims_nonnegative:
-            assert value >= -1e-12, f"nonnegative oracle returned {value} on {s}"
+        if self.claims_nonnegative and value < -1e-12:
+            raise ValueError(f"nonnegative oracle returned {value} on {s}")
         with self._lock:
             self._calls += 1
         return value
@@ -257,11 +246,6 @@ class SetFunctionOracle:
             if on
         )
         return f"SetFunctionOracle(n={self.universe.n}, flags={flags!r}, name={self.name!r})"
-
-
-def evaluate(oracle: SetFunctionOracle, s: Subset) -> float:
-    """Evaluate ``f(S)``, incrementing the oracle's call counter by one."""
-    return oracle.evaluate(s)
 
 
 def residual(oracle: SetFunctionOracle, r: Subset) -> SetFunctionOracle:
@@ -435,6 +419,23 @@ class ProblemInstance:
                     f"endpoints must have size {self.cardinality_k}, "
                     f"got {len(self.x)} and {len(self.y)}"
                 )
+
+
+def resolve_threshold(
+    theta: Optional[float],
+    theta_frac: Optional[float],
+    endpoint_min: Callable[[], float],
+) -> Optional[float]:
+    """``theta`` if given, else ``theta_frac * min(f(X), f(Y))``, else None.
+
+    ``endpoint_min`` returns ``min(f(X), f(Y))`` and is called only for the
+    fractional form, so an absolute or absent threshold costs no oracle calls.
+    """
+    if theta is not None:
+        return theta
+    if theta_frac is not None:
+        return theta_frac * endpoint_min()
+    return None
 
 
 def is_adjacent(rule: AdjacencyRule, s: Subset, t: Subset) -> bool:

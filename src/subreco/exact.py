@@ -118,7 +118,7 @@ def reachable(
 ) -> bool:
     """Is there a sequence whose every step satisfies ``f >= theta - slack``?
 
-    Breadth-first search over the feasible states.  Needs ``instance.theta``.
+    Depth-first search over the feasible states.  Needs ``instance.theta``.
     """
     if instance.theta is None:
         raise ValueError("reachability needs a threshold")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     ReconfigSequence,
     SetFunctionOracle,
     Subset,
+    resolve_threshold,
     validate_sequence,
 )
 from .exact import optimal_sequence
@@ -34,7 +35,6 @@ from .fileio import (
     load_instance,
 )
 from .oracles import GramMatrix, influence_oracle, logdet_oracle, sample_rr_sets
-from .reductions import obs52_instance, obs54_instance, obs55_instance
 
 PathLike = Union[str, Path]
 
@@ -98,16 +98,15 @@ class ExperimentConfig:
     """What to run and on what.
 
     Exactly one instance source applies: an in-memory instance, an instance
-    file path, a named generator, an edge list (influence experiment), or a
-    gram matrix (determinant experiment).  The last two build endpoints with
+    file path, an edge list (influence experiment), or a gram matrix
+    (determinant experiment).  The last two build endpoints with
     :func:`interchangeable_greedy` and require ``k``; the influence path also
-    requires an explicit ``seed``.
+    requires an explicit ``seed``.  ``restriction`` (ids of the ground set,
+    for example a :class:`Subset`) confines the exact solver's lattice.
     """
 
     algorithm: str
     instance: Optional[Union[ProblemInstance, InstanceFile, str, Path]] = None
-    generator: Optional[str] = None
-    generator_arg: Optional[int] = None
     graph_path: Optional[PathLike] = None
     gram_path: Optional[PathLike] = None
     directed: bool = False
@@ -120,7 +119,7 @@ class ExperimentConfig:
     theta_frac: Optional[float] = None
     out: Optional[PathLike] = None
     budget: Optional[int] = None
-    restriction: Optional[Subset] = None
+    restriction: Optional[Iterable[int]] = None
 
 
 @dataclass
@@ -166,17 +165,9 @@ class Report:
         self.csv_path = path
 
 
-_GENERATORS = {
-    "obs52": lambda arg: obs52_instance(),
-    "obs54": lambda arg: obs54_instance(arg if arg is not None else 8),
-    "obs55": lambda arg: obs55_instance(),
-}
-
-
 def _resolve_instance(cfg: ExperimentConfig) -> ProblemInstance:
     sources = [
         cfg.instance is not None,
-        cfg.generator is not None,
         cfg.graph_path is not None,
         cfg.gram_path is not None,
     ]
@@ -188,14 +179,8 @@ def _resolve_instance(cfg: ExperimentConfig) -> ProblemInstance:
         if isinstance(inst, (str, Path)):
             inst = load_instance(inst)
         if isinstance(inst, InstanceFile):
-            inst = inst.to_problem_instance()
+            inst = inst.to_problem_instance(inst.resolve_theta())
         return inst
-
-    if cfg.generator is not None:
-        maker = _GENERATORS.get(cfg.generator)
-        if maker is None:
-            raise ValueError(f"unknown generator {cfg.generator!r}")
-        return maker(cfg.generator_arg)
 
     if cfg.k is None:
         raise ValueError("endpoint construction needs k")
@@ -223,7 +208,11 @@ def _resolve_instance(cfg: ExperimentConfig) -> ProblemInstance:
 def run_experiment(cfg: ExperimentConfig) -> Report:
     if cfg.algorithm not in ("swap", "tjar", "astar", "exact"):
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-    calls_start_total = None
+    source = cfg.instance
+    # an oracle built during the run starts from zero calls
+    calls_start = (
+        source.oracle.calls if isinstance(source, (ProblemInstance, InstanceFile)) else 0
+    )
     instance = _resolve_instance(cfg)
     if cfg.rule is not None and cfg.rule is not instance.rule:
         k = len(instance.x) if cfg.rule is AdjacencyRule.TJ else None
@@ -231,19 +220,15 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             instance.oracle, instance.x, instance.y, cfg.rule, instance.theta, k
         )
     f = instance.oracle
-    calls_start_total = f.calls
+    restriction = None if cfg.restriction is None else Subset(f.universe.n, cfg.restriction)
 
     fx = f.evaluate(instance.x)
     fy = f.evaluate(instance.y)
-    if cfg.theta is not None:
-        theta = cfg.theta
-    elif cfg.theta_frac is not None:
-        theta = cfg.theta_frac * min(fx, fy)
-    else:
+    theta = resolve_threshold(cfg.theta, cfg.theta_frac, lambda: min(fx, fy))
+    if theta is None:
         theta = instance.theta
 
     c0 = f.calls
-    calls_setup = c0 - calls_start_total
     status = "ok"
     expansions = None
     value = None
@@ -269,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             instance.y,
             instance.rule,
             cardinality_k=instance.cardinality_k,
-            restriction=cfg.restriction,
+            restriction=restriction,
         )
         status = "found"
     c1 = f.calls
@@ -298,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         value=value,
         length=length,
         endpoint_values=(fx, fy),
-        calls_setup=calls_setup,
+        calls_setup=c0 - calls_start,
         calls_algorithm=c1 - c0,
         calls_evaluation=c2 - c1,
         expansions=expansions,

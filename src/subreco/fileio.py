@@ -31,6 +31,7 @@ from .core import (
     ReconfigSequence,
     SetFunctionOracle,
     Subset,
+    resolve_threshold,
 )
 from .oracles import (
     CnfFormula,
@@ -78,14 +79,27 @@ def format_ids_1indexed(s: Subset) -> str:
     return "{" + ",".join(str(e + 1) for e in s) + "}"
 
 
-def parse_ids_1indexed(text: str, n: int) -> Subset:
+def ids_1indexed(text: str) -> list[int]:
+    """0-indexed ids of the 1-indexed ``{i,j,...}`` form (braces optional)."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
-    body = body.strip()
-    if not body:
-        return Subset.empty(n)
-    return Subset(n, (int(tok) - 1 for tok in body.replace(",", " ").split()))
+    return [int(tok) - 1 for tok in body.replace(",", " ").split()]
+
+
+def parse_ids_1indexed(text: str, n: int) -> Subset:
+    return Subset(n, ids_1indexed(text))
+
+
+def _numbers(path: Path, lineno: int, tokens: Sequence[str], convert=int) -> list:
+    """Convert every token, naming ``path:lineno`` on the first bad one."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(convert(tok))
+        except ValueError:
+            raise InstanceParseError(path, lineno, f"bad number {tok!r}") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +347,22 @@ class InstanceFile:
     theta_kind: Optional[str] = None
     theta_param: Optional[float] = None
 
-    def resolve_theta(self) -> Optional[float]:
-        if self.theta_kind is None:
-            return None
-        if self.theta_kind == "value":
-            return self.theta_param
-        v = min(self.oracle.evaluate(self.x), self.oracle.evaluate(self.y))
-        return self.theta_param * v
+    def resolve_theta(
+        self, theta: Optional[float] = None, theta_frac: Optional[float] = None
+    ) -> Optional[float]:
+        """The given ``theta`` or ``theta_frac``, else the file's own threshold."""
+        if theta is None and theta_frac is None:
+            theta = self.theta_param if self.theta_kind == "value" else None
+            theta_frac = self.theta_param if self.theta_kind == "frac" else None
+        return resolve_threshold(
+            theta,
+            theta_frac,
+            lambda: min(self.oracle.evaluate(self.x), self.oracle.evaluate(self.y)),
+        )
 
-    def to_problem_instance(self, theta: Optional[float] = "unset") -> ProblemInstance:
-        resolved = self.resolve_theta() if theta == "unset" else theta
+    def to_problem_instance(self, theta: Optional[float]) -> ProblemInstance:
         k = len(self.x) if self.rule is AdjacencyRule.TJ else None
-        return ProblemInstance(self.oracle, self.x, self.y, self.rule, resolved, k)
+        return ProblemInstance(self.oracle, self.x, self.y, self.rule, theta, k)
 
 
 def _section_map(path: Path) -> dict[str, list[tuple[int, list[str]]]]:
@@ -361,26 +379,24 @@ def _section_map(path: Path) -> dict[str, list[tuple[int, list[str]]]]:
     return sections
 
 
-def _single_int(path, entries, key) -> int:
+def _single(path, entries, key, convert=str, default=None):
     for lineno, tokens in entries:
         if tokens[0] == key:
             if len(tokens) != 2:
                 raise InstanceParseError(path, lineno, f"'{key}' takes one value")
-            return int(tokens[1])
-    raise InstanceParseError(path, 0, f"missing '{key}' in [oracle]")
-
-
-def _single_str(path, entries, key, default=None) -> Optional[str]:
-    for lineno, tokens in entries:
-        if tokens[0] == key:
-            if len(tokens) != 2:
-                raise InstanceParseError(path, lineno, f"'{key}' takes one value")
-            return tokens[1]
+            return _numbers(path, lineno, tokens[1:], convert)[0]
     return default
 
 
+def _single_int(path, entries, key) -> int:
+    value = _single(path, entries, key, int)
+    if value is None:
+        raise InstanceParseError(path, 0, f"missing '{key}' in [oracle]")
+    return value
+
+
 def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
-    kind = _single_str(path, entries, "kind")
+    kind = _single(path, entries, "kind")
     if kind is None:
         raise InstanceParseError(path, 0, "missing 'kind' in [oracle]")
     base = path.parent
@@ -388,11 +404,14 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
     if kind == "coverage":
         n = _single_int(path, entries, "n")
         items = _single_int(path, entries, "items")
-        divisor = float(_single_str(path, entries, "divisor", "1") or "1")
+        divisor = _single(path, entries, "divisor", float, 1.0)
         covers = []
         for lineno, tokens in entries:
             if tokens[0] == "cover":
-                covers.append(tuple(int(t) - 1 for t in tokens[1:]))
+                ids = _numbers(path, lineno, tokens[1:])
+                if not all(1 <= i <= items for i in ids):
+                    raise InstanceParseError(path, lineno, f"cover items lie in 1..{items}")
+                covers.append(tuple(i - 1 for i in ids))
         if len(covers) != n:
             raise InstanceParseError(path, 0, f"expected {n} 'cover' lines, got {len(covers)}")
         return coverage_oracle(CoverageSpec(items, tuple(covers), divisor))
@@ -400,11 +419,11 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
     if kind == "modular":
         for lineno, tokens in entries:
             if tokens[0] == "weights":
-                return modular_oracle([float(t) for t in tokens[1:]])
+                return modular_oracle(_numbers(path, lineno, tokens[1:], float))
         raise InstanceParseError(path, 0, "missing 'weights' in [oracle]")
 
     if kind in ("cut", "incidence", "shifted-incidence"):
-        graph_file = _single_str(path, entries, "graph-file")
+        graph_file = _single(path, entries, "graph-file")
         if graph_file is not None:
             graph = load_edge_list(base / graph_file, directed=False)
         else:
@@ -414,8 +433,9 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
                 if tokens[0] == "edge":
                     if len(tokens) not in (3, 4):
                         raise InstanceParseError(path, lineno, "edge takes 'u v [w]'")
-                    w = float(tokens[3]) if len(tokens) == 4 else 1.0
-                    triples.append((int(tokens[1]) - 1, int(tokens[2]) - 1, w))
+                    u, v = _numbers(path, lineno, tokens[1:3])
+                    w = _numbers(path, lineno, tokens[3:], float) or [1.0]
+                    triples.append((u - 1, v - 1, w[0]))
             graph = WeightedGraph.build(n, triples)
         maker = {
             "cut": cut_oracle,
@@ -425,47 +445,45 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         return maker(graph)
 
     if kind == "nae":
-        cnf_file = _single_str(path, entries, "cnf-file")
+        cnf_file = _single(path, entries, "cnf-file")
         if cnf_file is not None:
             return nae_clause_oracle(load_cnf(base / cnf_file))
         n = _single_int(path, entries, "n")
         clauses = []
         for lineno, tokens in entries:
             if tokens[0] == "clause":
-                clauses.append(tuple(int(t) - 1 for t in tokens[1:]))
+                clauses.append(tuple(i - 1 for i in _numbers(path, lineno, tokens[1:])))
         return nae_clause_oracle(CnfFormula.monotone3(n, clauses))
 
     if kind == "logdet":
-        gram_file = _single_str(path, entries, "gram-file")
+        gram_file = _single(path, entries, "gram-file")
         if gram_file is None:
             raise InstanceParseError(path, 0, "logdet oracle needs 'gram-file'")
         return logdet_oracle(load_gram(base / gram_file))
 
     if kind == "influence":
-        rr_file = _single_str(path, entries, "rr-file")
+        rr_file = _single(path, entries, "rr-file")
         if rr_file is not None:
             return influence_oracle(load_rr_collection(base / rr_file))
-        graph_file = _single_str(path, entries, "graph-file")
+        graph_file = _single(path, entries, "graph-file")
         if graph_file is None:
             raise InstanceParseError(path, 0, "influence oracle needs 'rr-file' or 'graph-file'")
-        directed = (_single_str(path, entries, "directed", "false") or "").lower() == "true"
-        mode = _single_str(path, entries, "probability", "inverse-in-degree")
+        directed = _single(path, entries, "directed", default="false").lower() == "true"
+        mode = _single(path, entries, "probability", default="inverse-in-degree")
         rr_count = _single_int(path, entries, "rr-count")
         seed = _single_int(path, entries, "seed")
         graph = load_edge_list(base / graph_file, directed=directed, probability_mode=mode)
         return influence_oracle(sample_rr_sets(graph, rr_count, seed))
 
     if kind == "gadget":
-        upsilon = float(_single_str(path, entries, "upsilon") or 0)
+        upsilon = _single(path, entries, "upsilon", float, 0.0)
         weights = None
         for lineno, tokens in entries:
             if tokens[0] == "weights":
-                weights = [float(t) for t in tokens[1:]]
+                weights = _numbers(path, lineno, tokens[1:], float)
         if weights is None:
             raise InstanceParseError(path, 0, "gadget oracle needs inner 'weights'")
-        gadget = inapprox_gadget(modular_oracle(weights), upsilon)
-        gadget.oracle.serial = ("gadget", (upsilon, tuple(weights)))
-        return gadget.oracle
+        return inapprox_gadget(modular_oracle(weights), upsilon).oracle
 
     raise InstanceParseError(path, 0, f"unknown oracle kind {kind!r}")
 
@@ -480,7 +498,7 @@ def load_instance(path: PathLike) -> InstanceFile:
     n = oracle.universe.n
     x = y = None
     for lineno, tokens in sections["endpoints"]:
-        ids = [int(t) - 1 for t in tokens[1:]]
+        ids = [i - 1 for i in _numbers(path, lineno, tokens[1:])]
         try:
             subset = Subset(n, ids)
         except ValueError as exc:
@@ -509,7 +527,7 @@ def load_instance(path: PathLike) -> InstanceFile:
             if len(tokens) != 2:
                 raise InstanceParseError(path, lineno, f"'{tokens[0]}' takes one number")
             theta_kind = tokens[0]
-            theta_param = float(tokens[1])
+            theta_param = _numbers(path, lineno, tokens[1:], float)[0]
         else:
             raise InstanceParseError(path, lineno, f"unknown theta form {tokens[0]!r}")
     return InstanceFile(oracle, x, y, rule, theta_kind, theta_param)
@@ -626,7 +644,12 @@ def load_sequence_csv(path: PathLike, n: int) -> ReconfigSequence:
         for row in reader:
             if not row:
                 continue
-            steps.append(parse_ids_1indexed(row[1], n))
+            try:
+                steps.append(parse_ids_1indexed(row[1], n))
+            except (IndexError, ValueError):
+                raise InstanceParseError(
+                    path, reader.line_num, f"bad set in row {row!r}"
+                ) from None
     if not steps:
         raise InstanceParseError(path, 0, "sequence file has no rows")
     return ReconfigSequence(steps)

@@ -249,6 +249,10 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> GadgetInstance:
         (n + 1, n + 3),
     )
 
+    # the instance format can name a gadget only around modular weights
+    inner_kind, weights = f.serial or (None, None)
+    serial = ("gadget", (upsilon, weights)) if inner_kind == "modular" else None
+
     def fn(t: Subset) -> float:
         mask = t.mask
         crossing = sum(
@@ -264,6 +268,7 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> GadgetInstance:
         claims_submodular=True,
         claims_nonnegative=True,
         name=f"gadget({f.name or 'f'})",
+        serial=serial,
     )
     x = Subset(total, (n, n + 1))
     y = Subset(total, (n + 2, n + 3))

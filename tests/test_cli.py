@@ -265,6 +265,17 @@ class TestExact:
         # shut out of the universal fifth element the best walk dips to 3/4
         assert "value=0.75" in out
         assert "restricted=yes" in out
+        assert out == (
+            "algorithm=exact rule=tj status=found theta=- value=0.75 length=2 "
+            "calls_total=9 calls_algorithm=6 calls_evaluation=3 restricted=yes\n"
+        )
+
+    def test_lattice_guard_is_inconclusive(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs54", "--n", "24")
+        capsys.readouterr()
+        assert main(["exact", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out == "inconclusive: full lattice over 24 elements exceeds the guard\n"
 
 
 class TestValidate:

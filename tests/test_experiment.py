@@ -9,10 +9,14 @@ from subreco import (
     ProblemInstance,
     Subset,
     interchangeable_greedy,
+    load_gram,
     load_sequence_csv,
+    logdet_oracle,
     make_synthetic_gram,
     modular_oracle,
     obs52_instance,
+    obs54_instance,
+    obs55_instance,
     run_experiment,
     write_instance_for,
 )
@@ -59,7 +63,7 @@ class TestRunExperiment:
     def test_exact_on_the_coverage_counterexample(self, tmp_path):
         out = tmp_path / "seq.csv"
         report = run_experiment(
-            ExperimentConfig(algorithm="exact", generator="obs52", out=out)
+            ExperimentConfig(algorithm="exact", instance=obs52_instance(), out=out)
         )
         assert report.status == "found"
         assert report.value == 1.0
@@ -75,7 +79,7 @@ class TestRunExperiment:
 
     def test_tjar_on_the_matching_counterexample(self):
         report = run_experiment(
-            ExperimentConfig(algorithm="tjar", generator="obs54", generator_arg=8)
+            ExperimentConfig(algorithm="tjar", instance=obs54_instance(8))
         )
         assert report.status == "ok"
         assert report.value == pytest.approx(1.0)
@@ -86,20 +90,20 @@ class TestRunExperiment:
 
     def test_swap_on_the_matching_counterexample(self):
         report = run_experiment(
-            ExperimentConfig(algorithm="swap", generator="obs54", generator_arg=8)
+            ExperimentConfig(algorithm="swap", instance=obs54_instance(8))
         )
         assert report.value == pytest.approx(0.0)
         assert report.length == 4
 
     def test_astar_both_sides_of_threshold(self):
         found = run_experiment(
-            ExperimentConfig(algorithm="astar", generator="obs55", theta=0.0)
+            ExperimentConfig(algorithm="astar", instance=obs55_instance(), theta=0.0)
         )
         assert found.status == "found"
         assert found.length == 2
         assert found.expansions is not None
         blocked = run_experiment(
-            ExperimentConfig(algorithm="astar", generator="obs55", theta=0.5)
+            ExperimentConfig(algorithm="astar", instance=obs55_instance(), theta=0.5)
         )
         assert blocked.status == "no_path"
         assert blocked.rows == [] and blocked.value is None and blocked.length is None
@@ -107,7 +111,7 @@ class TestRunExperiment:
     def test_astar_frac_threshold(self):
         # endpoints of the single-edge instance both have value 1
         report = run_experiment(
-            ExperimentConfig(algorithm="astar", generator="obs55", theta_frac=0.5)
+            ExperimentConfig(algorithm="astar", instance=obs55_instance(), theta_frac=0.5)
         )
         assert report.theta == pytest.approx(0.5)
         assert report.status == "no_path"
@@ -115,7 +119,7 @@ class TestRunExperiment:
     def test_rule_override_relaxes_the_instance(self):
         report = run_experiment(
             ExperimentConfig(
-                algorithm="exact", generator="obs52", rule=AdjacencyRule.TJAR
+                algorithm="exact", instance=obs52_instance(), rule=AdjacencyRule.TJAR
             )
         )
         assert report.rule is AdjacencyRule.TJAR
@@ -148,7 +152,9 @@ class TestRunExperiment:
         assert report.value == 2.0
 
     def test_summary_mentions_the_essentials(self):
-        report = run_experiment(ExperimentConfig(algorithm="swap", generator="obs52"))
+        report = run_experiment(
+            ExperimentConfig(algorithm="swap", instance=obs52_instance())
+        )
         text = report.summary()
         assert "algorithm=swap" in text
         assert "rule=tj" in text
@@ -157,19 +163,17 @@ class TestRunExperiment:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(algorithm="solve", generator="obs52"))
+            run_experiment(ExperimentConfig(algorithm="solve", instance=obs52_instance()))
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(algorithm="swap"))
         with pytest.raises(ValueError):
             run_experiment(
                 ExperimentConfig(
-                    algorithm="swap", generator="obs52", gram_path="x.gram"
+                    algorithm="swap", instance=obs52_instance(), gram_path="x.gram"
                 )
             )
         with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(algorithm="swap", generator="obs99"))
-        with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(algorithm="astar", generator="obs52"))
+            run_experiment(ExperimentConfig(algorithm="astar", instance=obs52_instance()))
 
     def test_graph_source_needs_seed_and_k(self, data_dir):
         with pytest.raises(ValueError):
@@ -217,3 +221,16 @@ class TestRunExperiment:
         assert report.status == "ok"
         assert report.rule is AdjacencyRule.TJAR
         assert report.value > 0.0
+
+    def test_setup_counts_endpoint_construction(self, tmp_path):
+        from subreco import write_gram
+
+        path = tmp_path / "m.gram"
+        write_gram(path, make_synthetic_gram(6, seed=5))
+        f = logdet_oracle(load_gram(path))
+        interchangeable_greedy(f, 2)
+        report = run_experiment(
+            ExperimentConfig(algorithm="tjar", gram_path=path, k=2)
+        )
+        # the greedy's calls plus f(X) and f(Y)
+        assert report.calls_setup == f.calls + 2

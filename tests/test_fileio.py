@@ -14,6 +14,7 @@ from subreco import (
     ProblemInstance,
     ReconfigSequence,
     Subset,
+    UniverseMismatchError,
     WeightedGraph,
     coverage_oracle,
     cut_oracle,
@@ -61,6 +62,14 @@ class TestIdFormatting:
         assert parse_ids_1indexed("{1,3,6}", 6) == s
         assert parse_ids_1indexed("1 3 6", 6) == s
         assert parse_ids_1indexed("{}", 4) == Subset.empty(4)
+
+    def test_parse_round_trip(self):
+        for members in [(), (0,), (0, 2, 4)]:
+            s = Subset(5, members)
+            assert parse_ids_1indexed(format_ids_1indexed(s), 5) == s
+        assert parse_ids_1indexed("2, 4", 4) == Subset(4, [1, 3])
+        with pytest.raises(UniverseMismatchError):
+            parse_ids_1indexed("{7}", 4)
 
 
 class TestEdgeList:
@@ -328,10 +337,17 @@ class TestInstanceFiles:
 
     def test_gadget(self, tmp_path):
         gadget = inapprox_gadget(modular_oracle([0.3, 0.2]), 1.5)
-        gadget.oracle.serial = ("gadget", (1.5, (0.3, 0.2)))
         _, inst = self.roundtrip(
             tmp_path, gadget.oracle, gadget.x, gadget.y, AdjacencyRule.TJAR
         )
+        assert_same_values(gadget.oracle, inst.oracle)
+
+    def test_gadget_round_trip_without_patching(self, tmp_path):
+        gadget = inapprox_gadget(modular_oracle([1, 2]), 6)
+        p = tmp_path / "gadget.instance"
+        write_instance(p, gadget.oracle, gadget.x, gadget.y, AdjacencyRule.TJAR)
+        inst = load_instance(p)
+        assert (inst.x, inst.y) == (gadget.x, gadget.y)
         assert_same_values(gadget.oracle, inst.oracle)
 
     def test_frac_theta_resolves_against_endpoints(self, tmp_path):
@@ -349,10 +365,12 @@ class TestInstanceFiles:
             tmp_path, f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ,
             theta_kind="value", theta_param=1.5,
         )
-        inst = parsed.to_problem_instance()
+        inst = parsed.to_problem_instance(parsed.resolve_theta())
         assert inst.theta == 1.5
         assert inst.cardinality_k == 1  # implied by the exchange rule
         override = parsed.to_problem_instance(theta=None)
+        assert parsed.resolve_theta(theta_frac=0.5) == pytest.approx(1.0)
+        assert parsed.resolve_theta(theta=0.25, theta_frac=0.5) == 0.25
         assert override.theta is None
 
     def test_write_instance_for(self, tmp_path):
@@ -365,7 +383,8 @@ class TestInstanceFiles:
         )
         p = tmp_path / "case.instance"
         write_instance_for(inst, p)
-        back = load_instance(p).to_problem_instance()
+        spec = load_instance(p)
+        back = spec.to_problem_instance(spec.resolve_theta())
         assert back.theta == 0.75
         assert back.x == inst.x and back.y == inst.y and back.rule is inst.rule
 
@@ -398,6 +417,61 @@ class TestInstanceFiles:
         p.write_text(content)
         with pytest.raises(InstanceParseError):
             load_instance(p)
+
+
+_TAIL = "\n[endpoints]\nx 1\ny 2\n\n[rule]\ntar\n"
+
+
+class TestParseErrorsNameTheLine:
+    @pytest.mark.parametrize(
+        "name, content, line",
+        [
+            ("case.instance", "[oracle]\nkind modular\nweights 1 2 x\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind cut\nn abc\nedge 1 2\n" + _TAIL, 3),
+            (
+                "case.instance",
+                "[oracle]\nkind coverage\nn 2\nitems 2\ndivisor half\ncover 1\ncover 2\n"
+                + _TAIL,
+                5,
+            ),
+            ("case.instance", "[oracle]\nkind gadget\nupsilon big\nweights 1 2\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 b\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2 heavy\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind nae\nn 3\nclause 1 2 z\n" + _TAIL, 4),
+            (
+                "case.instance",
+                "[oracle]\nkind coverage\nn 2\nitems 2\ncover 1\ncover 2 9\n" + _TAIL,
+                6,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\ny q\n"
+                "\n[rule]\ntar\n",
+                7,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nvalue abc\n",
+                13,
+            ),
+            ("seq.csv", 'index,set,value\n0,"{1,2}",1.0\n1,"{1,x}",2.0\n', 3),
+            ("seq.csv", 'index,set,value\n0,"{1,2}",1.0\n1,"{1,9}",2.0\n', 3),
+        ],
+        ids=[
+            "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
+            "cover-range", "endpoint", "theta", "csv-id", "csv-range",
+        ],
+    )
+    def test_message_carries_path_and_line(self, tmp_path, name, content, line):
+        p = tmp_path / name
+        p.write_text(content)
+        with pytest.raises(InstanceParseError) as exc:
+            if name.endswith(".csv"):
+                load_sequence_csv(p, 4)
+            else:
+                load_instance(p)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"{p}:{line}: ")
 
 
 class TestSequenceCsv:
