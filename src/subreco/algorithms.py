@@ -18,6 +18,7 @@ budget ran out.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,7 +29,7 @@ from .core import (
     SetFunctionOracle,
     Subset,
     VALUE_SLACK,
-    neighbors,
+    neighbor_masks,
     residual,
 )
 
@@ -42,6 +43,26 @@ class GreedyTrace:
     oracle_calls: int
 
 
+def _best_extension(
+    f: SetFunctionOracle, n: int, base_mask: int, candidates: int
+) -> tuple[int, float]:
+    """The candidate ``e`` with the largest ``f(base + e)``, and that value.
+
+    Candidates are evaluated once each in ascending id order, and ties go to
+    the smallest id.  ``candidates`` must be nonempty.
+    """
+    best_e = -1
+    best_v = 0.0
+    m = candidates
+    while m:
+        low = m & -m
+        m ^= low
+        v = f.evaluate(Subset.from_mask(n, base_mask | low))
+        if best_e < 0 or v > best_v:
+            best_e, best_v = low.bit_length() - 1, v
+    return best_e, best_v
+
+
 def greedy(f: SetFunctionOracle, ground: Subset, k: int) -> GreedyTrace:
     """Pick ``k`` elements of ``ground`` by largest value of the grown prefix.
 
@@ -52,29 +73,18 @@ def greedy(f: SetFunctionOracle, ground: Subset, k: int) -> GreedyTrace:
     """
     if not 0 <= k <= len(ground):
         raise ValueError(f"cannot pick {k} elements from {len(ground)}")
-    n = ground.n
+    calls_before = f.calls
     chosen_mask = 0
     remaining = ground.mask
     elements: list[int] = []
     values: list[float] = []
-    calls = 0
     for _ in range(k):
-        best_e = -1
-        best_v = 0.0
-        m = remaining
-        while m:
-            low = m & -m
-            m ^= low
-            e = low.bit_length() - 1
-            v = f.evaluate(Subset.from_mask(n, chosen_mask | low))
-            calls += 1
-            if best_e < 0 or v > best_v:
-                best_e, best_v = e, v
-        elements.append(best_e)
-        values.append(best_v)
-        chosen_mask |= 1 << best_e
-        remaining ^= 1 << best_e
-    return GreedyTrace(tuple(elements), tuple(values), calls)
+        e, v = _best_extension(f, ground.n, chosen_mask, remaining)
+        elements.append(e)
+        values.append(v)
+        chosen_mask |= 1 << e
+        remaining ^= 1 << e
+    return GreedyTrace(tuple(elements), tuple(values), f.calls - calls_before)
 
 
 def swap_reconfigure(
@@ -180,18 +190,9 @@ def default_heuristic(
 
 @dataclass
 class AstarConfig:
-    """Knobs for :func:`astar`.
+    """Node-expansion ``budget`` for :func:`astar` (default ``2 ** min(n, 24)``)."""
 
-    ``heuristic`` defaults to the rule's bound from :func:`default_heuristic`;
-    ties between equal scores pop most-recently-pushed first.  ``budget``
-    bounds node expansions (default ``2 ** min(n, 24)``); ``theta`` overrides
-    the instance threshold when set.
-    """
-
-    heuristic: Optional[Callable[[Subset], float]] = None
     budget: Optional[int] = None
-    theta: Optional[float] = None
-    value_slack: float = VALUE_SLACK
 
 
 @dataclass(frozen=True)
@@ -211,66 +212,55 @@ class AstarResult:
 def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> AstarResult:
     """Shortest threshold-feasible sequence from X to Y, by A*.
 
-    Feasibility ``f(S) >= theta - slack`` is memoized per subset, so every
-    distinct subset touched costs exactly one oracle call.  The open list is
-    keyed by ``g + h`` with most-recent-first tie-breaking; closed nodes are
-    reopened if a shorter path to them appears (not possible with the default
-    consistent heuristics, but supported).
+    Feasibility ``f(S) >= instance.theta - VALUE_SLACK`` is memoized per
+    subset, so every distinct subset touched costs exactly one oracle call.
+    The heuristic is the rule's bound from :func:`default_heuristic`.  The
+    open list is a heap keyed by ``g + h`` with most-recent-first
+    tie-breaking and lazy deletion: a state is pushed again whenever a
+    shorter path to it appears, and a popped entry whose ``g`` is no longer
+    the state's best is skipped.
     """
-    cfg = cfg or AstarConfig()
-    theta = cfg.theta if cfg.theta is not None else instance.theta
-    if theta is None:
+    if instance.theta is None:
         raise ValueError("astar needs a threshold")
+    cfg = cfg or AstarConfig()
     f = instance.oracle
     n = f.universe.n
     rule = instance.rule
-    h = cfg.heuristic or default_heuristic(rule, instance.y)
+    h = default_heuristic(rule, instance.y)
     budget = cfg.budget if cfg.budget is not None else 1 << min(n, 24)
-    bound = theta - cfg.value_slack
+    bound = instance.theta - VALUE_SLACK
     calls_before = f.calls
 
     feasible_cache: dict[int, bool] = {}
 
-    def feasible(s: Subset) -> bool:
-        v = feasible_cache.get(s.mask)
+    def feasible(mask: int) -> bool:
+        v = feasible_cache.get(mask)
         if v is None:
-            v = f.evaluate(s) >= bound
-            feasible_cache[s.mask] = v
+            v = f.evaluate(Subset.from_mask(n, mask)) >= bound
+            feasible_cache[mask] = v
         return v
 
     def result(status, seq, expansions):
         return AstarResult(status, seq, expansions, f.calls - calls_before)
 
-    # a sequence always contains both endpoints, so either being infeasible
-    # settles the answer without searching
-    if not feasible(instance.x) or not feasible(instance.y):
-        return result("no_path", None, 0)
-
     x_mask = instance.x.mask
     y_mask = instance.y.mask
+    # a sequence always contains both endpoints, so either being infeasible
+    # settles the answer without searching
+    if not feasible(x_mask) or not feasible(y_mask):
+        return result("no_path", None, 0)
+
     g_score: dict[int, int] = {x_mask: 0}
     parent: dict[int, int] = {}
-    open_set: set[int] = {x_mask}
-    closed_set: set[int] = set()
-    open_score: dict[int, float] = {x_mask: h(instance.x)}
-    heap: list[tuple[float, int, int]] = [(open_score[x_mask], 0, x_mask)]
+    heap: list[tuple[float, int, int, int]] = [(h(instance.x), 0, 0, x_mask)]
     push_count = 0
     expansions = 0
-
-    def push(mask: int, score: float):
-        nonlocal push_count
-        push_count += 1
-        open_score[mask] = score
-        heapq.heappush(heap, (score, -push_count, mask))
-
     while heap:
-        score, _, mask = heapq.heappop(heap)
-        if mask not in open_set or score != open_score[mask]:
-            continue  # stale entry superseded by a cheaper push
+        _, _, g, mask = heapq.heappop(heap)
+        if g != g_score[mask]:
+            continue  # superseded by a shorter path pushed later
         if expansions >= budget:
             return result("inconclusive", None, expansions)
-        open_set.remove(mask)
-        closed_set.add(mask)
         expansions += 1
         if mask == y_mask:
             chain = [mask]
@@ -278,27 +268,11 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
                 chain.append(parent[chain[-1]])
             steps = [Subset.from_mask(n, m) for m in reversed(chain)]
             return result("found", ReconfigSequence(steps), expansions)
-        g_here = g_score[mask]
-        for t in neighbors(rule, Subset.from_mask(n, mask)):
-            if not feasible(t):
-                continue
-            t_mask = t.mask
-            tentative = g_here + 1
-            if t_mask in open_set:
-                if tentative < g_score[t_mask]:
-                    g_score[t_mask] = tentative
-                    parent[t_mask] = mask
-                    push(t_mask, tentative + h(t))
-            elif t_mask in closed_set:
-                if tentative < g_score[t_mask]:
-                    g_score[t_mask] = tentative
-                    parent[t_mask] = mask
-                    closed_set.remove(t_mask)
-                    open_set.add(t_mask)
-                    push(t_mask, tentative + h(t))
-            else:
-                g_score[t_mask] = tentative
-                parent[t_mask] = mask
-                open_set.add(t_mask)
-                push(t_mask, tentative + h(t))
+        for t in neighbor_masks(rule, n, mask):
+            if g + 1 < g_score.get(t, math.inf) and feasible(t):
+                g_score[t] = g + 1
+                parent[t] = mask
+                push_count += 1
+                score = g + 1 + h(Subset.from_mask(n, t))
+                heapq.heappush(heap, (score, -push_count, g + 1, t))
     return result("no_path", None, expansions)

@@ -449,31 +449,30 @@ def is_adjacent(rule: AdjacencyRule, s: Subset, t: Subset) -> bool:
     return diff == 1 or (diff == 2 and len(s) == len(t))
 
 
-def neighbors(rule: AdjacencyRule, s: Subset) -> list[Subset]:
-    """All subsets adjacent to S, in a fixed deterministic order.
+def neighbor_masks(rule: AdjacencyRule, n: int, mask: int) -> list[int]:
+    """Masks of all subsets of ``n`` elements adjacent to ``mask``, in a fixed order.
 
     Removals come first (ascending removed id), then additions (ascending
     added id), then exchanges ordered by (removed id, added id).  A fixed
     order keeps searches that break ties by insertion bit-reproducible.
     """
-    n = s.n
-    mask = s.mask
-    out: list[Subset] = []
+    inside = [1 << e for e in range(n) if mask >> e & 1]
+    outside = [1 << e for e in range(n) if not mask >> e & 1]
+    out: list[int] = []
     if rule is not AdjacencyRule.TJ:
-        for e in range(n):
-            if mask >> e & 1:
-                out.append(Subset.from_mask(n, mask ^ 1 << e))
-        for e in range(n):
-            if not mask >> e & 1:
-                out.append(Subset.from_mask(n, mask | 1 << e))
+        out += [mask ^ bit for bit in inside]
+        out += [mask | bit for bit in outside]
     if rule is not AdjacencyRule.TAR:
-        for e in range(n):
-            if mask >> e & 1:
-                removed = mask ^ 1 << e
-                for g in range(n):
-                    if not mask >> g & 1:
-                        out.append(Subset.from_mask(n, removed | 1 << g))
+        for bit in inside:
+            removed = mask ^ bit
+            out += [removed | add for add in outside]
     return out
+
+
+def neighbors(rule: AdjacencyRule, s: Subset) -> list[Subset]:
+    """All subsets adjacent to S, in the order of :func:`neighbor_masks`."""
+    n = s.n
+    return [Subset.from_mask(n, m) for m in neighbor_masks(rule, n, s.mask)]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Exact small-instance solvers over the explicit state graph.
 
-This is the only module that may evaluate an oracle on an entire subset
-lattice.  States are all subsets of the (optionally restricted) ground set,
-or all fixed-size subsets for cardinality-constrained instances; a size guard
-refuses enumerations beyond ``2^20`` states (``10^6`` for the fixed-size
-slice).
+Besides the exhaustive structural checks in :mod:`subreco.core`, which
+tabulate the lattice through ``core._value_table``, this is the only module
+that evaluates an oracle on an entire subset lattice.  States are all
+subsets of the (optionally restricted) ground set, or all fixed-size subsets
+for cardinality-constrained instances; a size guard refuses enumerations
+beyond ``2^20`` states (``10^6`` for the fixed-size slice).
 
 The bottleneck solver answers the optimization form: the largest threshold
 ``theta`` for which a feasible sequence exists equals the value at which X
@@ -14,11 +15,10 @@ decreasing value order.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     AdjacencyRule,
@@ -28,7 +28,7 @@ from .core import (
     SetFunctionOracle,
     Subset,
     VALUE_SLACK,
-    neighbors,
+    neighbor_masks,
 )
 
 FULL_LATTICE_LIMIT = 20
@@ -43,7 +43,6 @@ class StateGraphSummary:
     rule: AdjacencyRule
     cardinality_k: Optional[int]
     states: int
-    value_digest: str
 
 
 def build_value_table(
@@ -81,33 +80,55 @@ def build_value_table(
         for combo in combinations(elements, cardinality_k):
             mask = sum(1 << e for e in combo)
             table[mask] = oracle.evaluate(Subset.from_mask(n, mask))
-    digest = hashlib.sha256()
-    for mask in sorted(table):
-        digest.update(f"{mask}:{table[mask]!r};".encode())
-    summary = StateGraphSummary(
-        restriction, rule, cardinality_k, len(table), digest.hexdigest()
-    )
-    return table, summary
+    return table, StateGraphSummary(restriction, rule, cardinality_k, len(table))
 
 
-def _check_endpoints(
+def _restriction(
+    n: int,
     x: Subset,
     y: Subset,
-    restriction: Subset,
+    restriction: Optional[Subset],
     cardinality_k: Optional[int],
-) -> None:
+) -> Subset:
+    """The restriction, all ``n`` elements by default, with X and Y checked in it."""
+    if restriction is None:
+        restriction = Subset.full(n)
     if not x.issubset(restriction) or not y.issubset(restriction):
         raise ValueError("endpoints must lie inside the ground restriction")
     if cardinality_k is not None and (
         len(x) != cardinality_k or len(y) != cardinality_k
     ):
         raise ValueError("endpoints violate the cardinality constraint")
+    return restriction
 
 
-def _state_neighbors(rule: AdjacencyRule, s: Subset, table: dict[int, float]):
-    for t in neighbors(rule, s):
-        if t.mask in table:
-            yield t
+def _shortest_path(
+    table: dict[int, float],
+    rule: AdjacencyRule,
+    n: int,
+    x_mask: int,
+    y_mask: int,
+    bound: float,
+) -> Optional[list[int]]:
+    """Breadth-first shortest walk from X to Y through tabulated states valued
+    at least ``bound``, as a list of masks; None when there is none."""
+    if table[x_mask] < bound or table[y_mask] < bound:
+        return None
+    parent: dict[int, int] = {x_mask: x_mask}
+    queue = [x_mask]
+    for mask in queue:
+        if mask == y_mask:
+            chain = [mask]
+            while chain[-1] != x_mask:
+                chain.append(parent[chain[-1]])
+            return chain[::-1]
+        for t in neighbor_masks(rule, n, mask):
+            value = table.get(t)
+            if value is None or value < bound or t in parent:
+                continue
+            parent[t] = mask
+            queue.append(t)
+    return None
 
 
 def reachable(
@@ -118,14 +139,16 @@ def reachable(
 ) -> bool:
     """Is there a sequence whose every step satisfies ``f >= theta - slack``?
 
-    Depth-first search over the feasible states.  Needs ``instance.theta``.
+    Tabulates every state of the (restricted) lattice, then runs a
+    breadth-first search from X over the feasible states.  Needs
+    ``instance.theta``.
     """
     if instance.theta is None:
         raise ValueError("reachability needs a threshold")
     n = instance.oracle.universe.n
-    if restriction is None:
-        restriction = Subset.full(n)
-    _check_endpoints(instance.x, instance.y, restriction, instance.cardinality_k)
+    restriction = _restriction(
+        n, instance.x, instance.y, restriction, instance.cardinality_k
+    )
     table, _ = build_value_table(
         instance.oracle,
         instance.rule,
@@ -134,44 +157,7 @@ def reachable(
     )
     bound = instance.theta - value_slack
     x_mask, y_mask = instance.x.mask, instance.y.mask
-    if table.get(x_mask, bound - 1) < bound or table.get(y_mask, bound - 1) < bound:
-        return False
-    if x_mask == y_mask:
-        return True
-    seen = {x_mask}
-    frontier = [x_mask]
-    while frontier:
-        mask = frontier.pop()
-        for t in _state_neighbors(instance.rule, Subset.from_mask(n, mask), table):
-            t_mask = t.mask
-            if t_mask in seen or table[t_mask] < bound:
-                continue
-            if t_mask == y_mask:
-                return True
-            seen.add(t_mask)
-            frontier.append(t_mask)
-    return False
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, a: int) -> None:
-        self.parent[a] = a
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    return _shortest_path(table, instance.rule, n, x_mask, y_mask, bound) is not None
 
 
 def _bottleneck(
@@ -183,24 +169,49 @@ def _bottleneck(
 ) -> float:
     """Insert states in decreasing value order until X and Y connect.
 
-    Ties are broken by ascending state id, though any tie order yields the
-    same bottleneck value.  Returns the value of the last inserted state.
+    Connectivity is a union-find forest over the inserted states.  Ties are
+    broken by ascending state id, though any tie order yields the same
+    bottleneck value.  Returns the value of the last inserted state.
     """
-    uf = _UnionFind()
-    present: set[int] = set()
+    parent: dict[int, int] = {}
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
     for mask in sorted(table, key=lambda m: (-table[m], m)):
-        uf.add(mask)
-        present.add(mask)
-        for t in _state_neighbors(rule, Subset.from_mask(n, mask), table):
-            if t.mask in present:
-                uf.union(mask, t.mask)
-        if (
-            x_mask in present
-            and y_mask in present
-            and uf.find(x_mask) == uf.find(y_mask)
-        ):
+        parent[mask] = mask
+        for t in neighbor_masks(rule, n, mask):
+            if t in parent:
+                parent[find(mask)] = find(t)
+        if x_mask in parent and y_mask in parent and find(x_mask) == find(y_mask):
             return table[mask]
     raise RuntimeError("endpoints never connected; table is inconsistent")
+
+
+def _optimum(
+    oracle: SetFunctionOracle,
+    x: Subset,
+    y: Subset,
+    rule: AdjacencyRule,
+    cardinality_k: Optional[int],
+    restriction: Optional[Subset],
+) -> tuple[float, Optional[dict[int, float]]]:
+    """The optimal threshold and the value table it came from.
+
+    X == Y costs one evaluation and no table (the table is None).
+    """
+    restriction = _restriction(oracle.universe.n, x, y, restriction, cardinality_k)
+    if x == y:
+        return oracle.evaluate(x), None
+    table, _ = build_value_table(
+        oracle, rule, cardinality_k=cardinality_k, restriction=restriction
+    )
+    return _bottleneck(table, rule, oracle.universe.n, x.mask, y.mask), table
 
 
 def optimal_value(
@@ -213,16 +224,7 @@ def optimal_value(
     restriction: Optional[Subset] = None,
 ) -> float:
     """Largest ``theta`` for which an all-feasible sequence from X to Y exists."""
-    n = oracle.universe.n
-    if restriction is None:
-        restriction = Subset.full(n)
-    _check_endpoints(x, y, restriction, cardinality_k)
-    if x == y:
-        return oracle.evaluate(x)
-    table, _ = build_value_table(
-        oracle, rule, cardinality_k=cardinality_k, restriction=restriction
-    )
-    return _bottleneck(table, rule, n, x.mask, y.mask)
+    return _optimum(oracle, x, y, rule, cardinality_k, restriction)[0]
 
 
 def optimal_sequence(
@@ -240,35 +242,11 @@ def optimal_sequence(
     value reaches the optimal threshold (compared exactly; the threshold is
     itself a table entry).
     """
+    best, table = _optimum(oracle, x, y, rule, cardinality_k, restriction)
+    if table is None:
+        return best, ReconfigSequence([x])
     n = oracle.universe.n
-    if restriction is None:
-        restriction = Subset.full(n)
-    _check_endpoints(x, y, restriction, cardinality_k)
-    if x == y:
-        return oracle.evaluate(x), ReconfigSequence([x])
-    table, _ = build_value_table(
-        oracle, rule, cardinality_k=cardinality_k, restriction=restriction
-    )
-    best = _bottleneck(table, rule, n, x.mask, y.mask)
-    x_mask, y_mask = x.mask, y.mask
-    parent: dict[int, int] = {x_mask: x_mask}
-    queue = [x_mask]
-    qi = 0
-    while qi < len(queue):
-        mask = queue[qi]
-        qi += 1
-        if mask == y_mask:
-            break
-        for t in _state_neighbors(rule, Subset.from_mask(n, mask), table):
-            t_mask = t.mask
-            if t_mask in parent or table[t_mask] < best:
-                continue
-            parent[t_mask] = mask
-            queue.append(t_mask)
-    if y_mask not in parent:
+    chain = _shortest_path(table, rule, n, x.mask, y.mask, best)
+    if chain is None:
         raise RuntimeError("bottleneck value unreachable; solver inconsistency")
-    chain = [y_mask]
-    while chain[-1] != x_mask:
-        chain.append(parent[chain[-1]])
-    steps = [Subset.from_mask(n, m) for m in reversed(chain)]
-    return best, ReconfigSequence(steps)
+    return best, ReconfigSequence([Subset.from_mask(n, m) for m in chain])

@@ -16,7 +16,13 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .algorithms import AstarConfig, astar, swap_reconfigure, tjar_reconfigure
+from .algorithms import (
+    AstarConfig,
+    _best_extension,
+    astar,
+    swap_reconfigure,
+    tjar_reconfigure,
+)
 from .core import (
     AdjacencyRule,
     ProblemInstance,
@@ -51,24 +57,13 @@ def interchangeable_greedy(
     n = f.universe.n
     if not 0 <= k or 2 * k > n:
         raise ValueError(f"need 2k <= n to build disjoint endpoints, got k={k}, n={n}")
+    everything = (1 << n) - 1
     x_mask = 0
     y_mask = 0
-
-    def best_extension(base_mask: int, taken_mask: int) -> int:
-        best_e = -1
-        best_v = 0.0
-        for e in range(n):
-            if taken_mask >> e & 1:
-                continue
-            v = f.evaluate(Subset.from_mask(n, base_mask | 1 << e))
-            if best_e < 0 or v > best_v:
-                best_e, best_v = e, v
-        return best_e
-
     for _ in range(k):
-        e = best_extension(x_mask, x_mask | y_mask)
+        e, _ = _best_extension(f, n, x_mask, everything & ~(x_mask | y_mask))
         x_mask |= 1 << e
-        e = best_extension(y_mask, x_mask | y_mask)
+        e, _ = _best_extension(f, n, y_mask, everything & ~(x_mask | y_mask))
         y_mask |= 1 << e
     return Subset.from_mask(n, x_mask), Subset.from_mask(n, y_mask)
 
@@ -165,7 +160,10 @@ class Report:
         self.csv_path = path
 
 
-def _resolve_instance(cfg: ExperimentConfig) -> ProblemInstance:
+def _resolve_instance(
+    cfg: ExperimentConfig,
+) -> tuple[ProblemInstance, Optional[float]]:
+    """The instance to run, and the threshold fraction its file asks for."""
     sources = [
         cfg.instance is not None,
         cfg.graph_path is not None,
@@ -179,8 +177,10 @@ def _resolve_instance(cfg: ExperimentConfig) -> ProblemInstance:
         if isinstance(inst, (str, Path)):
             inst = load_instance(inst)
         if isinstance(inst, InstanceFile):
-            inst = inst.to_problem_instance(inst.resolve_theta())
-        return inst
+            if inst.theta_kind == "frac":  # resolved by the caller from f(X), f(Y)
+                return inst.to_problem_instance(None), inst.theta_param
+            return inst.to_problem_instance(inst.resolve_theta()), None
+        return inst, None
 
     if cfg.k is None:
         raise ValueError("endpoint construction needs k")
@@ -202,7 +202,7 @@ def _resolve_instance(cfg: ExperimentConfig) -> ProblemInstance:
         AdjacencyRule.TJ if cfg.graph_path is not None else AdjacencyRule.TJAR
     )
     k = cfg.k if rule is AdjacencyRule.TJ else None
-    return ProblemInstance(oracle, x, y, rule, None, k)
+    return ProblemInstance(oracle, x, y, rule, None, k), None
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -213,20 +213,28 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     calls_start = (
         source.oracle.calls if isinstance(source, (ProblemInstance, InstanceFile)) else 0
     )
-    instance = _resolve_instance(cfg)
+    instance, file_frac = _resolve_instance(cfg)
     if cfg.rule is not None and cfg.rule is not instance.rule:
         k = len(instance.x) if cfg.rule is AdjacencyRule.TJ else None
         instance = ProblemInstance(
             instance.oracle, instance.x, instance.y, cfg.rule, instance.theta, k
+        )
+    # the rules under which each constructive walk is a valid sequence
+    walk_rules = {"swap": ("tj", "tjar"), "tjar": ("tjar",)}.get(cfg.algorithm)
+    if walk_rules and instance.rule.token not in walk_rules:
+        raise ValueError(
+            f"{cfg.algorithm} needs rule {' or '.join(walk_rules)}, "
+            f"not {instance.rule.token}"
         )
     f = instance.oracle
     restriction = None if cfg.restriction is None else Subset(f.universe.n, cfg.restriction)
 
     fx = f.evaluate(instance.x)
     fy = f.evaluate(instance.y)
-    theta = resolve_threshold(cfg.theta, cfg.theta_frac, lambda: min(fx, fy))
-    if theta is None:
-        theta = instance.theta
+    theta, theta_frac = cfg.theta, cfg.theta_frac
+    if theta is None and theta_frac is None:
+        theta, theta_frac = instance.theta, file_frac
+    theta = resolve_threshold(theta, theta_frac, lambda: min(fx, fy))
 
     c0 = f.calls
     status = "ok"

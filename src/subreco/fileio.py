@@ -405,6 +405,9 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         n = _single_int(path, entries, "n")
         items = _single_int(path, entries, "items")
         divisor = _single(path, entries, "divisor", float, 1.0)
+        if divisor <= 0:
+            lineno = next(i for i, tokens in entries if tokens[0] == "divisor")
+            raise InstanceParseError(path, lineno, "divisor must be positive")
         covers = []
         for lineno, tokens in entries:
             if tokens[0] == "cover":
@@ -434,7 +437,13 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
                     if len(tokens) not in (3, 4):
                         raise InstanceParseError(path, lineno, "edge takes 'u v [w]'")
                     u, v = _numbers(path, lineno, tokens[1:3])
+                    if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                        raise InstanceParseError(
+                            path, lineno, f"edge joins two distinct vertices in 1..{n}"
+                        )
                     w = _numbers(path, lineno, tokens[3:], float) or [1.0]
+                    if w[0] < 0:
+                        raise InstanceParseError(path, lineno, "edge weight must be nonnegative")
                     triples.append((u - 1, v - 1, w[0]))
             graph = WeightedGraph.build(n, triples)
         maker = {
@@ -452,7 +461,12 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         clauses = []
         for lineno, tokens in entries:
             if tokens[0] == "clause":
-                clauses.append(tuple(i - 1 for i in _numbers(path, lineno, tokens[1:])))
+                ids = _numbers(path, lineno, tokens[1:])
+                if not (len(ids) == len(set(ids)) == 3 and all(1 <= i <= n for i in ids)):
+                    raise InstanceParseError(
+                        path, lineno, f"clause holds three distinct variables in 1..{n}"
+                    )
+                clauses.append(tuple(i - 1 for i in ids))
         return nae_clause_oracle(CnfFormula.monotone3(n, clauses))
 
     if kind == "logdet":

@@ -16,8 +16,10 @@ from subreco import (
     SetFunctionOracle,
     Subset,
     astar,
+    cut_oracle,
     default_heuristic,
     greedy,
+    interchangeable_greedy,
     is_adjacent,
     modular_oracle,
     sequence_value,
@@ -29,6 +31,7 @@ from subreco import (
 
 from conftest import (
     bfs_shortest_feasible,
+    random_graph,
     random_monotone_oracle,
     random_nonnegative_oracle,
     random_subset,
@@ -284,10 +287,6 @@ class TestAstar:
         full = astar(inst)
         assert full.status == "found"
 
-    def test_config_theta_overrides_instance(self):
-        inst = self.make_instance([1.0, 1.0], [0], [1], AdjacencyRule.TAR, 0.5)
-        assert astar(inst, AstarConfig(theta=1.5)).status == "no_path"
-
     def test_threshold_required(self):
         inst = self.make_instance([1.0, 1.0], [0], [1], AdjacencyRule.TAR, None)
         with pytest.raises(ValueError):
@@ -344,6 +343,27 @@ class TestAstar:
             assert result.status == "found"
             assert result.sequence.length == expected
             assert validate_sequence(inst, result.sequence)
+
+    # seeded cut graphs on which A* finds a shorter path to a state that is
+    # already queued, so the pins cover re-pushes as well as plain expansion
+    @pytest.mark.parametrize(
+        "seed, rule, frac, budget, expected",
+        [
+            (1, AdjacencyRule.TJ, 0.9, None, ("found", 4, 7, 125)),
+            (18, AdjacencyRule.TJ, 0.95, None, ("found", 6, 29, 304)),
+            (2, AdjacencyRule.TAR, 0.9, None, ("found", 10, 84, 547)),
+            (1, AdjacencyRule.TAR, 0.95, None, ("no_path", None, 65, 452)),
+            (2, AdjacencyRule.TAR, 0.9, 20, ("inconclusive", None, 20, 173)),
+        ],
+    )
+    def test_pinned_search_effort(self, seed, rule, frac, budget, expected):
+        f = cut_oracle(random_graph(random.Random(seed), 12, 0.4))
+        x, y = interchangeable_greedy(f, 4)
+        theta = frac * min(f.evaluate(x), f.evaluate(y))
+        k = 4 if rule is AdjacencyRule.TJ else None
+        result = astar(ProblemInstance(f, x, y, rule, theta, k), AstarConfig(budget=budget))
+        length = result.sequence.length if result.sequence else None
+        assert (result.status, length, result.expansions, result.oracle_calls) == expected
 
     def test_result_truthiness(self):
         found = AstarResult("found", ReconfigSequence([Subset(1, [0])]), 1, 1)

@@ -406,6 +406,16 @@ class TestInputErrors:
         capsys.readouterr()
         assert main(["solve", "swap", str(path), "--graph", str(graph)]) == 3
 
+    @pytest.mark.parametrize(
+        "solver, supported", [("swap", "tj or tjar"), ("tjar", "tjar")]
+    )
+    def test_walk_under_an_unsupported_rule(self, tmp_path, capsys, solver, supported):
+        path = gen_instance(tmp_path, "obs55")  # an add/remove (tar) instance
+        capsys.readouterr()
+        assert main(["solve", solver, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {solver} needs rule {supported}, not tar\n"
+
     def test_graph_source_requires_seed(self, data_dir, capsys):
         karate = data_dir / "karate.tsv"
         code = main(

@@ -18,6 +18,7 @@ from subreco import (
     obs54_instance,
     obs55_instance,
     run_experiment,
+    write_instance,
     write_instance_for,
 )
 
@@ -115,6 +116,21 @@ class TestRunExperiment:
         )
         assert report.theta == pytest.approx(0.5)
         assert report.status == "no_path"
+
+    def test_file_fraction_costs_the_endpoint_values_once(self, tmp_path):
+        p = tmp_path / "frac.instance"
+        write_instance(
+            p,
+            modular_oracle([2.0, 1.0, 3.0]),
+            Subset(3, [0]),
+            Subset(3, [2]),
+            AdjacencyRule.TJAR,
+            theta_kind="frac",
+            theta_param=0.5,
+        )
+        report = run_experiment(ExperimentConfig(algorithm="swap", instance=p))
+        assert report.theta == pytest.approx(1.0)
+        assert report.calls_setup == 2  # f(X) and f(Y), taken once
 
     def test_rule_override_relaxes_the_instance(self):
         report = run_experiment(

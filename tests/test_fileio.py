@@ -456,10 +456,23 @@ class TestParseErrorsNameTheLine:
             ),
             ("seq.csv", 'index,set,value\n0,"{1,2}",1.0\n1,"{1,x}",2.0\n', 3),
             ("seq.csv", 'index,set,value\n0,"{1,2}",1.0\n1,"{1,9}",2.0\n', 3),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 9\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind nae\nn 3\nclause 1 2 9\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 1\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2 -1\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind nae\nn 3\nclause 1 2 3 3\n" + _TAIL, 4),
+            (
+                "case.instance",
+                "[oracle]\nkind coverage\nn 2\nitems 2\ndivisor 0\ncover 1\ncover 2\n"
+                + _TAIL,
+                5,
+            ),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
             "cover-range", "endpoint", "theta", "csv-id", "csv-range",
+            "edge-range", "clause-range", "self-loop", "edge-sign", "clause-arity",
+            "divisor-range",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
