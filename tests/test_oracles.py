@@ -31,6 +31,7 @@ from subreco import (
     sample_rr_sets,
     shifted_incidence_oracle,
 )
+from subreco.oracles import _mt_words
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +390,78 @@ class TestRrSampling:
             RrSetCollection(3, (Subset(4, [0]),), seed=0)
         with pytest.raises(ValueError):
             RrSetCollection(3, (Subset.empty(3),), seed=0)
+
+
+def reference_rr_sample(g, count, seed):
+    """Masks, root words and random() calls of the per-sample ``random.Random`` walk."""
+    incoming = [[] for _ in range(g.n)]
+    for (u, v), p in zip(g.edges, g.probabilities):
+        incoming[v].append((u, p))
+    rng = random.Random()
+    masks, root_words, draws = [], [], []
+    for i in range(count):
+        rng.seed(seed * 0x1FFFFFFFFFFFFFF + i)
+        state = rng.getstate()
+        root = rng.randrange(g.n)
+        words = 1
+        rng.setstate(state)
+        while rng.getrandbits(g.n.bit_length()) != root:
+            words += 1
+        mask, queue, calls = 1 << root, [root], 0
+        for v in queue:
+            for u, p in incoming[v]:
+                if not mask >> u & 1:
+                    calls += 1
+                    if rng.random() < p:
+                        mask |= 1 << u
+                        queue.append(u)
+        masks.append(mask)
+        root_words.append(words)
+        draws.append(calls)
+    return masks, root_words, draws
+
+
+class TestRrSamplerMatchesRandom:
+    """The batched sampler gives the per-sample ``random.Random`` walk bit for bit."""
+
+    def test_words_match_getrandbits(self):
+        seeds = [0, 1, -5, 2**32 - 1, 2**32, 2**64 + 7, 10**200, 2**20000 + 3, 12]
+        words = _mt_words(seeds, 227)
+        assert words.shape == (227, len(seeds))
+        for c, a in enumerate(seeds):
+            rng = random.Random(a)
+            assert words[:, c].tolist() == [rng.getrandbits(32) for _ in range(227)]
+        with pytest.raises(ValueError):
+            _mt_words(seeds, 228)
+
+    # name: (vertices, arcs, probability, count, seed)
+    CASES = {
+        "single-vertex": (1, [], 0.5, 50, 3),
+        "chain": (3, [(0, 1), (1, 2)], 0.5, 400, 0),
+        # randrange(17) rejects nearly half its words, so some roots need
+        # more words than the batch keeps
+        "star-17": (17, [(i, 0) for i in range(1, 17)], 0.3, 3000, -4),
+        # 182 arcs: many walks make more random() calls than the batch
+        # keeps; 9,000 samples span two batches
+        "complete-14": (
+            14,
+            [(u, v) for u in range(14) for v in range(14) if u != v],
+            0.12,
+            9000,
+            10**40,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_sets_match_reference_walk(self, name):
+        n, arcs, p, count, seed = self.CASES[name]
+        g = WeightedGraph.build(n, arcs, directed=True, probabilities=[p] * len(arcs))
+        masks, root_words, draws = reference_rr_sample(g, count, seed)
+        assert [s.mask for s in sample_rr_sets(g, count, seed).sets] == masks
+        if name == "star-17":
+            assert max(root_words) > 8
+        if name == "complete-14":
+            assert max(draws) > 64
 
 
 class TestInfluenceOracle:
