@@ -14,8 +14,8 @@ from subreco import ExperimentConfig, format_ids_1indexed, run_experiment
 DATA = Path(__file__).resolve().parent.parent / "data" / "karate.tsv"
 
 # Undirected club edges become opposite arc pairs; each arc (u, v) fires
-# with probability 1 / indegree(v).  Sampling is deterministic in the seed,
-# so the numbers below reproduce exactly.
+# with probability 1 / indegree(v).  Each RR sample reads its own block of a
+# Philox stream keyed by the seed, so the numbers below reproduce exactly.
 report = run_experiment(
     ExperimentConfig(
         algorithm="swap",

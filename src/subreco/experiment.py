@@ -10,7 +10,7 @@ randomized ingredient takes an explicit seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 

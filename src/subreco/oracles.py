@@ -9,8 +9,6 @@ data first, so the oracles themselves stay deterministic.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -502,149 +500,48 @@ class RrSetCollection:
         return len(self.sets)
 
 
-# CPython's ``random.Random(a)`` for an int ``a`` is a Mersenne Twister
-# MT19937 keyed by init_by_array on the 32-bit words of ``abs(a)``.  The
-# sampler reseeds once per sample, and that key schedule is most of its cost,
-# so it is run here over many seeds at once; the words it yields equal
-# ``Random(a).getrandbits(32)`` call for call.
-_MT_N = 624
-_MT_M = 397
-_MT_CHUNK = 4096  # seeds per vectorised batch: a 624 x 4096 uint32 state, 10 MB
-_ROOT_TRIES = 8  # words kept for the root's rejection sampling
-_DRAWS = 64  # random() calls kept per sample; 99% of karate samples need fewer
+# Samples run in lock-step, a chunk at a time; a chunk's stream words plus its
+# reached-vertex flags stay within this many words (4 MB), and a chunk holds at
+# least one sample.
+_CHUNK_WORDS = 1 << 19
 
 
-def _mt_genrand_template(s: int) -> list[int]:
-    mt = [s]
-    for i in range(1, _MT_N):
-        p = mt[-1]
-        mt.append((1812433253 * (p ^ p >> 30) + i) & 0xFFFFFFFF)
-    return mt
-
-
-_MT_TEMPLATE = _mt_genrand_template(19650218)
-
-
-def _mt_words_same_length(keys: np.ndarray, width: int) -> np.ndarray:
-    """First ``width`` outputs for the key words ``keys`` of shape (L, C).
-
-    Column ``c`` follows CPython's ``init_by_array`` on ``keys[:, c]``, then
-    the first twist and tempering of ``genrand_uint32``.
-    """
-    n = _MT_N
-    u32 = np.uint32
-    klen, cols = keys.shape
-    mt = np.empty((n, cols), dtype=u32)
-    mt[0] = _MT_TEMPLATE[0]
-    fresh = [False] + [True] * (n - 1)  # rows still at their template value
-    addend = keys + np.arange(klen, dtype=u32)[:, None]
-    t = np.empty(cols, dtype=u32)
-    shift, xor, mul = np.right_shift, np.bitwise_xor, np.multiply
-    i, j = 1, 0
-    for _ in range(max(n, klen)):
-        prev, row = mt[i - 1], mt[i]
-        shift(prev, 30, out=t)
-        xor(t, prev, out=t)
-        mul(t, u32(1664525), out=t)
-        if fresh[i]:
-            xor(t, u32(_MT_TEMPLATE[i]), out=row)
-            fresh[i] = False
-        else:
-            xor(row, t, out=row)
-        row += addend[j]
-        i += 1
-        j += 1
-        if i >= n:
-            mt[0] = mt[n - 1]
-            i = 1
-        if j >= klen:
-            j = 0
-    for _ in range(n - 1):
-        prev, row = mt[i - 1], mt[i]
-        shift(prev, 30, out=t)
-        xor(t, prev, out=t)
-        mul(t, u32(1566083941), out=t)
-        xor(row, t, out=row)
-        row -= u32(i)
-        i += 1
-        if i >= n:
-            mt[0] = mt[n - 1]
-            i = 1
-    mt[0] = 0x80000000
-    # the first twist for words 0..width-1 reads rows up to 397 + width,
-    # none of which it has overwritten yet; in place, to keep the batch small
-    out = mt[:width] & u32(0x80000000)
-    out |= mt[1 : width + 1] & u32(0x7FFFFFFF)
-    odd = out & u32(1)
-    odd *= u32(0x9908B0DF)
-    out >>= 1
-    out ^= odd
-    out ^= mt[_MT_M : _MT_M + width]
-    del mt, odd
-    out ^= out >> 11  # tempering
-    t = out << 7
-    t &= u32(0x9D2C5680)
-    out ^= t
-    t = out << 15
-    t &= u32(0xEFC60000)
-    out ^= t
-    out ^= out >> 18
-    return out
-
-
-def _mt_words(seeds: Sequence[int], width: int) -> np.ndarray:
-    """``out[w, c] == w``-th ``getrandbits(32)`` of ``random.Random(seeds[c])``.
-
-    Shape ``(width, len(seeds))``; ``width`` is at most 227, the words of the
-    first twist that need no word of the same twist.
-    """
-    if not 0 < width <= _MT_N - _MT_M:
-        raise ValueError(f"width must lie in 1..{_MT_N - _MT_M}")
-    magnitudes = [abs(a) for a in seeds]
-    lengths = [(a.bit_length() + 31) // 32 or 1 for a in magnitudes]
-    parts = []
-    lo = 0
-    for klen, run in itertools.groupby(lengths):
-        hi = lo + len(list(run))
-        keys = np.array(
-            [[a >> 32 * w & 0xFFFFFFFF for a in magnitudes[lo:hi]] for w in range(klen)],
-            dtype=np.uint32,
-        )
-        parts.append(_mt_words_same_length(keys, width))
-        lo = hi
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _reverse_bfs(incoming: list[list[tuple[int, int, float]]], root: int, rand) -> int:
-    """Mask of the RR set of ``root``.
-
-    ``incoming[v]`` lists the arcs into ``v`` as ``(u, 1 << u, p)``; each arc
-    from an unreached ``u`` into a reached vertex costs one ``rand()`` and is
-    kept when that draw is below ``p``.
-    """
-    mask = 1 << root
-    queue = [root]
-    for v in queue:  # the loop also visits what it appends
-        for u, bit, p in incoming[v]:
-            if not mask & bit and rand() < p:
-                mask |= bit
-                queue.append(u)
-    return mask
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """``sum(1 << v for v where rows[r, v])`` for each row ``r`` of a bool matrix."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if width <= 8:  # the masks fit in uint64
+        padded = np.zeros((len(rows), 8), dtype=np.uint8)
+        padded[:, :width] = packed
+        return padded.view("<u8").ravel().tolist()
+    data = packed.tobytes()
+    return [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
 
 
 def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
     """Sample ``count`` reverse-reachable sets under independent-cascade edges.
 
-    Each sample picks a uniform root and walks the graph backwards breadth
-    first, keeping each incoming arc independently with its probability; an
-    arc is flipped at most once per sample.  Sample ``i`` draws from
-    ``random.Random(seed * 0x1FFFFFFFFFFFFFF + i)`` (``randrange(n)`` for the
-    root, then ``random()`` per arc), so the collection is a pure function of
-    the pair and independent of evaluation order.
+    The RR set of a uniform root is every vertex with a path of live arcs to
+    it, each arc being live independently with its probability.
 
-    The generators' words come from :func:`_mt_words` in batches that keep
-    8 words for the root and 64 ``random()`` calls per sample; a sample that
-    needs more is redrawn from its own ``random.Random``, with the same result.
+    Stream.  One ``np.random.Philox`` is keyed by ``np.random.SeedSequence``
+    on the sign-folded seed, ``2 * seed`` for ``seed >= 0`` and
+    ``-2 * seed - 1`` otherwise, so every int seed has its own key.  With
+    ``m`` arcs, sample ``i`` owns the raw words ``i*(m+1) .. i*(m+1)+m`` of
+    ``bit_generator.random_raw``, each read as ``u = (w >> 11) * 2**-53``.
+    Word 0 picks the root, ``min(floor(u * n), n - 1)``; word ``1 + a`` is
+    the coin of arc ``a`` in ``g.edges`` order, and the arc is live when
+    ``u < p_a``.  Sample ``i`` is thus a pure function of ``(seed, i)``, and a
+    longer collection extends a shorter one with the same seed.
+
+    Search.  A breadth-first search that flips each arc when it first reaches
+    it and one that reads coins flipped in advance return the same set for
+    the same coins, and each coin is read at most once, so both give the same
+    distribution of RR sets (the live-edge equivalence for independent
+    cascade, Kempe, Kleinberg & Tardos, KDD'03).  So every sample of a chunk
+    walks backwards in lock-step: a frontier of ``(sample, vertex)`` pairs
+    expands through a CSR array of incoming arcs, keeping an arc whose coin is
+    live and whose tail the sample has not reached yet.
     """
     if not g.directed or g.probabilities is None:
         raise ValueError("influence sampling needs a directed graph with probabilities")
@@ -652,58 +549,66 @@ def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
         raise ValueError("count must be at least 1")
     if g.n == 0:
         raise ValueError("cannot sample from an empty graph")
-    incoming: list[list[tuple[int, int, float]]] = [[] for _ in range(g.n)]
-    for (u, v), p in zip(g.edges, g.probabilities):
-        incoming[v].append((u, 1 << u, p))
-    n = g.n
-    # int seeding is stable across Python versions (tuple seeding is not);
-    # the multiplier keeps nearby (seed, i) pairs from colliding
-    base = seed * 0x1FFFFFFFFFFFFFF
-    # randrange(n) takes getrandbits(k) until one is below n; random() takes
-    # two words
-    k = n.bit_length()
-    draws = max(1, min(len(g.edges), _DRAWS))  # at most one random() per arc
-    width = _ROOT_TRIES + 2 * draws
-    rng = random.Random()
-    subsets: dict[int, Subset] = {}
-    sets = []
-    append = sets.append
-    for lo in range(0, count, _MT_CHUNK):
-        size = min(count - lo, _MT_CHUNK)
-        words = _mt_words(range(base + lo, base + lo + size), width)
-        picks = words[:_ROOT_TRIES] >> np.uint32(32 - k)
-        accepted = picks < n
-        used = accepted.argmax(axis=0)
-        cols = np.arange(size)
-        roots = picks[used, cols].tolist()
-        found = accepted[used, cols].tolist()
-        # uniform[c, w] is the random() made of words w and w + 1 of sample c;
-        # sample c's draws are every other entry from w = used[c] + 1 on
-        words = np.ascontiguousarray(words.T)
-        uniform = (words[:, :-1] >> 5).astype(np.float64)
-        uniform *= 67108864.0
-        uniform += words[:, 1:] >> 6
-        uniform *= 1.0 / 9007199254740992.0
-        flat = memoryview(uniform.reshape(-1))
-        starts = (cols * (width - 1) + used + 1).tolist()
-        stops = ((cols + 1) * (width - 1)).tolist()
-        for i, root, ok, start, stop in zip(
-            range(base + lo, base + lo + size), roots, found, starts, stops
-        ):
-            mask = None
-            if ok:
-                try:
-                    mask = _reverse_bfs(incoming, root, iter(flat[start:stop:2]).__next__)
-                except StopIteration:
-                    pass
-            if mask is None:
-                rng.seed(i)
-                mask = _reverse_bfs(incoming, rng.randrange(n), rng.random)
-            s = subsets.get(mask)
-            if s is None:
-                s = subsets[mask] = Subset.from_mask(n, mask)
-            append(s)
-    return RrSetCollection(n, tuple(sets), seed, g.digest())
+    n, m = g.n, len(g.edges)
+    width = m + 1  # stream words per sample
+    arcs = np.array(g.edges, dtype=np.int64).reshape(m, 2)
+    # incoming arcs grouped by head, each group in g.edges order
+    order = np.argsort(arcs[:, 1], kind="stable")
+    indeg = np.bincount(arcs[:, 1], minlength=n)
+    first_in = np.cumsum(indeg) - indeg
+    tails = arcs[order, 0]
+    coin_word = order + 1
+    # u < p exactly when (w >> 11) < ceil(p * 2**53), as scaling by 2**53 is exact
+    limits = np.ceil(np.array(g.probabilities)[order] * 2.0**53).astype(np.uint64)
+    stream = np.random.Philox(
+        np.random.SeedSequence(2 * seed if seed >= 0 else -2 * seed - 1)
+    )
+    chunk = max(1, _CHUNK_WORDS // (width + n))
+    masks: list[int] = []
+    for lo in range(0, count, chunk):
+        size = min(chunk, count - lo)
+        words = stream.random_raw(size * width)
+        words >>= np.uint64(11)
+        roots = np.minimum((words[::width] * 2.0**-53 * n).astype(np.int64), n - 1)
+        # pair s * n + v is vertex v of sample s; reached[pair] marks it found
+        reached = np.zeros(size * n, dtype=bool)
+        claim = np.empty(size * n, dtype=np.intp)
+        frontier = np.arange(size) * n + roots
+        reached[frontier] = True
+        while frontier.size:
+            sample, vertex = np.divmod(frontier, n)
+            deg = indeg[vertex]
+            pos = np.repeat(first_in[vertex] - (np.cumsum(deg) - deg), deg)
+            pos += np.arange(pos.size)
+            sample = np.repeat(sample, deg)
+            found = sample * n + tails[pos]
+            live = words[sample * width + coin_word[pos]] < limits[pos]
+            live &= ~reached[found]
+            found = found[live]
+            # a pair found twice in one level keeps one copy: the one whose
+            # write to claim survives
+            ids = np.arange(found.size)
+            claim[found] = ids
+            frontier = found[claim[found] == ids]
+            reached[frontier] = True
+        masks += _row_masks(reached.reshape(size, n))
+    # equal masks share one Subset
+    shared = {mask: Subset.from_mask(n, mask) for mask in dict.fromkeys(masks)}
+    return RrSetCollection(n, tuple(map(shared.__getitem__, masks)), seed, g.digest())
+
+
+def _vertex_masks(rr: RrSetCollection) -> tuple[int, ...]:
+    """Per-vertex incidence bitmaps: set ``j`` is bit ``8 * ceil(count / 8) - 1 - j``."""
+    n = rr.n
+    masks = (s.mask for s in rr.sets)
+    if n <= 64:  # the masks fit in uint64
+        rows = np.fromiter(masks, dtype="<u8", count=rr.count).view(np.uint8)
+    else:
+        width = (n + 7) // 8
+        rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    hit = np.unpackbits(rows.reshape(rr.count, -1), axis=1, count=n, bitorder="little")
+    packed = np.packbits(hit.T, axis=1)
+    return tuple(int.from_bytes(packed[v].tobytes(), "big") for v in range(n))
 
 
 def influence_oracle(rr: RrSetCollection) -> SetFunctionOracle:
@@ -715,19 +620,7 @@ def influence_oracle(rr: RrSetCollection) -> SetFunctionOracle:
     """
     count = rr.count
     n = rr.n
-    hit = np.zeros((n, count), dtype=bool)
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for j, s in enumerate(rr.sets):
-        m = s.mask
-        while m:
-            cols[(m & -m).bit_length() - 1].append(j)
-            m &= m - 1
-    for v in range(n):
-        hit[v, cols[v]] = True
-    packed = np.packbits(hit, axis=1)
-    vertex_masks = tuple(
-        int.from_bytes(packed[v].tobytes(), "big") for v in range(n)
-    )
+    vertex_masks = _vertex_masks(rr)
     scale = n / count
 
     def fn(s: Subset) -> float:

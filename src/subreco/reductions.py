@@ -10,7 +10,7 @@ from the optimum; their exact values are pinned down in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     AdjacencyRule,

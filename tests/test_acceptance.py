@@ -23,7 +23,6 @@ from conftest import (
 )
 from subreco import (
     AdjacencyRule,
-    AstarConfig,
     CnfFormula,
     ExperimentConfig,
     ProblemInstance,
@@ -384,8 +383,8 @@ def test_10_karate_influence_pipeline_end_to_end(data_dir):
         assert 20.0 <= fx <= 27.0
         assert 20.0 <= fy <= 27.0
         # deterministic for this sampler and seed; guards silent estimator drift
-        assert fx == pytest.approx(23.18902, abs=1e-9)
-        assert fy == pytest.approx(23.51304, abs=1e-9)
+        assert fx == pytest.approx(23.08498, abs=1e-9)
+        assert fy == pytest.approx(23.54194, abs=1e-9)
         assert len(report.rows) == 9
         assert report.value >= 0.8 * min(fx, fy)
         k = 8

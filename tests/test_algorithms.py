@@ -20,7 +20,6 @@ from subreco import (
     default_heuristic,
     greedy,
     interchangeable_greedy,
-    is_adjacent,
     modular_oracle,
     sequence_value,
     swap_reconfigure,

@@ -1,7 +1,5 @@
 """On-disk formats: edge lists, gram matrices, CNF, samples, and instances."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from subreco import (
     AdjacencyRule,
     CnfFormula,
     CoverageSpec,
-    GramMatrix,
     InstanceParseError,
     ProblemInstance,
     ReconfigSequence,

@@ -31,7 +31,7 @@ from subreco import (
     sample_rr_sets,
     shifted_incidence_oracle,
 )
-from subreco.oracles import _mt_words
+from subreco import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -393,62 +393,50 @@ class TestRrSampling:
 
 
 def reference_rr_sample(g, count, seed):
-    """Masks, root words and random() calls of the per-sample ``random.Random`` walk."""
+    """Masks of a plain reverse search over each sample's block of a fresh Philox."""
+    width = len(g.edges) + 1
+    key = 2 * seed if seed >= 0 else -2 * seed - 1
+    stream = np.random.Philox(np.random.SeedSequence(key)).random_raw(count * width)
     incoming = [[] for _ in range(g.n)]
-    for (u, v), p in zip(g.edges, g.probabilities):
-        incoming[v].append((u, p))
-    rng = random.Random()
-    masks, root_words, draws = [], [], []
+    for a, ((u, v), p) in enumerate(zip(g.edges, g.probabilities)):
+        incoming[v].append((a, u, p))
+    masks = []
     for i in range(count):
-        rng.seed(seed * 0x1FFFFFFFFFFFFFF + i)
-        state = rng.getstate()
-        root = rng.randrange(g.n)
-        words = 1
-        rng.setstate(state)
-        while rng.getrandbits(g.n.bit_length()) != root:
-            words += 1
-        mask, queue, calls = 1 << root, [root], 0
+        u = [(w >> 11) * 2**-53 for w in stream[i * width : (i + 1) * width].tolist()]
+        root = min(int(u[0] * g.n), g.n - 1)
+        mask, queue = 1 << root, [root]
         for v in queue:
-            for u, p in incoming[v]:
-                if not mask >> u & 1:
-                    calls += 1
-                    if rng.random() < p:
-                        mask |= 1 << u
-                        queue.append(u)
+            for a, t, p in incoming[v]:
+                if not mask >> t & 1 and u[1 + a] < p:
+                    mask |= 1 << t
+                    queue.append(t)
         masks.append(mask)
-        root_words.append(words)
-        draws.append(calls)
-    return masks, root_words, draws
+    return masks
 
 
-class TestRrSamplerMatchesRandom:
-    """The batched sampler gives the per-sample ``random.Random`` walk bit for bit."""
+COMPLETE_14_ARCS = [(u, v) for u in range(14) for v in range(14) if u != v]
+COMPLETE_14 = WeightedGraph.build(
+    14, COMPLETE_14_ARCS, directed=True, probabilities=[0.12] * 182
+)
 
-    def test_words_match_getrandbits(self):
-        seeds = [0, 1, -5, 2**32 - 1, 2**32, 2**64 + 7, 10**200, 2**20000 + 3, 12]
-        words = _mt_words(seeds, 227)
-        assert words.shape == (227, len(seeds))
-        for c, a in enumerate(seeds):
-            rng = random.Random(a)
-            assert words[:, c].tolist() == [rng.getrandbits(32) for _ in range(227)]
-        with pytest.raises(ValueError):
-            _mt_words(seeds, 228)
+
+class TestRrSamplerMatchesReference:
+    """The lock-step sampler gives the per-sample Philox reverse search bit for bit."""
 
     # name: (vertices, arcs, probability, count, seed)
     CASES = {
         "single-vertex": (1, [], 0.5, 50, 3),
         "chain": (3, [(0, 1), (1, 2)], 0.5, 400, 0),
-        # randrange(17) rejects nearly half its words, so some roots need
-        # more words than the batch keeps
         "star-17": (17, [(i, 0) for i in range(1, 17)], 0.3, 3000, -4),
-        # 182 arcs: many walks make more random() calls than the batch
-        # keeps; 9,000 samples span two batches
-        "complete-14": (
-            14,
-            [(u, v) for u in range(14) for v in range(14) if u != v],
-            0.12,
-            9000,
-            10**40,
+        # 182 arcs: 9,000 samples span four chunks
+        "complete-14": (14, COMPLETE_14_ARCS, 0.12, 9000, 10**40),
+        # a ring with hops 1 and 5, whose masks reach past bit 63
+        "ring-70": (
+            70,
+            [(i, (i + h) % 70) for h in (1, 5) for i in range(70)],
+            0.45,
+            2000,
+            2**20000 + 3,
         ),
     }
 
@@ -456,12 +444,71 @@ class TestRrSamplerMatchesRandom:
     def test_sets_match_reference_walk(self, name):
         n, arcs, p, count, seed = self.CASES[name]
         g = WeightedGraph.build(n, arcs, directed=True, probabilities=[p] * len(arcs))
-        masks, root_words, draws = reference_rr_sample(g, count, seed)
+        masks = reference_rr_sample(g, count, seed)
         assert [s.mask for s in sample_rr_sets(g, count, seed).sets] == masks
-        if name == "star-17":
-            assert max(root_words) > 8
-        if name == "complete-14":
-            assert max(draws) > 64
+        if name == "ring-70":
+            assert sum(m >> 64 != 0 for m in masks) > count // 20
+
+    def test_prefix_and_chunk_independence(self, monkeypatch):
+        long = sample_rr_sets(COMPLETE_14, 9000, 11).sets
+        assert long[:5000] == sample_rr_sets(COMPLETE_14, 5000, 11).sets
+        monkeypatch.setattr(oracles, "_CHUNK_WORDS", 1)  # one sample per chunk
+        assert sample_rr_sets(COMPLETE_14, 300, 11).sets == long[:300]
+
+    def test_seeds_are_distinct_and_reproducible(self):
+        seeds = [-4, 0, 10**40, 2**20000 + 3]
+        collections = [sample_rr_sets(COMPLETE_14, 200, s).sets for s in seeds]
+        for s, sets in zip(seeds, collections):
+            assert sample_rr_sets(COMPLETE_14, 200, s).sets == sets
+        for i in range(len(seeds)):
+            for j in range(i):
+                assert collections[i] != collections[j]
+
+    def test_equal_masks_share_one_subset(self):
+        sets = sample_rr_sets(CHAIN, 200, 5).sets
+        assert len({id(s) for s in sets}) == len(set(sets)) == 3
+
+    def test_zero_and_one_probabilities_are_exact(self):
+        # p = 1 arcs are always kept and p = 0 arcs never: each set is the
+        # ancestors of its root over the p = 1 arcs
+        arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (5, 2)]
+        probs = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+        g = WeightedGraph.build(6, arcs, directed=True, probabilities=probs)
+        certain = [(u, v) for (u, v), p in zip(arcs, probs) if p == 1.0]
+        ancestors = []
+        for r in range(6):
+            reach = {r}
+            while True:
+                more = {u for u, v in certain if v in reach} - reach
+                if not more:
+                    break
+                reach |= more
+            ancestors.append(frozenset(reach))
+        roots_seen = set()
+        for s in sample_rr_sets(g, 3000, 8).sets:
+            roots = [r for r in range(6) if frozenset(s) == ancestors[r]]
+            assert roots
+            roots_seen.update(roots)
+        assert roots_seen == set(range(6))
+
+
+def reference_vertex_masks(rr):
+    """The per-set loop: vertex v's bitmap has the bits of the sets holding v."""
+    hit = np.zeros((rr.n, rr.count), dtype=bool)
+    for j, s in enumerate(rr.sets):
+        for v in s:
+            hit[v, j] = True
+    packed = np.packbits(hit, axis=1)
+    return tuple(int.from_bytes(packed[v].tobytes(), "big") for v in range(rr.n))
+
+
+@pytest.mark.parametrize("n", [3, 34, 70])
+@pytest.mark.parametrize("count", [1, 1003])
+def test_vertex_masks_match_per_set_loop(n, count):
+    rng = random.Random(n * 7919 + count)
+    sets = tuple(Subset.from_mask(n, rng.randrange(1, 1 << n)) for _ in range(count))
+    rr = RrSetCollection(n, sets, seed=0)
+    assert oracles._vertex_masks(rr) == reference_vertex_masks(rr)
 
 
 class TestInfluenceOracle:
