@@ -549,6 +549,13 @@ def _value_table(oracle: SetFunctionOracle) -> list[float]:
     return [oracle.evaluate(Subset.from_mask(n, m)) for m in range(1 << n)]
 
 
+def _require_sampled(mode: str, sample_count: int) -> None:
+    if mode != "sampled":
+        raise ValueError(f"unknown check mode {mode!r}")
+    if sample_count < 1:
+        raise ValueError(f"sampled check needs at least one sample, got {sample_count}")
+
+
 def check_submodular(
     oracle: SetFunctionOracle,
     mode: str = "exhaustive",
@@ -591,8 +598,7 @@ def check_submodular(
                             f"gain of {e} grows when {g} is added",
                         )
         return CheckVerdict(True)
-    if mode != "sampled":
-        raise ValueError(f"unknown check mode {mode!r}")
+    _require_sampled(mode, sample_count)
     rng = random.Random(seed)
     mask_all = (1 << n) - 1
     for _ in range(sample_count):
@@ -642,8 +648,7 @@ def check_monotone(
                         f"adding {e} decreases the value",
                     )
         return CheckVerdict(True)
-    if mode != "sampled":
-        raise ValueError(f"unknown check mode {mode!r}")
+    _require_sampled(mode, sample_count)
     rng = random.Random(seed)
     for _ in range(sample_count):
         s_mask = rng.getrandbits(n) if n else 0

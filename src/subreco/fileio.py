@@ -134,28 +134,29 @@ def load_edge_list(
             if text.startswith("%"):
                 tokens = text[1:].split()
                 if len(tokens) == 2 and tokens[0] == "n":
-                    header_n = int(tokens[1])
+                    header_n = _numbers(path, lineno, tokens[1:])[0]
+                    if header_n < 0:
+                        raise InstanceParseError(path, lineno, "vertex count must be nonnegative")
                 continue
             tokens = text.split()
             if len(tokens) not in (2, 3):
                 raise InstanceParseError(path, lineno, f"expected 'u v [value]', got {text!r}")
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-                third = float(tokens[2]) if len(tokens) == 3 else None
-            except ValueError:
-                raise InstanceParseError(path, lineno, f"bad number in {text!r}") from None
+            u, v = _numbers(path, lineno, tokens[:2])
+            third = (_numbers(path, lineno, tokens[2:], float) or [None])[0]
             if u < 1 or v < 1:
                 raise InstanceParseError(path, lineno, "vertex ids are 1-indexed")
+            if u == v:
+                raise InstanceParseError(path, lineno, f"self-loop at {u} not allowed")
+            if probability_mode == "given":
+                if third is None or not 0 <= third <= 1:
+                    raise InstanceParseError(path, lineno, "a 'given' probability lies in [0, 1]")
+            elif third is not None and not third >= 0:
+                raise InstanceParseError(path, lineno, "edge weight must be nonnegative")
             rows.append((u - 1, v - 1, third))
     if not rows and header_n is None:
         raise InstanceParseError(path, 0, "empty edge list with no '% n <count>' header")
     n = max([header_n or 0] + [max(u, v) + 1 for u, v, _ in rows])
     if probability_mode == "given":
-        for u, v, third in rows:
-            if third is None:
-                raise InstanceParseError(
-                    path, 0, "probability mode 'given' needs a third column"
-                )
         g = WeightedGraph.build(
             n,
             [(u, v, 1.0) for u, v, _ in rows],
@@ -209,10 +210,9 @@ def load_gram(path: PathLike) -> GramMatrix:
         values = text.split()
         if len(values) != n:
             raise InstanceParseError(path, lineno, f"expected {n} entries per row")
-        try:
-            rows.append([float(v) for v in values])
-        except ValueError:
-            raise InstanceParseError(path, lineno, "bad matrix entry") from None
+        rows.append(_numbers(path, lineno, values, float))
+        if not np.isfinite(rows[-1]).all():
+            raise InstanceParseError(path, lineno, "matrix entries must be finite")
     try:
         return GramMatrix(np.array(rows))
     except ValueError as exc:
@@ -233,8 +233,7 @@ def write_gram(path: PathLike, gram: GramMatrix) -> None:
 def load_cnf(path: PathLike) -> CnfFormula:
     path = Path(path)
     n_vars = None
-    n_clauses = None
-    tokens: list[int] = []
+    tokens: list[tuple[int, int]] = []  # (line, literal)
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -244,17 +243,15 @@ def load_cnf(path: PathLike) -> CnfFormula:
                 parts = text.split()
                 if len(parts) != 4 or parts[1] != "cnf":
                     raise InstanceParseError(path, lineno, f"bad problem line {text!r}")
-                n_vars, n_clauses = int(parts[2]), int(parts[3])
+                header = lineno
+                n_vars, n_clauses = _numbers(path, lineno, parts[2:])
                 continue
-            try:
-                tokens.extend(int(t) for t in text.split())
-            except ValueError:
-                raise InstanceParseError(path, lineno, f"bad literal in {text!r}") from None
+            tokens.extend((lineno, t) for t in _numbers(path, lineno, text.split()))
     if n_vars is None:
         raise InstanceParseError(path, 0, "missing 'p cnf' line")
     clauses: list[tuple[tuple[int, bool], ...]] = []
     current: list[tuple[int, bool]] = []
-    for t in tokens:
+    for lineno, t in tokens:
         if t == 0:
             if current:
                 clauses.append(tuple(current))
@@ -262,13 +259,13 @@ def load_cnf(path: PathLike) -> CnfFormula:
             continue
         var = abs(t) - 1
         if var >= n_vars:
-            raise InstanceParseError(path, 0, f"literal {t} beyond {n_vars} variables")
+            raise InstanceParseError(path, lineno, f"literal {t} beyond {n_vars} variables")
         current.append((var, t > 0))
     if current:
         clauses.append(tuple(current))
-    if n_clauses is not None and len(clauses) != n_clauses:
+    if len(clauses) != n_clauses:
         raise InstanceParseError(
-            path, 0, f"header promised {n_clauses} clauses, found {len(clauses)}"
+            path, header, f"header promised {n_clauses} clauses, found {len(clauses)}"
         )
     return CnfFormula(n_vars, tuple(clauses))
 
@@ -298,7 +295,7 @@ def load_rr_collection(path: PathLike) -> RrSetCollection:
     path = Path(path)
     digest = ""
     header = None
-    sets: list[Subset] = []
+    rows: list[bytes] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -313,18 +310,21 @@ def load_rr_collection(path: PathLike) -> RrSetCollection:
                 parts = text.split()
                 if len(parts) != 3:
                     raise InstanceParseError(path, lineno, "header must be 'n count seed'")
-                header = tuple(int(p) for p in parts)
+                header = lineno
+                n, count, seed = _numbers(path, lineno, parts)
+                if n < 1 or count < 1:
+                    raise InstanceParseError(path, lineno, "header needs n >= 1 and count >= 1")
                 continue
             try:
-                sets.append(Subset(header[0], (int(t) - 1 for t in text.split())))
+                mask = Subset(n, (int(t) - 1 for t in text.split())).mask
             except ValueError:
                 raise InstanceParseError(path, lineno, f"bad vertex id in {text!r}") from None
+            rows.append(mask.to_bytes((n + 7) // 8, "little"))
     if header is None:
         raise InstanceParseError(path, 0, "missing header line")
-    n, count, seed = header
-    if len(sets) != count:
-        raise InstanceParseError(path, 0, f"header promised {count} sets, found {len(sets)}")
-    return RrSetCollection(n, tuple(sets), seed, digest)
+    if len(rows) != count:
+        raise InstanceParseError(path, header, f"header promised {count} sets, found {len(rows)}")
+    return RrSetCollection(n, b"".join(rows), seed, digest)
 
 
 # ---------------------------------------------------------------------------

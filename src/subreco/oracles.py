@@ -409,6 +409,8 @@ class GramMatrix:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("gram matrix must be square")
+        if not np.isfinite(a).all():
+            raise ValueError("gram matrix entries must be finite")
         scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
         if a.size and float(np.abs(a - a.T).max()) > GRAM_SYMMETRY_TOL * scale:
             raise ValueError("gram matrix must be symmetric")
@@ -477,45 +479,53 @@ def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:
 
 @dataclass(frozen=True)
 class RrSetCollection:
-    """Frozen sample of reverse-reachable vertex sets.
+    """Frozen sample of reverse-reachable vertex sets, as one packed bit matrix.
+
+    ``rows`` holds ``count`` sets of ``width = ceil(n / 8)`` bytes each in the
+    ``np.packbits(..., bitorder="little")`` layout: vertex ``v`` of set ``j``
+    is bit ``v % 8`` of byte ``j * width + v // 8``.  ``sets`` is a read-only
+    view that builds one :class:`Subset` per set on each access.
 
     ``seed`` and ``source_digest`` make experiments replayable: resampling the
     digested graph with the same seed reproduces the collection bit for bit.
     """
 
     n: int
-    sets: tuple[Subset, ...]
+    rows: bytes = field(repr=False)
     seed: int
     source_digest: str = ""
 
     def __post_init__(self):
-        for s in self.sets:
-            if s.n != self.n:
-                raise ValueError("RR set over wrong universe")
-            if len(s) == 0:
-                raise ValueError("RR sets contain at least their root")
+        if self.n < 1 or not self.rows or len(self.rows) % self.width:
+            raise ValueError("RR collection needs n >= 1 and one or more whole rows")
+        # shifting out the last byte's vertices leaves its bits past vertex n - 1
+        if (self.matrix[:, -1] >> ((self.n - 1) % 8 + 1)).any():
+            raise ValueError("RR set over wrong universe")
+        if not self.matrix.any(axis=1).all():
+            raise ValueError("RR sets contain at least their root")
+
+    @property
+    def width(self) -> int:
+        return (self.n + 7) // 8
 
     @property
     def count(self) -> int:
-        return len(self.sets)
+        return len(self.rows) // self.width
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The rows as a read-only ``(count, width)`` uint8 array."""
+        return np.frombuffer(self.rows, dtype=np.uint8).reshape(-1, self.width)
+
+    @property
+    def sets(self) -> tuple[Subset, ...]:
+        return tuple(Subset.from_mask(self.n, int.from_bytes(r, "little")) for r in self.matrix)
 
 
 # Samples run in lock-step, a chunk at a time; a chunk's stream words plus its
 # reached-vertex flags stay within this many words (4 MB), and a chunk holds at
 # least one sample.
 _CHUNK_WORDS = 1 << 19
-
-
-def _row_masks(rows: np.ndarray) -> list[int]:
-    """``sum(1 << v for v where rows[r, v])`` for each row ``r`` of a bool matrix."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    width = packed.shape[1]
-    if width <= 8:  # the masks fit in uint64
-        padded = np.zeros((len(rows), 8), dtype=np.uint8)
-        padded[:, :width] = packed
-        return padded.view("<u8").ravel().tolist()
-    data = packed.tobytes()
-    return [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
 
 
 def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
@@ -564,7 +574,7 @@ def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
         np.random.SeedSequence(2 * seed if seed >= 0 else -2 * seed - 1)
     )
     chunk = max(1, _CHUNK_WORDS // (width + n))
-    masks: list[int] = []
+    rows = []
     for lo in range(0, count, chunk):
         size = min(chunk, count - lo)
         words = stream.random_raw(size * width)
@@ -591,24 +601,15 @@ def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
             claim[found] = ids
             frontier = found[claim[found] == ids]
             reached[frontier] = True
-        masks += _row_masks(reached.reshape(size, n))
-    # equal masks share one Subset
-    shared = {mask: Subset.from_mask(n, mask) for mask in dict.fromkeys(masks)}
-    return RrSetCollection(n, tuple(map(shared.__getitem__, masks)), seed, g.digest())
+        rows.append(np.packbits(reached.reshape(size, n), axis=1, bitorder="little").tobytes())
+    return RrSetCollection(n, b"".join(rows), seed, g.digest())
 
 
 def _vertex_masks(rr: RrSetCollection) -> tuple[int, ...]:
     """Per-vertex incidence bitmaps: set ``j`` is bit ``8 * ceil(count / 8) - 1 - j``."""
-    n = rr.n
-    masks = (s.mask for s in rr.sets)
-    if n <= 64:  # the masks fit in uint64
-        rows = np.fromiter(masks, dtype="<u8", count=rr.count).view(np.uint8)
-    else:
-        width = (n + 7) // 8
-        rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    hit = np.unpackbits(rows.reshape(rr.count, -1), axis=1, count=n, bitorder="little")
+    hit = np.unpackbits(rr.matrix, axis=1, count=rr.n, bitorder="little")
     packed = np.packbits(hit.T, axis=1)
-    return tuple(int.from_bytes(packed[v].tobytes(), "big") for v in range(n))
+    return tuple(int.from_bytes(packed[v].tobytes(), "big") for v in range(rr.n))
 
 
 def influence_oracle(rr: RrSetCollection) -> SetFunctionOracle:

@@ -384,6 +384,14 @@ class TestCheck:
         assert code == 0
         assert "ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sampled_mode_needs_a_sample(self, tmp_path, capsys, samples):
+        path = gen_instance(tmp_path, "obs55")
+        capsys.readouterr()
+        code = main(["check", "monotone", str(path), "--mode", "sampled", "--samples", samples])
+        assert code == 3
+        assert "at least one sample" in capsys.readouterr().err
+
 
 class TestInputErrors:
     def test_missing_instance_file(self, tmp_path, capsys):
@@ -423,6 +431,12 @@ class TestInputErrors:
         )
         assert code == 3
         assert "seed" in capsys.readouterr().err
+
+    def test_non_finite_gram(self, tmp_path, capsys):
+        path = tmp_path / "nan.gram"
+        path.write_text("2\n1.0 0.0\n0.0 nan\n", encoding="utf-8")
+        assert main(["exact", "--gram", str(path), "--k", "1"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
     def test_missing_sequence_file(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs52")

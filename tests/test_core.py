@@ -517,6 +517,14 @@ class TestChecks:
         with pytest.raises(ValueError):
             check_monotone(f, mode="fuzzy")
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sampled_mode_needs_a_sample(self, count):
+        f = modular_oracle([1.0, 2.0])
+        with pytest.raises(ValueError):
+            check_submodular(f, mode="sampled", sample_count=count)
+        with pytest.raises(ValueError):
+            check_monotone(f, mode="sampled", sample_count=count)
+
     @given(st.integers(0, 999))
     @settings(max_examples=25, deadline=None)
     def test_random_mixtures_satisfy_their_claims(self, seed):

@@ -1,5 +1,7 @@
 """On-disk formats: edge lists, gram matrices, CNF, samples, and instances."""
 
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,9 @@ class TestEdgeList:
         p.write_text("0 1\n")
         with pytest.raises(InstanceParseError):
             load_edge_list(p)
+        p.write_text("1 2\n3 3\n")
+        with pytest.raises(InstanceParseError, match="self-loop at 3 not"):
+            load_edge_list(p)
 
     def test_empty_needs_header(self, tmp_path):
         p = tmp_path / "g.tsv"
@@ -170,6 +175,8 @@ class TestGram:
             "2\n1.0 0.0 0.0\n0.0 1.0 0.0\n",
             "2\n1.0 x\n0.0 1.0\n",
             "2\n1.0 0.5\n0.4 1.0\n",
+            "2\n1.0 nan\nnan 1.0\n",
+            "2\ninf 0.0\n0.0 1.0\n",
         ],
     )
     def test_malformed(self, tmp_path, content):
@@ -233,6 +240,43 @@ class TestRrCollection:
         assert back == rr
         assert back.source_digest == rr.source_digest
 
+    # the text written for make() before the sets were stored packed; a drift
+    # in the format would still survive a save/load round trip
+    TEXT = """\
+        4 25 4
+        % graph 9f7678b4fb48bb136ac560615d1bebe7c32b1555d2e165a65d3f40ecc5623285
+        1 2
+        1 2 3
+        1
+        2 3
+        1 2 3
+        2
+        1
+        3
+        1 2 3
+        1 2
+        1 2
+        4
+        1
+        1 2
+        3
+        1 2
+        3
+        3
+        3
+        1 2 3
+        4
+        1
+        4
+        1 2 3
+        1 2
+"""
+
+    def test_text_is_pinned(self, tmp_path):
+        p = tmp_path / "sample.rr"
+        save_rr_collection(p, self.make())
+        assert p.read_text() == textwrap.dedent(self.TEXT)
+
     def test_round_trip_preserves_oracle(self, tmp_path):
         rr = self.make()
         p = tmp_path / "sample.rr"
@@ -246,6 +290,10 @@ class TestRrCollection:
             "3 2\n1\n2\n",
             "3 2 0\n1\n",
             "3 1 0\nx\n",
+            "3 0 5\n",
+            "0 1 5\n1\n",
+            "3 1 x\n1\n",
+            "3 1 0\n4\n",
         ],
     )
     def test_malformed(self, tmp_path, content):
@@ -420,6 +468,16 @@ _TAIL = "\n[endpoints]\nx 1\ny 2\n\n[rule]\ntar\n"
 
 
 class TestParseErrorsNameTheLine:
+    LOADERS = {
+        "case.instance": load_instance,
+        "seq.csv": lambda p: load_sequence_csv(p, 4),
+        "g.tsv": load_edge_list,
+        "given.tsv": lambda p: load_edge_list(p, probability_mode="given"),
+        "f.cnf": load_cnf,
+        "m.gram": load_gram,
+        "s.rr": load_rr_collection,
+    }
+
     @pytest.mark.parametrize(
         "name, content, line",
         [
@@ -464,22 +522,38 @@ class TestParseErrorsNameTheLine:
                 + _TAIL,
                 5,
             ),
+            ("g.tsv", "1 2\n% n abc\n", 2),
+            ("g.tsv", "% n -1\n", 1),
+            ("g.tsv", "1 2\n1 1\n", 2),
+            ("g.tsv", "1 2\n2 3 -1\n", 2),
+            ("g.tsv", "1 2\n2 3 nan\n", 2),
+            ("given.tsv", "1 2 0.5\n2 3 1.5\n", 2),
+            ("given.tsv", "1 2 0.5\n2 3\n", 2),
+            ("f.cnf", "c x\np cnf x 1\n1 0\n", 2),
+            ("f.cnf", "p cnf 2 1\n1\n-3 0\n", 3),
+            ("f.cnf", "p cnf 2 2\n1 2 0\n", 1),
+            ("m.gram", "2\n1.0 0.0\n0.0 nan\n", 3),
+            ("s.rr", "3 1 x\n1\n", 1),
+            ("s.rr", "% graph abc\n3 0 5\n", 2),
+            ("s.rr", "3 2 5\n1\n", 1),
+            ("s.rr", "3 2 5\n1\n2 4\n", 3),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
             "cover-range", "endpoint", "theta", "csv-id", "csv-range",
             "edge-range", "clause-range", "self-loop", "edge-sign", "clause-arity",
             "divisor-range",
+            "edges-n", "edges-n-sign", "edges-self-loop", "edges-weight-sign",
+            "edges-weight-nan", "edges-probability-range", "edges-probability-missing",
+            "cnf-header", "cnf-literal-range", "cnf-clause-count", "gram-nan",
+            "rr-seed", "rr-empty", "rr-count", "rr-vertex-range",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
         p = tmp_path / name
         p.write_text(content)
         with pytest.raises(InstanceParseError) as exc:
-            if name.endswith(".csv"):
-                load_sequence_csv(p, 4)
-            else:
-                load_instance(p)
+            self.LOADERS[name](p)
         assert exc.value.line == line
         assert str(exc.value).startswith(f"{p}:{line}: ")
 

@@ -288,6 +288,9 @@ class TestGramMatrix:
             GramMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                GramMatrix(np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_principal(self):
         g = GramMatrix(np.diag([1.0, 2.0, 3.0]))
@@ -386,10 +389,22 @@ class TestRrSampling:
             sample_rr_sets(CHAIN, 0, seed=0)
 
     def test_collection_validation(self):
-        with pytest.raises(ValueError):
-            RrSetCollection(3, (Subset(4, [0]),), seed=0)
-        with pytest.raises(ValueError):
-            RrSetCollection(3, (Subset.empty(3),), seed=0)
+        for n, rows in [
+            (3, b"\x08"),  # vertex 3 is past n = 3
+            (9, b"\x01\x02"),  # vertex 9 is past n = 9
+            (3, b"\x01\x00"),  # the second set is empty
+            (3, b""),  # no sets
+            (0, b"\x01"),  # no vertices
+            (9, b"\x01\x00\x01"),  # not a whole number of 2-byte rows
+        ]:
+            with pytest.raises(ValueError):
+                RrSetCollection(n, rows, seed=0)
+
+    def test_rows_are_packed_little_endian_per_set(self):
+        rr = RrSetCollection(9, bytes([0b101, 0, 0, 1]), seed=0)
+        assert rr.count == 2 and rr.width == 2
+        assert rr.sets == (Subset(9, [0, 2]), Subset(9, [8]))
+        assert RrSetCollection(8, b"\x80", seed=0).sets == (Subset(8, [7]),)
 
 
 def reference_rr_sample(g, count, seed):
@@ -464,10 +479,6 @@ class TestRrSamplerMatchesReference:
             for j in range(i):
                 assert collections[i] != collections[j]
 
-    def test_equal_masks_share_one_subset(self):
-        sets = sample_rr_sets(CHAIN, 200, 5).sets
-        assert len({id(s) for s in sets}) == len(set(sets)) == 3
-
     def test_zero_and_one_probabilities_are_exact(self):
         # p = 1 arcs are always kept and p = 0 arcs never: each set is the
         # ancestors of its root over the p = 1 arcs
@@ -506,16 +517,15 @@ def reference_vertex_masks(rr):
 @pytest.mark.parametrize("count", [1, 1003])
 def test_vertex_masks_match_per_set_loop(n, count):
     rng = random.Random(n * 7919 + count)
-    sets = tuple(Subset.from_mask(n, rng.randrange(1, 1 << n)) for _ in range(count))
-    rr = RrSetCollection(n, sets, seed=0)
+    width = (n + 7) // 8
+    rows = b"".join(rng.randrange(1, 1 << n).to_bytes(width, "little") for _ in range(count))
+    rr = RrSetCollection(n, rows, seed=0)
     assert oracles._vertex_masks(rr) == reference_vertex_masks(rr)
 
 
 class TestInfluenceOracle:
     def test_values_from_known_collection(self):
-        rr = RrSetCollection(
-            3, (Subset(3, [0]), Subset(3, [0, 1]), Subset(3, [2])), seed=0
-        )
+        rr = RrSetCollection(3, bytes([0b001, 0b011, 0b100]), seed=0)
         f = influence_oracle(rr)
         assert f.evaluate(Subset.empty(3)) == 0.0
         assert f.evaluate(Subset(3, [0])) == pytest.approx(2.0)
