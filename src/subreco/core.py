@@ -13,6 +13,7 @@ ascending 0-indexed ids.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from dataclasses import dataclass
@@ -430,7 +431,10 @@ def resolve_threshold(
 
     ``endpoint_min`` returns ``min(f(X), f(Y))`` and is called only for the
     fractional form, so an absolute or absent threshold costs no oracle calls.
+    A non-finite ``theta`` or ``theta_frac`` raises ``ValueError``.
     """
+    if not all(t is None or math.isfinite(t) for t in (theta, theta_frac)):
+        raise ValueError(f"threshold must be finite, got theta={theta} theta_frac={theta_frac}")
     if theta is not None:
         return theta
     if theta_frac is not None:
@@ -544,9 +548,10 @@ class CheckVerdict:
         return self.ok
 
 
-def _value_table(oracle: SetFunctionOracle) -> list[float]:
+def _value_table(oracle: SetFunctionOracle, masks: Iterable[int]) -> list[float]:
+    """One evaluation per mask, in the order given."""
     n = oracle.universe.n
-    return [oracle.evaluate(Subset.from_mask(n, m)) for m in range(1 << n)]
+    return [oracle.evaluate(Subset.from_mask(n, m)) for m in masks]
 
 
 def _require_sampled(mode: str, sample_count: int) -> None:
@@ -577,7 +582,7 @@ def check_submodular(
             raise BudgetExceededError(
                 f"exhaustive submodularity check refused for n={n} > {EXHAUSTIVE_LIMIT}"
             )
-        table = _value_table(oracle)
+        table = _value_table(oracle, range(1 << n))
         for s_mask in range(1 << n):
             free = [e for e in range(n) if not s_mask >> e & 1]
             base = table[s_mask]
@@ -637,7 +642,7 @@ def check_monotone(
             raise BudgetExceededError(
                 f"exhaustive monotonicity check refused for n={n} > {EXHAUSTIVE_LIMIT}"
             )
-        table = _value_table(oracle)
+        table = _value_table(oracle, range(1 << n))
         for s_mask in range(1 << n):
             base = table[s_mask]
             for e in range(n):

@@ -1,11 +1,12 @@
 """Exact small-instance solvers over the explicit state graph.
 
-Besides the exhaustive structural checks in :mod:`subreco.core`, which
-tabulate the lattice through ``core._value_table``, this is the only module
-that evaluates an oracle on an entire subset lattice.  States are all
-subsets of the (optionally restricted) ground set, or all fixed-size subsets
-for cardinality-constrained instances; a size guard refuses enumerations
-beyond ``2^20`` states (``10^6`` for the fixed-size slice).
+Every whole-lattice evaluation, here and in the exhaustive structural checks
+of :mod:`subreco.core`, goes through ``core._value_table``; this module picks
+the states and their order.  States are all subsets of the (optionally
+restricted) ground set in descending mask order, or all fixed-size subsets in
+combinations order for cardinality-constrained instances; a size guard
+refuses enumerations beyond ``2^20`` states (``10^6`` for the fixed-size
+slice).
 
 The bottleneck solver answers the optimization form: the largest threshold
 ``theta`` for which a feasible sequence exists equals the value at which X
@@ -28,6 +29,7 @@ from .core import (
     SetFunctionOracle,
     Subset,
     VALUE_SLACK,
+    _value_table,
     neighbor_masks,
 )
 
@@ -59,27 +61,21 @@ def build_value_table(
     if restriction.n != n:
         raise ValueError("restriction over wrong universe")
     elements = restriction.members()
-    table: dict[int, float] = {}
     if cardinality_k is None:
         if len(elements) > FULL_LATTICE_LIMIT:
             raise BudgetExceededError(
                 f"full lattice over {len(elements)} elements exceeds the guard"
             )
-        r_mask = restriction.mask
-        sub = r_mask
-        while True:
-            table[sub] = oracle.evaluate(Subset.from_mask(n, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & r_mask
+        masks = [restriction.mask]
+        while masks[-1]:
+            masks.append((masks[-1] - 1) & restriction.mask)
     else:
         if not 0 <= cardinality_k <= len(elements):
             raise ValueError("cardinality outside the restricted ground set")
         if comb(len(elements), cardinality_k) > SLICE_LIMIT:
             raise BudgetExceededError("fixed-size state count exceeds the guard")
-        for combo in combinations(elements, cardinality_k):
-            mask = sum(1 << e for e in combo)
-            table[mask] = oracle.evaluate(Subset.from_mask(n, mask))
+        masks = [sum(1 << e for e in c) for c in combinations(elements, cardinality_k)]
+    table = dict(zip(masks, _value_table(oracle, masks)))
     return table, StateGraphSummary(restriction, rule, cardinality_k, len(table))
 
 

@@ -10,7 +10,7 @@ randomized ingredient takes an explicit seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -216,9 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     instance, file_frac = _resolve_instance(cfg)
     if cfg.rule is not None and cfg.rule is not instance.rule:
         k = len(instance.x) if cfg.rule is AdjacencyRule.TJ else None
-        instance = ProblemInstance(
-            instance.oracle, instance.x, instance.y, cfg.rule, instance.theta, k
-        )
+        instance = replace(instance, rule=cfg.rule, cardinality_k=k)
     # the rules under which each constructive walk is a valid sequence
     walk_rules = {"swap": ("tj", "tjar"), "tjar": ("tjar",)}.get(cfg.algorithm)
     if walk_rules and instance.rule.token not in walk_rules:
@@ -248,10 +246,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     elif cfg.algorithm == "astar":
         if theta is None:
             raise ValueError("astar needs --theta or --theta-frac")
-        search_instance = ProblemInstance(
-            f, instance.x, instance.y, instance.rule, theta, instance.cardinality_k
-        )
-        result = astar(search_instance, AstarConfig(budget=cfg.budget))
+        result = astar(replace(instance, theta=theta), AstarConfig(budget=cfg.budget))
         status = result.status
         seq = result.sequence
         expansions = result.expansions
@@ -274,10 +269,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             rows.append((i, s, f.evaluate(s)))
         value = min(r[2] for r in rows)
         length = seq.length
-        check_instance = ProblemInstance(
-            f, instance.x, instance.y, instance.rule, None, instance.cardinality_k
-        )
-        verdict = validate_sequence(check_instance, seq)
+        verdict = validate_sequence(replace(instance, theta=None), seq)
         if not verdict:
             raise RuntimeError(f"algorithm produced an invalid sequence: {verdict.reason}")
     c2 = f.calls

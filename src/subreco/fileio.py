@@ -6,20 +6,22 @@ so fixtures stay diffable.
 
 Formats:
 
-* edge list: ``u v [weight-or-probability]`` per line, ``%`` comments, and an
-  optional ``% n <count>`` comment pinning the vertex count;
+* edge list: one ``u v [weight-or-probability]`` row per line, ``%``
+  comments, and an optional ``% n <count>`` comment pinning the vertex count;
 * gram matrix: first line ``n``, then ``n`` rows of ``n`` reals;
 * CNF: DIMACS-like (``c`` comments, ``p cnf <vars> <clauses>``, clauses as
   signed integers terminated by 0);
 * reverse-reachable collection: header ``n count seed``, an optional
   ``% graph <digest>`` comment, then one vertex set per line;
 * instance: sections ``[oracle]`` (kind plus parameters or data-file
-  references), ``[endpoints]``, ``[rule]``, ``[theta]``.
+  references; an ``edge`` line holds an edge-list row), ``[endpoints]``,
+  ``[rule]``, ``[theta]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -65,14 +67,18 @@ class InstanceParseError(ValueError):
         self.line = line
 
 
-def _data_lines(path: Path):
-    """Yield (line_number, stripped_text) skipping blanks and % comments."""
+def _lines(path: Path):
+    """Yield (line_number, stripped_text) for every non-blank line."""
     with open(path, encoding="utf-8") as fh:
         for i, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if not text or text.startswith("%"):
-                continue
-            yield i, text
+            if text:
+                yield i, text
+
+
+def _data_lines(path: Path):
+    """``_lines`` without the ``%`` comments."""
+    return ((i, text) for i, text in _lines(path) if not text.startswith("%"))
 
 
 def format_ids_1indexed(s: Subset) -> str:
@@ -92,14 +98,45 @@ def parse_ids_1indexed(text: str, n: int) -> Subset:
 
 
 def _numbers(path: Path, lineno: int, tokens: Sequence[str], convert=int) -> list:
-    """Convert every token, naming ``path:lineno`` on the first bad one."""
+    """Convert every token, naming ``path:lineno`` on the first bad one; a
+    float must be finite."""
     values = []
     for tok in tokens:
         try:
-            values.append(convert(tok))
+            value = convert(tok)
         except ValueError:
             raise InstanceParseError(path, lineno, f"bad number {tok!r}") from None
+        if convert is float and not math.isfinite(value):
+            raise InstanceParseError(path, lineno, f"non-finite number {tok!r}")
+        values.append(value)
     return values
+
+
+def _edge_row(path: Path, lineno: int, tokens: Sequence[str], n: float = math.inf) -> tuple:
+    """A 1-indexed ``u v [value]`` row as the ``(u, v)`` or ``(u, v, value)``
+    tuple, 0-indexed, that ``WeightedGraph.build`` takes; ids distinct and in
+    ``1..n``, value nonnegative."""
+    if len(tokens) not in (2, 3):
+        raise InstanceParseError(path, lineno, f"expected 'u v [value]', got {' '.join(tokens)!r}")
+    u, v = _numbers(path, lineno, tokens[:2])
+    value = _numbers(path, lineno, tokens[2:], float)
+    if min(u, v) < 1 or max(u, v) > n:
+        raise InstanceParseError(path, lineno, f"vertex ids lie in 1..{n}")
+    if u == v:
+        raise InstanceParseError(path, lineno, f"self-loop at {u} not allowed")
+    if value and value[0] < 0:
+        raise InstanceParseError(path, lineno, "edge value must be nonnegative")
+    return (u - 1, v - 1, *value)
+
+
+def _edge_rows(g: WeightedGraph) -> list[str]:
+    """One 1-indexed ``u v [value]`` row per edge: the probability if the
+    graph has them, else a weight other than 1."""
+    values = g.probabilities or [None if w == 1.0 else w for w in g.weights]
+    return [
+        f"{u + 1} {v + 1}" if x is None else f"{u + 1} {v + 1} {x!r}"
+        for (u, v), x in zip(g.edges, values)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -125,50 +162,31 @@ def load_edge_list(
         raise ValueError(f"unknown probability mode {probability_mode!r}")
     path = Path(path)
     header_n = None
-    rows: list[tuple[int, int, Optional[float]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if text.startswith("%"):
-                tokens = text[1:].split()
-                if len(tokens) == 2 and tokens[0] == "n":
-                    header_n = _numbers(path, lineno, tokens[1:])[0]
-                    if header_n < 0:
-                        raise InstanceParseError(path, lineno, "vertex count must be nonnegative")
-                continue
-            tokens = text.split()
-            if len(tokens) not in (2, 3):
-                raise InstanceParseError(path, lineno, f"expected 'u v [value]', got {text!r}")
-            u, v = _numbers(path, lineno, tokens[:2])
-            third = (_numbers(path, lineno, tokens[2:], float) or [None])[0]
-            if u < 1 or v < 1:
-                raise InstanceParseError(path, lineno, "vertex ids are 1-indexed")
-            if u == v:
-                raise InstanceParseError(path, lineno, f"self-loop at {u} not allowed")
-            if probability_mode == "given":
-                if third is None or not 0 <= third <= 1:
-                    raise InstanceParseError(path, lineno, "a 'given' probability lies in [0, 1]")
-            elif third is not None and not third >= 0:
-                raise InstanceParseError(path, lineno, "edge weight must be nonnegative")
-            rows.append((u - 1, v - 1, third))
+    rows = []
+    for lineno, text in _lines(path):
+        if text.startswith("%"):
+            tokens = text[1:].split()
+            if len(tokens) == 2 and tokens[0] == "n":
+                header_n = _numbers(path, lineno, tokens[1:])[0]
+                if header_n < 0:
+                    raise InstanceParseError(path, lineno, "vertex count must be nonnegative")
+            continue
+        row = _edge_row(path, lineno, text.split())
+        if probability_mode == "given" and (len(row) < 3 or row[2] > 1):
+            raise InstanceParseError(path, lineno, "a 'given' probability lies in [0, 1]")
+        rows.append(row)
     if not rows and header_n is None:
         raise InstanceParseError(path, 0, "empty edge list with no '% n <count>' header")
-    n = max([header_n or 0] + [max(u, v) + 1 for u, v, _ in rows])
+    n = max([header_n or 0] + [max(row[:2]) + 1 for row in rows])
     if probability_mode == "given":
         g = WeightedGraph.build(
             n,
-            [(u, v, 1.0) for u, v, _ in rows],
+            [row[:2] for row in rows],
             directed=directed,
-            probabilities=[third for _, _, third in rows],
+            probabilities=[row[2] for row in rows],
         )
         return directionalize(g)
-    g = WeightedGraph.build(
-        n,
-        [(u, v, 1.0 if third is None else third) for u, v, third in rows],
-        directed=directed,
-    )
+    g = WeightedGraph.build(n, rows, directed=directed)
     if probability_mode == "inverse-in-degree":
         return inverse_indegree_probabilities(g)
     return g
@@ -179,13 +197,7 @@ def write_edge_list(path: PathLike, g: WeightedGraph, *, comment: str = "") -> N
     if comment:
         lines.append(f"% {comment}")
     lines.append(f"% n {g.n}")
-    for i, (u, v) in enumerate(g.edges):
-        if g.probabilities is not None:
-            lines.append(f"{u + 1} {v + 1} {g.probabilities[i]!r}")
-        elif g.weights[i] != 1.0:
-            lines.append(f"{u + 1} {v + 1} {g.weights[i]!r}")
-        else:
-            lines.append(f"{u + 1} {v + 1}")
+    lines.extend(_edge_rows(g))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -211,8 +223,6 @@ def load_gram(path: PathLike) -> GramMatrix:
         if len(values) != n:
             raise InstanceParseError(path, lineno, f"expected {n} entries per row")
         rows.append(_numbers(path, lineno, values, float))
-        if not np.isfinite(rows[-1]).all():
-            raise InstanceParseError(path, lineno, "matrix entries must be finite")
     try:
         return GramMatrix(np.array(rows))
     except ValueError as exc:
@@ -234,19 +244,17 @@ def load_cnf(path: PathLike) -> CnfFormula:
     path = Path(path)
     n_vars = None
     tokens: list[tuple[int, int]] = []  # (line, literal)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("c") or text.startswith("%"):
-                continue
-            if text.startswith("p"):
-                parts = text.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise InstanceParseError(path, lineno, f"bad problem line {text!r}")
-                header = lineno
-                n_vars, n_clauses = _numbers(path, lineno, parts[2:])
-                continue
-            tokens.extend((lineno, t) for t in _numbers(path, lineno, text.split()))
+    for lineno, text in _lines(path):
+        if text.startswith(("c", "%")):
+            continue
+        if text.startswith("p"):
+            parts = text.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise InstanceParseError(path, lineno, f"bad problem line {text!r}")
+            header = lineno
+            n_vars, n_clauses = _numbers(path, lineno, parts[2:])
+            continue
+        tokens.extend((lineno, t) for t in _numbers(path, lineno, text.split()))
     if n_vars is None:
         raise InstanceParseError(path, 0, "missing 'p cnf' line")
     clauses: list[tuple[tuple[int, bool], ...]] = []
@@ -283,7 +291,9 @@ def write_cnf(path: PathLike, phi: CnfFormula) -> None:
 
 
 def save_rr_collection(path: PathLike, rr: RrSetCollection) -> None:
-    lines = [f"{rr.n} {rr.count} {rr.seed}"]
+    # past 4,300 decimal digits, the default int-to-str limit, the seed goes in hex
+    seed = hex(rr.seed) if abs(rr.seed) >= 10**4300 else str(rr.seed)
+    lines = [f"{rr.n} {rr.count} {seed}"]
     if rr.source_digest:
         lines.append(f"% graph {rr.source_digest}")
     for s in rr.sets:
@@ -296,30 +306,27 @@ def load_rr_collection(path: PathLike) -> RrSetCollection:
     digest = ""
     header = None
     rows: list[bytes] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if text.startswith("%"):
-                tokens = text[1:].split()
-                if len(tokens) == 2 and tokens[0] == "graph":
-                    digest = tokens[1]
-                continue
-            if header is None:
-                parts = text.split()
-                if len(parts) != 3:
-                    raise InstanceParseError(path, lineno, "header must be 'n count seed'")
-                header = lineno
-                n, count, seed = _numbers(path, lineno, parts)
-                if n < 1 or count < 1:
-                    raise InstanceParseError(path, lineno, "header needs n >= 1 and count >= 1")
-                continue
-            try:
-                mask = Subset(n, (int(t) - 1 for t in text.split())).mask
-            except ValueError:
-                raise InstanceParseError(path, lineno, f"bad vertex id in {text!r}") from None
-            rows.append(mask.to_bytes((n + 7) // 8, "little"))
+    for lineno, text in _lines(path):
+        if text.startswith("%"):
+            tokens = text[1:].split()
+            if len(tokens) == 2 and tokens[0] == "graph":
+                digest = tokens[1]
+            continue
+        if header is None:
+            parts = text.split()
+            if len(parts) != 3:
+                raise InstanceParseError(path, lineno, "header must be 'n count seed'")
+            header = lineno
+            n, count = _numbers(path, lineno, parts[:2])
+            seed = _numbers(path, lineno, parts[2:], lambda t: int(t, 16 if "x" in t else 10))[0]
+            if n < 1 or count < 1:
+                raise InstanceParseError(path, lineno, "header needs n >= 1 and count >= 1")
+            continue
+        try:
+            mask = Subset(n, (int(t) - 1 for t in text.split())).mask
+        except ValueError:
+            raise InstanceParseError(path, lineno, f"bad vertex id in {text!r}") from None
+        rows.append(mask.to_bytes((n + 7) // 8, "little"))
     if header is None:
         raise InstanceParseError(path, 0, "missing header line")
     if len(rows) != count:
@@ -395,6 +402,14 @@ def _single_int(path, entries, key) -> int:
     return value
 
 
+def _weights(path, entries) -> list[float]:
+    """The first ``weights`` line of an [oracle] section."""
+    for lineno, tokens in entries:
+        if tokens[0] == "weights":
+            return _numbers(path, lineno, tokens[1:], float)
+    raise InstanceParseError(path, 0, "missing 'weights' in [oracle]")
+
+
 def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
     kind = _single(path, entries, "kind")
     if kind is None:
@@ -420,10 +435,7 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         return coverage_oracle(CoverageSpec(items, tuple(covers), divisor))
 
     if kind == "modular":
-        for lineno, tokens in entries:
-            if tokens[0] == "weights":
-                return modular_oracle(_numbers(path, lineno, tokens[1:], float))
-        raise InstanceParseError(path, 0, "missing 'weights' in [oracle]")
+        return modular_oracle(_weights(path, entries))
 
     if kind in ("cut", "incidence", "shifted-incidence"):
         graph_file = _single(path, entries, "graph-file")
@@ -431,21 +443,12 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
             graph = load_edge_list(base / graph_file, directed=False)
         else:
             n = _single_int(path, entries, "n")
-            triples = []
-            for lineno, tokens in entries:
-                if tokens[0] == "edge":
-                    if len(tokens) not in (3, 4):
-                        raise InstanceParseError(path, lineno, "edge takes 'u v [w]'")
-                    u, v = _numbers(path, lineno, tokens[1:3])
-                    if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                        raise InstanceParseError(
-                            path, lineno, f"edge joins two distinct vertices in 1..{n}"
-                        )
-                    w = _numbers(path, lineno, tokens[3:], float) or [1.0]
-                    if w[0] < 0:
-                        raise InstanceParseError(path, lineno, "edge weight must be nonnegative")
-                    triples.append((u - 1, v - 1, w[0]))
-            graph = WeightedGraph.build(n, triples)
+            rows = [
+                _edge_row(path, lineno, tokens[1:], n)
+                for lineno, tokens in entries
+                if tokens[0] == "edge"
+            ]
+            graph = WeightedGraph.build(n, rows)
         maker = {
             "cut": cut_oracle,
             "incidence": incidence_oracle,
@@ -491,13 +494,7 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
 
     if kind == "gadget":
         upsilon = _single(path, entries, "upsilon", float, 0.0)
-        weights = None
-        for lineno, tokens in entries:
-            if tokens[0] == "weights":
-                weights = _numbers(path, lineno, tokens[1:], float)
-        if weights is None:
-            raise InstanceParseError(path, 0, "gadget oracle needs inner 'weights'")
-        return inapprox_gadget(modular_oracle(weights), upsilon).oracle
+        return inapprox_gadget(modular_oracle(_weights(path, entries)), upsilon).oracle
 
     raise InstanceParseError(path, 0, f"unknown oracle kind {kind!r}")
 
@@ -566,11 +563,8 @@ def _oracle_lines(path: Path, oracle: SetFunctionOracle) -> list[str]:
     if kind in ("cut", "incidence", "shifted-incidence"):
         g: WeightedGraph = payload
         lines.append(f"n {g.n}")
-        for i, (u, v) in enumerate(g.edges):
-            if g.weights[i] == 1.0:
-                lines.append(f"edge {u + 1} {v + 1}")
-            else:
-                lines.append(f"edge {u + 1} {v + 1} {g.weights[i]!r}")
+        # these oracles read the weights only
+        lines.extend("edge " + row for row in _edge_rows(replace(g, probabilities=None)))
         return lines
     if kind == "nae":
         phi: CnfFormula = payload

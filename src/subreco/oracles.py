@@ -9,6 +9,7 @@ data first, so the oracles themselves stay deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -115,8 +116,8 @@ class WeightedGraph:
     """Edge list with optional per-edge propagation probabilities.
 
     Undirected graphs store each edge once; directed graphs store arcs
-    ``u -> v``.  Self-loops are rejected, weights must be nonnegative, and
-    probabilities (when present) must lie in [0, 1].
+    ``u -> v``.  Self-loops are rejected, weights must be finite and
+    nonnegative, and probabilities (when present) must lie in [0, 1].
     """
 
     n: int
@@ -138,8 +139,8 @@ class WeightedGraph:
             if u == v:
                 raise ValueError(f"self-loop at {u} not allowed")
         for w in self.weights:
-            if w < 0:
-                raise ValueError("edge weights must be nonnegative")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"edge weights must be finite and nonnegative, got {w}")
         if self.probabilities is not None:
             for p in self.probabilities:
                 if not 0.0 <= p <= 1.0:

@@ -438,6 +438,13 @@ class TestInputErrors:
         assert main(["exact", "--gram", str(path), "--k", "1"]) == 3
         assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
+    @pytest.mark.parametrize("flag, value", [("--theta", "nan"), ("--theta-frac", "inf")])
+    def test_non_finite_threshold(self, tmp_path, capsys, flag, value):
+        path = gen_instance(tmp_path, "obs55")
+        capsys.readouterr()
+        assert main(["solve", "astar", str(path), flag, value]) == 3
+        assert "must be finite" in capsys.readouterr().err
+
     def test_missing_sequence_file(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs52")
         capsys.readouterr()

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from subreco import (
     AdjacencyRule,
     BudgetExceededError,
+    GroundSet,
     ProblemInstance,
+    SetFunctionOracle,
     Subset,
     build_value_table,
     cut_oracle,
@@ -51,6 +53,14 @@ class TestBuildValueTable:
         )
         assert set(table) == {0, 0b001, 0b100, 0b101}
         assert summary.restriction == Subset(3, [0, 2])
+
+    def test_evaluation_order(self):
+        # descending submasks of the restriction; a slice in combinations order
+        seen = []
+        f = SetFunctionOracle(lambda s: seen.append(s.mask) or 0.0, GroundSet(3))
+        build_value_table(f, AdjacencyRule.TAR, restriction=Subset(3, [0, 2]))
+        build_value_table(f, AdjacencyRule.TJ, cardinality_k=2)
+        assert seen == [0b101, 0b100, 0b001, 0, 0b011, 0b101, 0b110]
 
     def test_full_lattice_guard(self):
         f = modular_oracle([1.0] * 21)

@@ -105,6 +105,8 @@ class TestEdgeList:
         # undirected rows expand to opposite arc pairs
         assert g.directed and g.edges == ((0, 1), (1, 0))
         assert g.probabilities == (0.25, 0.25)
+        p.write_text("1 2 0\n2 3 1\n")
+        assert load_edge_list(p, probability_mode="given").probabilities == (0, 0, 1, 1)
         p2 = tmp_path / "missing.tsv"
         p2.write_text("1 2\n")
         with pytest.raises(InstanceParseError):
@@ -223,22 +225,25 @@ class TestCnf:
 
 
 class TestRrCollection:
-    def make(self):
+    def make(self, seed=4):
         g = WeightedGraph.build(
             4,
             [(0, 1), (1, 2), (2, 3)],
             directed=True,
             probabilities=[0.9, 0.5, 0.1],
         )
-        return sample_rr_sets(g, 25, seed=4)
+        return sample_rr_sets(g, 25, seed=seed)
 
     def test_round_trip(self, tmp_path):
-        rr = self.make()
-        p = tmp_path / "sample.rr"
-        save_rr_collection(p, rr)
-        back = load_rr_collection(p)
-        assert back == rr
-        assert back.source_digest == rr.source_digest
+        # a seed with more than 4,300 decimal digits is written in hex
+        for seed, header in [(4, "4 25 4"), (2**20000 + 3, f"4 25 {2**20000 + 3:#x}")]:
+            rr = self.make(seed)
+            p = tmp_path / "sample.rr"
+            save_rr_collection(p, rr)
+            assert p.read_text().startswith(header + "\n")
+            back = load_rr_collection(p)
+            assert back == rr
+            assert back.source_digest == rr.source_digest
 
     # the text written for make() before the sets were stored packed; a drift
     # in the format would still survive a save/load round trip
@@ -330,7 +335,12 @@ class TestInstanceFiles:
 
     @pytest.mark.parametrize("maker", [cut_oracle, incidence_oracle, shifted_incidence_oracle])
     def test_graph_kinds(self, tmp_path, maker):
-        f = maker(WeightedGraph.build(4, [(0, 1), (1, 2, 2.0), (2, 3)]))
+        # these oracles ignore probabilities, so none may be written as a weight
+        f = maker(
+            WeightedGraph.build(
+                4, [(0, 1), (1, 2, 2.0), (2, 3)], probabilities=[0.5, 0.5, 0.5]
+            )
+        )
         _, inst = self.roundtrip(
             tmp_path, f, Subset(4, [0, 2]), Subset(4, [1, 3]), AdjacencyRule.TJAR
         )
@@ -394,6 +404,14 @@ class TestInstanceFiles:
         inst = load_instance(p)
         assert (inst.x, inst.y) == (gadget.x, gadget.y)
         assert_same_values(gadget.oracle, inst.oracle)
+
+    def test_gadget_reads_the_first_weights_line(self, tmp_path):
+        gadget = inapprox_gadget(modular_oracle([0.3, 0.2]), 1.5)
+        p = tmp_path / "gadget.instance"
+        write_instance(p, gadget.oracle, gadget.x, gadget.y, AdjacencyRule.TJAR)
+        text = p.read_text()
+        p.write_text(text.replace("\n\n[endpoints]", "\nweights 9.0 9.0\n\n[endpoints]", 1))
+        assert_same_values(gadget.oracle, load_instance(p).oracle)
 
     def test_frac_theta_resolves_against_endpoints(self, tmp_path):
         f = modular_oracle([3.0, 1.0, 2.0])
@@ -537,6 +555,30 @@ class TestParseErrorsNameTheLine:
             ("s.rr", "% graph abc\n3 0 5\n", 2),
             ("s.rr", "3 2 5\n1\n", 1),
             ("s.rr", "3 2 5\n1\n2 4\n", 3),
+            ("case.instance", "[oracle]\nkind modular\nweights 1 nan\n" + _TAIL, 3),
+            (
+                "case.instance",
+                "[oracle]\nkind coverage\nn 2\nitems 2\ndivisor inf\ncover 1\ncover 2\n"
+                + _TAIL,
+                5,
+            ),
+            ("case.instance", "[oracle]\nkind gadget\nupsilon nan\nweights 1 2\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2 nan\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2 -inf\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2 3 4\n" + _TAIL, 4),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nvalue inf\n",
+                13,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nfrac nan\n",
+                13,
+            ),
+            ("g.tsv", "1 2 inf\n", 1),
+            ("given.tsv", "1 2 0.5\n2 3 nan\n", 2),
+            ("s.rr", "3 1 0xz\n1\n", 1),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
@@ -547,6 +589,9 @@ class TestParseErrorsNameTheLine:
             "edges-weight-nan", "edges-probability-range", "edges-probability-missing",
             "cnf-header", "cnf-literal-range", "cnf-clause-count", "gram-nan",
             "rr-seed", "rr-empty", "rr-count", "rr-vertex-range",
+            "weights-nan", "divisor-inf", "upsilon-nan", "edge-weight-nan", "edge-weight-inf",
+            "edge-arity", "theta-inf", "theta-frac-nan", "edges-weight-inf",
+            "edges-probability-nan", "rr-seed-hex",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):

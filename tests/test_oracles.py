@@ -96,6 +96,8 @@ class TestWeightedGraph:
             dict(n=2, edges=((0, 0),), weights=(1.0,)),
             dict(n=2, edges=((0, 3),), weights=(1.0,)),
             dict(n=2, edges=((0, 1),), weights=(-1.0,)),
+            dict(n=2, edges=((0, 1),), weights=(float("nan"),)),
+            dict(n=2, edges=((0, 1),), weights=(float("inf"),)),
             dict(n=2, edges=((0, 1),), weights=(1.0, 2.0)),
             dict(n=2, edges=((0, 1),), weights=(1.0,), probabilities=(1.5,)),
         ],
