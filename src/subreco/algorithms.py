@@ -12,7 +12,8 @@ The two constructive algorithms trade generality for guarantees:
 
 :func:`astar` finds a shortest sequence whose every step clears a threshold,
 at exponential worst-case cost; it answers exactly or reports that its node
-budget ran out.
+budget ran out.  Its loop, :func:`feasible_path`, is the package's one
+thresholded walk search: :mod:`subreco.exact` runs it too.
 """
 
 from __future__ import annotations
@@ -157,35 +158,73 @@ def tjar_reconfigure(
     return ReconfigSequence(steps)
 
 
-def default_heuristic(
-    rule: AdjacencyRule, y: Subset
-) -> Callable[[Subset], float]:
-    """Admissible, consistent step-count lower bounds towards Y.
+def step_bound(rule: AdjacencyRule, mask: int, y_mask: int) -> float:
+    """Admissible, consistent lower bound on the steps from ``mask`` to Y.
 
     One exchange fixes one missing and one surplus element, one addition or
     removal fixes one side of the difference; the bounds count accordingly.
     """
-    y_mask = y.mask
-
+    surplus = (mask & ~y_mask).bit_count()
+    missing = (y_mask & ~mask).bit_count()
     if rule is AdjacencyRule.TJ:
-
-        def h_tj(s: Subset) -> float:
-            return ((s.mask & ~y_mask).bit_count() + (y_mask & ~s.mask).bit_count()) / 2
-
-        return h_tj
+        return (surplus + missing) / 2
     if rule is AdjacencyRule.TAR:
+        return surplus + missing
+    return max(surplus, missing)
 
-        def h_tar(s: Subset) -> float:
-            return float((s.mask ^ y_mask).bit_count())
 
-        return h_tar
+def default_heuristic(rule: AdjacencyRule, y: Subset) -> Callable[[Subset], float]:
+    """:func:`step_bound` towards Y, as a function of a subset."""
+    return lambda s: float(step_bound(rule, s.mask, y.mask))
 
-    def h_tjar(s: Subset) -> float:
-        return float(
-            max((s.mask & ~y_mask).bit_count(), (y_mask & ~s.mask).bit_count())
-        )
 
-    return h_tjar
+def feasible_path(
+    rule: AdjacencyRule,
+    n: int,
+    x_mask: int,
+    y_mask: int,
+    feasible: Callable[[int], bool],
+    budget: int,
+) -> tuple[str, Optional[list[int]], int]:
+    """Shortest walk from X to Y through states passing ``feasible``, by A*.
+
+    Returns ``(status, masks, expansions)``: ``found`` with the walk's masks
+    from X to Y, ``no_path``, or ``inconclusive`` when ``budget`` expansions
+    ran out first.  ``feasible`` is asked about X, then Y (either failing
+    settles ``no_path`` without searching), then about a neighbour only when
+    it would improve that neighbour's step count.  The open list is a heap
+    keyed by ``g +`` :func:`step_bound` with most-recent-first tie-breaking
+    and lazy deletion: a state is pushed again whenever a shorter path to it
+    appears, and a popped entry whose ``g`` is no longer the state's best is
+    skipped.  The bound is consistent, so every walk found is shortest.
+    """
+    if not feasible(x_mask) or not feasible(y_mask):
+        return "no_path", None, 0
+    g_score: dict[int, int] = {x_mask: 0}
+    parent: dict[int, int] = {}
+    heap = [(step_bound(rule, x_mask, y_mask), 0, 0, x_mask)]
+    push_count = 0
+    expansions = 0
+    while heap:
+        _, _, g, mask = heapq.heappop(heap)
+        if g != g_score[mask]:
+            continue  # superseded by a shorter path pushed later
+        if expansions >= budget:
+            return "inconclusive", None, expansions
+        expansions += 1
+        if mask == y_mask:
+            chain = [mask]
+            while chain[-1] != x_mask:
+                chain.append(parent[chain[-1]])
+            return "found", chain[::-1], expansions
+        for t in neighbor_masks(rule, n, mask):
+            if g + 1 < g_score.get(t, math.inf) and feasible(t):
+                g_score[t] = g + 1
+                parent[t] = mask
+                push_count += 1
+                score = g + 1 + step_bound(rule, t, y_mask)
+                heapq.heappush(heap, (score, -push_count, g + 1, t))
+    return "no_path", None, expansions
 
 
 @dataclass
@@ -212,25 +251,21 @@ class AstarResult:
 def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> AstarResult:
     """Shortest threshold-feasible sequence from X to Y, by A*.
 
-    Feasibility ``f(S) >= instance.theta - VALUE_SLACK`` is memoized per
-    subset, so every distinct subset touched costs exactly one oracle call.
-    The heuristic is the rule's bound from :func:`default_heuristic`.  The
-    open list is a heap keyed by ``g + h`` with most-recent-first
-    tie-breaking and lazy deletion: a state is pushed again whenever a
-    shorter path to it appears, and a popped entry whose ``g`` is no longer
-    the state's best is skipped.
+    Runs :func:`feasible_path` with feasibility ``f(S) >= instance.theta -
+    VALUE_SLACK``, memoized per subset, so every distinct subset touched
+    costs exactly one oracle call.  A budget of 0 expansions is always
+    inconclusive; a negative budget raises ``ValueError``.
     """
     if instance.theta is None:
         raise ValueError("astar needs a threshold")
     cfg = cfg or AstarConfig()
     f = instance.oracle
     n = f.universe.n
-    rule = instance.rule
-    h = default_heuristic(rule, instance.y)
     budget = cfg.budget if cfg.budget is not None else 1 << min(n, 24)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     bound = instance.theta - VALUE_SLACK
     calls_before = f.calls
-
     feasible_cache: dict[int, bool] = {}
 
     def feasible(mask: int) -> bool:
@@ -240,39 +275,10 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
             feasible_cache[mask] = v
         return v
 
-    def result(status, seq, expansions):
-        return AstarResult(status, seq, expansions, f.calls - calls_before)
-
-    x_mask = instance.x.mask
-    y_mask = instance.y.mask
-    # a sequence always contains both endpoints, so either being infeasible
-    # settles the answer without searching
-    if not feasible(x_mask) or not feasible(y_mask):
-        return result("no_path", None, 0)
-
-    g_score: dict[int, int] = {x_mask: 0}
-    parent: dict[int, int] = {}
-    heap: list[tuple[float, int, int, int]] = [(h(instance.x), 0, 0, x_mask)]
-    push_count = 0
-    expansions = 0
-    while heap:
-        _, _, g, mask = heapq.heappop(heap)
-        if g != g_score[mask]:
-            continue  # superseded by a shorter path pushed later
-        if expansions >= budget:
-            return result("inconclusive", None, expansions)
-        expansions += 1
-        if mask == y_mask:
-            chain = [mask]
-            while chain[-1] != x_mask:
-                chain.append(parent[chain[-1]])
-            steps = [Subset.from_mask(n, m) for m in reversed(chain)]
-            return result("found", ReconfigSequence(steps), expansions)
-        for t in neighbor_masks(rule, n, mask):
-            if g + 1 < g_score.get(t, math.inf) and feasible(t):
-                g_score[t] = g + 1
-                parent[t] = mask
-                push_count += 1
-                score = g + 1 + h(Subset.from_mask(n, t))
-                heapq.heappush(heap, (score, -push_count, g + 1, t))
-    return result("no_path", None, expansions)
+    status, masks, expansions = feasible_path(
+        instance.rule, n, instance.x.mask, instance.y.mask, feasible, budget
+    )
+    seq = None
+    if masks is not None:
+        seq = ReconfigSequence([Subset.from_mask(n, m) for m in masks])
+    return AstarResult(status, seq, expansions, f.calls - calls_before)

@@ -385,8 +385,6 @@ class ReconfigSequence:
 
 def sequence_value(oracle: SetFunctionOracle, seq: ReconfigSequence) -> float:
     """Minimum function value over all steps; duplicates are re-evaluated."""
-    if len(seq) == 0:  # unreachable via the constructor; defensive
-        raise ValueError("empty sequence has no value")
     return min(oracle.evaluate(s) for s in seq)
 
 

@@ -1,17 +1,21 @@
-"""Exact small-instance solvers over the explicit state graph.
+"""Exact solvers: reachability by A*, and the bottleneck optimum over the lattice.
 
-Every whole-lattice evaluation, here and in the exhaustive structural checks
-of :mod:`subreco.core`, goes through ``core._value_table``; this module picks
-the states and their order.  States are all subsets of the (optionally
-restricted) ground set in descending mask order, or all fixed-size subsets in
-combinations order for cardinality-constrained instances; a size guard
-refuses enumerations beyond ``2^20`` states (``10^6`` for the fixed-size
-slice).
+:func:`reachable` answers the decision form for one threshold with A*, so it
+evaluates only the states the search touches and tabulates nothing.
+
+The optimum tabulates.  Every whole-lattice evaluation, here and in the
+exhaustive structural checks of :mod:`subreco.core`, goes through
+``core._value_table``; this module picks the states and their order.
+States are all subsets of the (optionally restricted) ground set in
+descending mask order, or all fixed-size subsets in combinations order for
+cardinality-constrained instances; a size guard refuses enumerations beyond
+``2^20`` states (``10^6`` for the fixed-size slice).
 
 The bottleneck solver answers the optimization form: the largest threshold
 ``theta`` for which a feasible sequence exists equals the value at which X
 and Y first fall into one connected component when states are inserted in
-decreasing value order.
+decreasing value order.  Its sequence is the same A* walk through the
+table's states that reach that value.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from .core import (
     ReconfigSequence,
     SetFunctionOracle,
     Subset,
-    VALUE_SLACK,
     _value_table,
     neighbor_masks,
 )
+from .algorithms import astar, feasible_path
 
 FULL_LATTICE_LIMIT = 20
 SLICE_LIMIT = 10**6
@@ -98,62 +102,18 @@ def _restriction(
     return restriction
 
 
-def _shortest_path(
-    table: dict[int, float],
-    rule: AdjacencyRule,
-    n: int,
-    x_mask: int,
-    y_mask: int,
-    bound: float,
-) -> Optional[list[int]]:
-    """Breadth-first shortest walk from X to Y through tabulated states valued
-    at least ``bound``, as a list of masks; None when there is none."""
-    if table[x_mask] < bound or table[y_mask] < bound:
-        return None
-    parent: dict[int, int] = {x_mask: x_mask}
-    queue = [x_mask]
-    for mask in queue:
-        if mask == y_mask:
-            chain = [mask]
-            while chain[-1] != x_mask:
-                chain.append(parent[chain[-1]])
-            return chain[::-1]
-        for t in neighbor_masks(rule, n, mask):
-            value = table.get(t)
-            if value is None or value < bound or t in parent:
-                continue
-            parent[t] = mask
-            queue.append(t)
-    return None
+def reachable(instance: ProblemInstance) -> bool:
+    """Is there a sequence whose every step satisfies ``f >= theta - VALUE_SLACK``?
 
-
-def reachable(
-    instance: ProblemInstance,
-    *,
-    restriction: Optional[Subset] = None,
-    value_slack: float = VALUE_SLACK,
-) -> bool:
-    """Is there a sequence whose every step satisfies ``f >= theta - slack``?
-
-    Tabulates every state of the (restricted) lattice, then runs a
-    breadth-first search from X over the feasible states.  Needs
-    ``instance.theta``.
+    This is :func:`~subreco.algorithms.astar` with its default budget: only
+    the states the search touches are evaluated, so there is no size guard.
+    Raises ``BudgetExceededError`` when the budget runs out before an answer.
+    Needs ``instance.theta``.
     """
-    if instance.theta is None:
-        raise ValueError("reachability needs a threshold")
-    n = instance.oracle.universe.n
-    restriction = _restriction(
-        n, instance.x, instance.y, restriction, instance.cardinality_k
-    )
-    table, _ = build_value_table(
-        instance.oracle,
-        instance.rule,
-        cardinality_k=instance.cardinality_k,
-        restriction=restriction,
-    )
-    bound = instance.theta - value_slack
-    x_mask, y_mask = instance.x.mask, instance.y.mask
-    return _shortest_path(table, instance.rule, n, x_mask, y_mask, bound) is not None
+    result = astar(instance)
+    if result.status == "inconclusive":
+        raise BudgetExceededError(f"search gave up after {result.expansions} expansions")
+    return result.status == "found"
 
 
 def _bottleneck(
@@ -234,15 +194,17 @@ def optimal_sequence(
 ) -> tuple[float, ReconfigSequence]:
     """Optimal threshold plus a shortest sequence attaining it.
 
-    The sequence is a breadth-first shortest path through the states whose
-    value reaches the optimal threshold (compared exactly; the threshold is
-    itself a table entry).
+    The sequence is A*'s shortest walk (:func:`~subreco.algorithms.feasible_path`,
+    with its tie order) through the tabulated states whose value reaches the
+    optimal threshold, compared exactly: the threshold is itself a table entry.
     """
     best, table = _optimum(oracle, x, y, rule, cardinality_k, restriction)
     if table is None:
         return best, ReconfigSequence([x])
     n = oracle.universe.n
-    chain = _shortest_path(table, rule, n, x.mask, y.mask, best)
+    status, chain, _ = feasible_path(
+        rule, n, x.mask, y.mask, lambda t: t in table and table[t] >= best, len(table)
+    )
     if chain is None:
-        raise RuntimeError("bottleneck value unreachable; solver inconsistency")
+        raise RuntimeError(f"bottleneck value {status}; solver inconsistency")
     return best, ReconfigSequence([Subset.from_mask(n, m) for m in chain])

@@ -507,20 +507,19 @@ def load_instance(path: PathLike) -> InstanceFile:
             raise InstanceParseError(path, 0, f"missing [{required}] section")
     oracle = _build_oracle(path, sections["oracle"])
     n = oracle.universe.n
-    x = y = None
+    ends: dict[str, Subset] = {}
     for lineno, tokens in sections["endpoints"]:
         ids = [i - 1 for i in _numbers(path, lineno, tokens[1:])]
         try:
             subset = Subset(n, ids)
         except ValueError as exc:
             raise InstanceParseError(path, lineno, str(exc)) from None
-        if tokens[0] == "x":
-            x = subset
-        elif tokens[0] == "y":
-            y = subset
-        else:
+        if tokens[0] not in ("x", "y"):
             raise InstanceParseError(path, lineno, f"unknown endpoint {tokens[0]!r}")
-    if x is None or y is None:
+        if tokens[0] in ends:
+            raise InstanceParseError(path, lineno, f"second '{tokens[0]}' line")
+        ends[tokens[0]] = subset
+    if len(ends) != 2:
         raise InstanceParseError(path, 0, "endpoints need both 'x' and 'y'")
     rule_entries = sections["rule"]
     if len(rule_entries) != 1 or len(rule_entries[0][1]) != 1:
@@ -531,7 +530,10 @@ def load_instance(path: PathLike) -> InstanceFile:
         raise InstanceParseError(path, rule_entries[0][0], str(exc)) from None
     theta_kind = None
     theta_param = None
-    for lineno, tokens in sections.get("theta", []):
+    theta_lines = sections.get("theta", [])
+    if len(theta_lines) > 1:
+        raise InstanceParseError(path, theta_lines[1][0], "[theta] holds one directive")
+    for lineno, tokens in theta_lines:
         if tokens[0] == "none":
             theta_kind = None
         elif tokens[0] in ("value", "frac"):
@@ -541,7 +543,7 @@ def load_instance(path: PathLike) -> InstanceFile:
             theta_param = _numbers(path, lineno, tokens[1:], float)[0]
         else:
             raise InstanceParseError(path, lineno, f"unknown theta form {tokens[0]!r}")
-    return InstanceFile(oracle, x, y, rule, theta_kind, theta_param)
+    return InstanceFile(oracle, ends["x"], ends["y"], rule, theta_kind, theta_param)
 
 
 def _oracle_lines(path: Path, oracle: SetFunctionOracle) -> list[str]:

@@ -286,6 +286,11 @@ class TestAstar:
         full = astar(inst)
         assert full.status == "found"
 
+    def test_negative_budget_is_an_error(self):
+        inst = self.make_instance([1.0, 1.0], [0], [1], AdjacencyRule.TAR, 0.5)
+        with pytest.raises(ValueError, match="budget"):
+            astar(inst, AstarConfig(budget=-1))
+
     def test_threshold_required(self):
         inst = self.make_instance([1.0, 1.0], [0], [1], AdjacencyRule.TAR, None)
         with pytest.raises(ValueError):

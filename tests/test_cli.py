@@ -445,6 +445,13 @@ class TestInputErrors:
         assert main(["solve", "astar", str(path), flag, value]) == 3
         assert "must be finite" in capsys.readouterr().err
 
+    def test_negative_search_budget(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs52")
+        capsys.readouterr()
+        code = main(["solve", "astar", str(path), "--theta", "1", "--budget", "-3"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: budget must be nonnegative, got -3\n"
+
     def test_missing_sequence_file(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs52")
         capsys.readouterr()

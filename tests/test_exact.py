@@ -1,21 +1,28 @@
 """State-graph enumeration, reachability, and the bottleneck optimum."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subreco.exact
 from subreco import (
     AdjacencyRule,
+    AstarConfig,
     BudgetExceededError,
     GroundSet,
     ProblemInstance,
+    ReconfigSequence,
     SetFunctionOracle,
     Subset,
+    astar,
     build_value_table,
     cut_oracle,
     modular_oracle,
+    obs52_instance,
+    obs54_instance,
     optimal_sequence,
     optimal_value,
     reachable,
@@ -208,6 +215,14 @@ class TestOptimalSequence:
         )
         assert seq.length == expected == 2
 
+    def test_obs52_walk_is_pinned(self):
+        # A*'s tie order picks this one among the shortest walks at the optimum
+        inst = obs52_instance()
+        v, seq = optimal_sequence(inst.oracle, inst.x, inst.y, inst.rule, cardinality_k=2)
+        assert v == 1.0
+        steps = ([0, 1], [0, 4], [3, 4], [2, 3])
+        assert seq == ReconfigSequence([Subset(5, s) for s in steps])
+
     def test_identical_endpoints(self):
         f = modular_oracle([1.0, 1.0])
         v, seq = optimal_sequence(f, Subset(2, [0]), Subset(2, [0]), AdjacencyRule.TAR)
@@ -253,7 +268,30 @@ class TestReachable:
             theta=5e-10,
         )
         assert reachable(inst)
-        assert not reachable(inst, value_slack=0.0)
+
+    def test_answers_above_the_lattice_guard(self):
+        # 24 elements: the lattice guard refuses to tabulate this instance
+        inst = replace(obs54_instance(24), theta=1.0)
+        assert reachable(inst)
+        assert inst.oracle.calls < 2000
+
+    def test_evaluates_only_touched_states(self):
+        f = modular_oracle([1.0] * 16)
+        inst = ProblemInstance(
+            f, Subset(16, range(8)), Subset(16, range(8, 16)), AdjacencyRule.TJAR, 8.0
+        )
+        assert reachable(inst)
+        assert f.calls < 1 << 16
+
+    def test_inconclusive_search_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            subreco.exact, "astar", lambda inst: astar(inst, AstarConfig(budget=0))
+        )
+        inst = ProblemInstance(
+            K2_CUT, Subset(2, [0]), Subset(2, [1]), AdjacencyRule.TAR, theta=0.0
+        )
+        with pytest.raises(BudgetExceededError):
+            reachable(inst)
 
     @given(st.integers(0, 9999))
     @settings(max_examples=50, deadline=None)

@@ -579,6 +579,23 @@ class TestParseErrorsNameTheLine:
             ("g.tsv", "1 2 inf\n", 1),
             ("given.tsv", "1 2 0.5\n2 3 nan\n", 2),
             ("s.rr", "3 1 0xz\n1\n", 1),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\nx 2\ny 2\n"
+                "\n[rule]\ntar\n",
+                7,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\ny 2\nx 1\ny 1\n"
+                "\n[rule]\ntar\n",
+                8,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nvalue 1\nnone\n",
+                14,
+            ),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
@@ -591,7 +608,8 @@ class TestParseErrorsNameTheLine:
             "rr-seed", "rr-empty", "rr-count", "rr-vertex-range",
             "weights-nan", "divisor-inf", "upsilon-nan", "edge-weight-nan", "edge-weight-inf",
             "edge-arity", "theta-inf", "theta-frac-nan", "edges-weight-inf",
-            "edges-probability-nan", "rr-seed-hex",
+            "edges-probability-nan", "rr-seed-hex", "second-x", "second-y",
+            "second-theta",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
