@@ -38,9 +38,9 @@ inst = obs52_instance()
 f, x, y = inst.oracle, inst.x, inst.y
 print("coverage detour instance")
 print(f"  optimal value, free ground set: "
-      f"{optimal_value(f, x, y, AdjacencyRule.TJ, cardinality_k=2)}")
+      f"{optimal_value(f, x, y, AdjacencyRule.TJ)}")
 print(f"  optimal value, restricted to X | Y: "
-      f"{optimal_value(f, x, y, AdjacencyRule.TJ, cardinality_k=2, restriction=x | y)}")
+      f"{optimal_value(f, x, y, AdjacencyRule.TJ, restriction=x | y)}")
 seq = swap_reconfigure(f, x, y)
 print(f"  greedy exchange walk: {pretty(seq)} value {walk_value(f, seq)}")
 

@@ -35,9 +35,7 @@ covers = VcReconfigInstance(path, Subset(4, (1, 2)), Subset(4, (0, 2)))
 inst = vc_to_msreco(covers)
 print(f"fixed-size cover instance: threshold {inst.theta}, "
       f"reachable: {reachable(inst)}")
-value, seq = optimal_sequence(
-    inst.oracle, inst.x, inst.y, inst.rule, cardinality_k=inst.cardinality_k
-)
+value, seq = optimal_sequence(inst.oracle, inst.x, inst.y, inst.rule)
 print("  walk: " + " -> ".join(format_ids_1indexed(s) for s in seq))
 
 # The unconstrained variant shifts the oracle by (n - |S|) / 2 so that

@@ -99,6 +99,7 @@ from .fileio import (
     write_gram,
     write_instance,
     write_instance_for,
+    write_sequence_csv,
 )
 from .experiment import (
     ExperimentConfig,

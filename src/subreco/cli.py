@@ -125,7 +125,7 @@ def _cmd_gen(args) -> int:
     if name == "obs52":
         write_instance_for(obs52_instance(), out)
     elif name == "obs54":
-        write_instance_for(obs54_instance(args.n or 8), out)
+        write_instance_for(obs54_instance(8 if args.n is None else args.n), out)
     elif name == "obs55":
         write_instance_for(obs55_instance(), out)
     elif name in ("vc2msreco", "minvc2tjar"):
@@ -163,7 +163,7 @@ def _cmd_gen(args) -> int:
         weights = (
             [float(t) for t in args.weights.replace(",", " ").split()]
             if args.weights
-            else [0.0] * (args.n or 0)
+            else [0.0] * (0 if args.n is None else args.n)
         )
         gadget = inapprox_gadget(modular_oracle(weights), args.upsilon)
         write_instance(

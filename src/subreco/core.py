@@ -423,14 +423,18 @@ class ProblemInstance:
 def resolve_threshold(
     theta: Optional[float],
     theta_frac: Optional[float],
+    source: tuple[Optional[float], Optional[float]],
     endpoint_min: Callable[[], float],
 ) -> Optional[float]:
-    """``theta`` if given, else ``theta_frac * min(f(X), f(Y))``, else None.
+    """``theta`` if given, else ``theta_frac * min(f(X), f(Y))``, else the same
+    for the instance source's own ``(theta, theta_frac)``, else None.
 
     ``endpoint_min`` returns ``min(f(X), f(Y))`` and is called only for the
     fractional form, so an absolute or absent threshold costs no oracle calls.
     A non-finite ``theta`` or ``theta_frac`` raises ``ValueError``.
     """
+    if theta is None and theta_frac is None:
+        theta, theta_frac = source
     if not all(t is None or math.isfinite(t) for t in (theta, theta_frac)):
         raise ValueError(f"threshold must be finite, got theta={theta} theta_frac={theta_frac}")
     if theta is not None:
@@ -564,7 +568,6 @@ def check_submodular(
     mode: str = "exhaustive",
     sample_count: int = 1000,
     seed: int = 0,
-    tol: float = CHECK_TOL,
 ) -> CheckVerdict:
     """Test the diminishing-returns inequality, exhaustively or by sampling.
 
@@ -590,7 +593,7 @@ def check_submodular(
                 for g in free[ai + 1 :]:
                     with_g = table[s_mask | 1 << g]
                     with_both = table[s_mask | 1 << e | 1 << g]
-                    if (with_e - base) - (with_both - with_g) < -tol:
+                    if (with_e - base) - (with_both - with_g) < -CHECK_TOL:
                         return CheckVerdict(
                             False,
                             (
@@ -617,7 +620,7 @@ def check_submodular(
         gain_large = oracle.evaluate(
             Subset.from_mask(n, t_mask | 1 << e)
         ) - oracle.evaluate(Subset.from_mask(n, t_mask))
-        if gain_small - gain_large < -tol:
+        if gain_small - gain_large < -CHECK_TOL:
             return CheckVerdict(
                 False,
                 (Subset.from_mask(n, s_mask), Subset.from_mask(n, t_mask), e),
@@ -631,7 +634,6 @@ def check_monotone(
     mode: str = "exhaustive",
     sample_count: int = 1000,
     seed: int = 0,
-    tol: float = CHECK_TOL,
 ) -> CheckVerdict:
     """Test ``f(S) <= f(S + e)`` for all (S, e), exhaustively or by sampling."""
     n = oracle.universe.n
@@ -644,7 +646,7 @@ def check_monotone(
         for s_mask in range(1 << n):
             base = table[s_mask]
             for e in range(n):
-                if not s_mask >> e & 1 and table[s_mask | 1 << e] < base - tol:
+                if not s_mask >> e & 1 and table[s_mask | 1 << e] < base - CHECK_TOL:
                     return CheckVerdict(
                         False,
                         (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << e)),
@@ -661,7 +663,7 @@ def check_monotone(
         e = rng.choice(free)
         if oracle.evaluate(Subset.from_mask(n, s_mask | 1 << e)) < oracle.evaluate(
             Subset.from_mask(n, s_mask)
-        ) - tol:
+        ) - CHECK_TOL:
             return CheckVerdict(
                 False,
                 (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << e)),

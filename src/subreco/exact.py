@@ -7,8 +7,8 @@ The optimum tabulates.  Every whole-lattice evaluation, here and in the
 exhaustive structural checks of :mod:`subreco.core`, goes through
 ``core._value_table``; this module picks the states and their order.
 States are all subsets of the (optionally restricted) ground set in
-descending mask order, or all fixed-size subsets in combinations order for
-cardinality-constrained instances; a size guard refuses enumerations beyond
+descending mask order, or, under the exchange rule (TJ), the subsets of size
+``|X|`` in combinations order; a size guard refuses enumerations beyond
 ``2^20`` states (``10^6`` for the fixed-size slice).
 
 The bottleneck solver answers the optimization form: the largest threshold
@@ -83,25 +83,6 @@ def build_value_table(
     return table, StateGraphSummary(restriction, rule, cardinality_k, len(table))
 
 
-def _restriction(
-    n: int,
-    x: Subset,
-    y: Subset,
-    restriction: Optional[Subset],
-    cardinality_k: Optional[int],
-) -> Subset:
-    """The restriction, all ``n`` elements by default, with X and Y checked in it."""
-    if restriction is None:
-        restriction = Subset.full(n)
-    if not x.issubset(restriction) or not y.issubset(restriction):
-        raise ValueError("endpoints must lie inside the ground restriction")
-    if cardinality_k is not None and (
-        len(x) != cardinality_k or len(y) != cardinality_k
-    ):
-        raise ValueError("endpoints violate the cardinality constraint")
-    return restriction
-
-
 def reachable(instance: ProblemInstance) -> bool:
     """Is there a sequence whose every step satisfies ``f >= theta - VALUE_SLACK``?
 
@@ -154,20 +135,27 @@ def _optimum(
     x: Subset,
     y: Subset,
     rule: AdjacencyRule,
-    cardinality_k: Optional[int],
     restriction: Optional[Subset],
 ) -> tuple[float, Optional[dict[int, float]]]:
     """The optimal threshold and the value table it came from.
 
-    X == Y costs one evaluation and no table (the table is None).
+    The table covers the restriction (all ``n`` elements by default), which
+    must hold X and Y; under TJ it is the slice of sets with ``|X|`` elements,
+    and ``|Y| != |X|`` raises ``ValueError``.  X == Y costs one evaluation and
+    no table (the table is None).
     """
-    restriction = _restriction(oracle.universe.n, x, y, restriction, cardinality_k)
+    n = oracle.universe.n
+    if restriction is None:
+        restriction = Subset.full(n)
+    if not x.issubset(restriction) or not y.issubset(restriction):
+        raise ValueError("endpoints must lie inside the ground restriction")
+    k = len(x) if rule is AdjacencyRule.TJ else None
+    if k is not None and len(y) != k:
+        raise ValueError(f"TJ endpoints must have equal size, got {len(x)} and {len(y)}")
     if x == y:
         return oracle.evaluate(x), None
-    table, _ = build_value_table(
-        oracle, rule, cardinality_k=cardinality_k, restriction=restriction
-    )
-    return _bottleneck(table, rule, oracle.universe.n, x.mask, y.mask), table
+    table, _ = build_value_table(oracle, rule, cardinality_k=k, restriction=restriction)
+    return _bottleneck(table, rule, n, x.mask, y.mask), table
 
 
 def optimal_value(
@@ -176,11 +164,14 @@ def optimal_value(
     y: Subset,
     rule: AdjacencyRule,
     *,
-    cardinality_k: Optional[int] = None,
     restriction: Optional[Subset] = None,
 ) -> float:
-    """Largest ``theta`` for which an all-feasible sequence from X to Y exists."""
-    return _optimum(oracle, x, y, rule, cardinality_k, restriction)[0]
+    """Largest ``theta`` for which an all-feasible sequence from X to Y exists.
+
+    Under TJ every set of the walk has ``|X|`` elements, so only that slice of
+    the lattice is evaluated, and X and Y must have equal size.
+    """
+    return _optimum(oracle, x, y, rule, restriction)[0]
 
 
 def optimal_sequence(
@@ -189,7 +180,6 @@ def optimal_sequence(
     y: Subset,
     rule: AdjacencyRule,
     *,
-    cardinality_k: Optional[int] = None,
     restriction: Optional[Subset] = None,
 ) -> tuple[float, ReconfigSequence]:
     """Optimal threshold plus a shortest sequence attaining it.
@@ -197,8 +187,9 @@ def optimal_sequence(
     The sequence is A*'s shortest walk (:func:`~subreco.algorithms.feasible_path`,
     with its tie order) through the tabulated states whose value reaches the
     optimal threshold, compared exactly: the threshold is itself a table entry.
+    The states, and under TJ the size rule, are those of :func:`optimal_value`.
     """
-    best, table = _optimum(oracle, x, y, rule, cardinality_k, restriction)
+    best, table = _optimum(oracle, x, y, rule, restriction)
     if table is None:
         return best, ReconfigSequence([x])
     n = oracle.universe.n

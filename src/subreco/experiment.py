@@ -9,7 +9,6 @@ randomized ingredient takes an explicit seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -24,6 +23,7 @@ from .algorithms import (
     tjar_reconfigure,
 )
 from .core import (
+    VALUE_SLACK,
     AdjacencyRule,
     ProblemInstance,
     ReconfigSequence,
@@ -33,13 +33,7 @@ from .core import (
     validate_sequence,
 )
 from .exact import optimal_sequence
-from .fileio import (
-    InstanceFile,
-    format_ids_1indexed,
-    load_edge_list,
-    load_gram,
-    load_instance,
-)
+from .fileio import load_edge_list, load_gram, load_instance, write_sequence_csv
 from .oracles import GramMatrix, influence_oracle, logdet_oracle, sample_rr_sets
 
 PathLike = Union[str, Path]
@@ -68,22 +62,17 @@ def interchangeable_greedy(
     return Subset.from_mask(n, x_mask), Subset.from_mask(n, y_mask)
 
 
-def make_synthetic_gram(
-    n: int,
-    seed: int,
-    eig_low: float = 1.3,
-    eig_high: float = 3.0,
-) -> GramMatrix:
-    """Random symmetric matrix with eigenvalues spread over [eig_low, eig_high].
+def make_synthetic_gram(n: int, seed: int) -> GramMatrix:
+    """Random symmetric matrix with eigenvalues spread evenly over [1.3, 3.0].
 
-    With ``eig_low >= 1`` every principal minor has determinant at least 1,
-    so the log-determinant objective is nonnegative and monotone; that keeps
-    threshold search on such instances well behaved while the off-diagonal
-    structure still makes subset choice matter.
+    The log-determinant objective on it is nonnegative and monotone, which
+    keeps threshold search on such instances well behaved, while the
+    off-diagonal structure still makes subset choice matter.
     """
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    eigs = np.linspace(eig_low, eig_high, n)
+    # eigenvalues of at least 1 give every principal minor a determinant of at least 1
+    eigs = np.linspace(1.3, 3.0, n)
     a = (q * eigs) @ q.T
     return GramMatrix((a + a.T) / 2.0)
 
@@ -101,7 +90,7 @@ class ExperimentConfig:
     """
 
     algorithm: str
-    instance: Optional[Union[ProblemInstance, InstanceFile, str, Path]] = None
+    instance: Optional[Union[ProblemInstance, str, Path]] = None
     graph_path: Optional[PathLike] = None
     gram_path: Optional[PathLike] = None
     directed: bool = False
@@ -150,37 +139,19 @@ class Report:
             f"calls_evaluation={self.calls_evaluation}"
         )
 
-    def write_csv(self, path: PathLike) -> None:
-        path = Path(path)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "set", "value"])
-            for index, subset, value in self.rows:
-                writer.writerow([index, format_ids_1indexed(subset), repr(value)])
-        self.csv_path = path
-
 
 def _resolve_instance(
     cfg: ExperimentConfig,
-) -> tuple[ProblemInstance, Optional[float]]:
-    """The instance to run, and the threshold fraction its file asks for."""
-    sources = [
-        cfg.instance is not None,
-        cfg.graph_path is not None,
-        cfg.gram_path is not None,
-    ]
-    if sum(sources) != 1:
+) -> tuple[ProblemInstance, tuple[Optional[float], Optional[float]]]:
+    """The instance to run, and its source's own ``(theta, theta_frac)``."""
+    if sum(s is not None for s in (cfg.instance, cfg.graph_path, cfg.gram_path)) != 1:
         raise ValueError("exactly one instance source must be set")
 
+    if isinstance(cfg.instance, ProblemInstance):
+        return cfg.instance, (cfg.instance.theta, None)
     if cfg.instance is not None:
-        inst = cfg.instance
-        if isinstance(inst, (str, Path)):
-            inst = load_instance(inst)
-        if isinstance(inst, InstanceFile):
-            if inst.theta_kind == "frac":  # resolved by the caller from f(X), f(Y)
-                return inst.to_problem_instance(None), inst.theta_param
-            return inst.to_problem_instance(inst.resolve_theta()), None
-        return inst, None
+        spec = load_instance(cfg.instance)
+        return spec.to_problem_instance(None), (spec.theta, spec.theta_frac)
 
     if cfg.k is None:
         raise ValueError("endpoint construction needs k")
@@ -197,12 +168,10 @@ def _resolve_instance(
     else:
         oracle = logdet_oracle(load_gram(cfg.gram_path))
 
-    x, y = interchangeable_greedy(oracle, cfg.k)
-    rule = cfg.rule or (
-        AdjacencyRule.TJ if cfg.graph_path is not None else AdjacencyRule.TJAR
-    )
-    k = cfg.k if rule is AdjacencyRule.TJ else None
-    return ProblemInstance(oracle, x, y, rule, None, k), None
+    x, y = interchangeable_greedy(oracle, cfg.k)  # run_experiment applies cfg.rule
+    if cfg.graph_path is not None:
+        return ProblemInstance(oracle, x, y, AdjacencyRule.TJ, None, cfg.k), (None, None)
+    return ProblemInstance(oracle, x, y, AdjacencyRule.TJAR), (None, None)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -210,10 +179,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
     source = cfg.instance
     # an oracle built during the run starts from zero calls
-    calls_start = (
-        source.oracle.calls if isinstance(source, (ProblemInstance, InstanceFile)) else 0
-    )
-    instance, file_frac = _resolve_instance(cfg)
+    calls_start = source.oracle.calls if isinstance(source, ProblemInstance) else 0
+    instance, source_theta = _resolve_instance(cfg)
     if cfg.rule is not None and cfg.rule is not instance.rule:
         k = len(instance.x) if cfg.rule is AdjacencyRule.TJ else None
         instance = replace(instance, rule=cfg.rule, cardinality_k=k)
@@ -229,10 +196,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     fx = f.evaluate(instance.x)
     fy = f.evaluate(instance.y)
-    theta, theta_frac = cfg.theta, cfg.theta_frac
-    if theta is None and theta_frac is None:
-        theta, theta_frac = instance.theta, file_frac
-    theta = resolve_threshold(theta, theta_frac, lambda: min(fx, fy))
+    theta = resolve_threshold(cfg.theta, cfg.theta_frac, source_theta, lambda: min(fx, fy))
 
     c0 = f.calls
     status = "ok"
@@ -252,14 +216,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         expansions = result.expansions
     else:
         value, seq = optimal_sequence(
-            f,
-            instance.x,
-            instance.y,
-            instance.rule,
-            cardinality_k=instance.cardinality_k,
-            restriction=restriction,
+            f, instance.x, instance.y, instance.rule, restriction=restriction
         )
-        status = "found"
+        # like astar: a set threshold above the optimum has no sequence
+        status = "no_path" if theta is not None and value < theta - VALUE_SLACK else "found"
     c1 = f.calls
 
     rows: list[tuple[int, Subset, float]] = []
@@ -274,7 +234,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             raise RuntimeError(f"algorithm produced an invalid sequence: {verdict.reason}")
     c2 = f.calls
 
-    report = Report(
+    csv_path = None
+    if cfg.out is not None and rows:
+        csv_path = Path(cfg.out)
+        write_sequence_csv(csv_path, rows)
+    return Report(
         algorithm=cfg.algorithm,
         rule=instance.rule,
         theta=theta,
@@ -287,7 +251,5 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         calls_algorithm=c1 - c0,
         calls_evaluation=c2 - c1,
         expansions=expansions,
+        csv_path=csv_path,
     )
-    if cfg.out is not None and rows:
-        report.write_csv(cfg.out)
-    return report

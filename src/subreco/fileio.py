@@ -20,6 +20,7 @@ Formats:
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -342,28 +343,26 @@ def load_rr_collection(path: PathLike) -> RrSetCollection:
 class InstanceFile:
     """Parsed instance: oracle, endpoints, rule, and an unresolved threshold.
 
-    ``theta_kind`` is ``"value"`` (absolute), ``"frac"`` (fraction of
-    ``min(f(X), f(Y))``, resolved on demand at the cost of two evaluations),
-    or ``None``.
+    ``theta`` is the ``[theta]`` line's ``value r`` and ``theta_frac`` its
+    ``frac r``, a fraction of ``min(f(X), f(Y))`` resolved on demand at the
+    cost of two evaluations; ``none`` sets neither.
     """
 
     oracle: SetFunctionOracle
     x: Subset
     y: Subset
     rule: AdjacencyRule
-    theta_kind: Optional[str] = None
-    theta_param: Optional[float] = None
+    theta: Optional[float] = None
+    theta_frac: Optional[float] = None
 
     def resolve_theta(
         self, theta: Optional[float] = None, theta_frac: Optional[float] = None
     ) -> Optional[float]:
         """The given ``theta`` or ``theta_frac``, else the file's own threshold."""
-        if theta is None and theta_frac is None:
-            theta = self.theta_param if self.theta_kind == "value" else None
-            theta_frac = self.theta_param if self.theta_kind == "frac" else None
         return resolve_threshold(
             theta,
             theta_frac,
+            (self.theta, self.theta_frac),
             lambda: min(self.oracle.evaluate(self.x), self.oracle.evaluate(self.y)),
         )
 
@@ -378,6 +377,8 @@ def _section_map(path: Path) -> dict[str, list[tuple[int, list[str]]]]:
     for lineno, text in _data_lines(path):
         if text.startswith("[") and text.endswith("]"):
             current = text[1:-1].strip().lower()
+            if current not in ("oracle", "endpoints", "rule", "theta"):
+                raise InstanceParseError(path, lineno, f"unknown section {text!r}")
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -410,10 +411,28 @@ def _weights(path, entries) -> list[float]:
     raise InstanceParseError(path, 0, "missing 'weights' in [oracle]")
 
 
+# the [oracle] directives each kind reads, besides 'kind'
+_ORACLE_DIRECTIVES = {
+    "coverage": "n items divisor cover",
+    "modular": "weights",
+    **dict.fromkeys(("cut", "incidence", "shifted-incidence"), "n edge graph-file"),
+    "nae": "n clause cnf-file",
+    "logdet": "gram-file",
+    "influence": "rr-file graph-file directed probability rr-count seed",
+    "gadget": "upsilon weights",
+}
+
+
 def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
     kind = _single(path, entries, "kind")
     if kind is None:
         raise InstanceParseError(path, 0, "missing 'kind' in [oracle]")
+    if kind not in _ORACLE_DIRECTIVES:
+        raise InstanceParseError(path, 0, f"unknown oracle kind {kind!r}")
+    known = ["kind", *_ORACLE_DIRECTIVES[kind].split()]
+    for lineno, tokens in entries:
+        if tokens[0] not in known:
+            raise InstanceParseError(path, lineno, f"{kind} oracle has no directive {tokens[0]!r}")
     base = path.parent
 
     if kind == "coverage":
@@ -492,11 +511,9 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         graph = load_edge_list(base / graph_file, directed=directed, probability_mode=mode)
         return influence_oracle(sample_rr_sets(graph, rr_count, seed))
 
-    if kind == "gadget":
-        upsilon = _single(path, entries, "upsilon", float, 0.0)
-        return inapprox_gadget(modular_oracle(_weights(path, entries)), upsilon).oracle
-
-    raise InstanceParseError(path, 0, f"unknown oracle kind {kind!r}")
+    # the one kind left is gadget
+    upsilon = _single(path, entries, "upsilon", float, 0.0)
+    return inapprox_gadget(modular_oracle(_weights(path, entries)), upsilon).oracle
 
 
 def load_instance(path: PathLike) -> InstanceFile:
@@ -528,22 +545,20 @@ def load_instance(path: PathLike) -> InstanceFile:
         rule = AdjacencyRule.parse(rule_entries[0][1][0])
     except ValueError as exc:
         raise InstanceParseError(path, rule_entries[0][0], str(exc)) from None
-    theta_kind = None
-    theta_param = None
+    theta: dict[str, float] = {}  # 'value' or 'frac' -> its number
     theta_lines = sections.get("theta", [])
     if len(theta_lines) > 1:
         raise InstanceParseError(path, theta_lines[1][0], "[theta] holds one directive")
     for lineno, tokens in theta_lines:
-        if tokens[0] == "none":
-            theta_kind = None
-        elif tokens[0] in ("value", "frac"):
+        if tokens[0] in ("value", "frac"):
             if len(tokens) != 2:
                 raise InstanceParseError(path, lineno, f"'{tokens[0]}' takes one number")
-            theta_kind = tokens[0]
-            theta_param = _numbers(path, lineno, tokens[1:], float)[0]
-        else:
+            theta[tokens[0]] = _numbers(path, lineno, tokens[1:], float)[0]
+        elif tokens[0] != "none":
             raise InstanceParseError(path, lineno, f"unknown theta form {tokens[0]!r}")
-    return InstanceFile(oracle, ends["x"], ends["y"], rule, theta_kind, theta_param)
+    return InstanceFile(
+        oracle, ends["x"], ends["y"], rule, theta.get("value"), theta.get("frac")
+    )
 
 
 def _oracle_lines(path: Path, oracle: SetFunctionOracle) -> list[str]:
@@ -601,38 +616,35 @@ def write_instance(
     y: Subset,
     rule: AdjacencyRule,
     *,
-    theta_kind: Optional[str] = None,
-    theta_param: Optional[float] = None,
+    theta: Optional[float] = None,
+    theta_frac: Optional[float] = None,
 ) -> None:
-    path = Path(path)
-    lines = ["[oracle]"]
-    lines.extend(_oracle_lines(path, oracle))
-    lines.append("")
-    lines.append("[endpoints]")
-    lines.append(("x " + " ".join(str(e + 1) for e in x)).rstrip())
-    lines.append(("y " + " ".join(str(e + 1) for e in y)).rstrip())
-    lines.append("")
-    lines.append("[rule]")
-    lines.append(rule.token)
-    lines.append("")
-    lines.append("[theta]")
-    if theta_kind is None:
-        lines.append("none")
+    """Write an instance file; ``theta`` becomes ``[theta]``'s ``value``
+    line, ``theta_frac`` its ``frac`` line, and neither ``none``.  Setting
+    both is a ``ValueError``."""
+    if theta is None and theta_frac is None:
+        threshold = "none"
+    elif theta_frac is None:
+        threshold = f"value {theta!r}"
+    elif theta is None:
+        threshold = f"frac {theta_frac!r}"
     else:
-        lines.append(f"{theta_kind} {theta_param!r}")
+        raise ValueError("set theta or theta_frac, not both")
+    path = Path(path)
+    lines = [
+        "[oracle]", *_oracle_lines(path, oracle), "",
+        "[endpoints]", ("x " + " ".join(str(e + 1) for e in x)).rstrip(),
+        ("y " + " ".join(str(e + 1) for e in y)).rstrip(), "",
+        "[rule]", rule.token, "",
+        "[theta]", threshold,
+    ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_instance_for(instance: ProblemInstance, path: PathLike) -> None:
     """Write a problem instance whose threshold (if any) is absolute."""
     write_instance(
-        path,
-        instance.oracle,
-        instance.x,
-        instance.y,
-        instance.rule,
-        theta_kind=None if instance.theta is None else "value",
-        theta_param=instance.theta,
+        path, instance.oracle, instance.x, instance.y, instance.rule, theta=instance.theta
     )
 
 
@@ -640,10 +652,17 @@ def write_instance_for(instance: ProblemInstance, path: PathLike) -> None:
 # sequence CSV
 
 
-def load_sequence_csv(path: PathLike, n: int) -> ReconfigSequence:
-    """Read the ``index,set,value`` rows written by the experiment runner."""
-    import csv
+def write_sequence_csv(path: PathLike, rows: Sequence[tuple[int, Subset, float]]) -> None:
+    """Write ``(index, set, value)`` rows under an ``index,set,value`` header."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "set", "value"])
+        for index, subset, value in rows:
+            writer.writerow([index, format_ids_1indexed(subset), repr(value)])
 
+
+def load_sequence_csv(path: PathLike, n: int) -> ReconfigSequence:
+    """Read the ``index,set,value`` rows of :func:`write_sequence_csv`."""
     path = Path(path)
     steps: list[Subset] = []
     with open(path, newline="", encoding="utf-8") as fh:

@@ -82,11 +82,9 @@ def test_01_coverage_detour_beats_restricted_exchanges():
     with criterion("[01] coverage detour beats restricted exchanges", budget=1.0):
         inst = obs52_instance()
         f, x, y = inst.oracle, inst.x, inst.y
-        free = optimal_value(f, x, y, AdjacencyRule.TJ, cardinality_k=2)
+        free = optimal_value(f, x, y, AdjacencyRule.TJ)
         assert free == 1.0
-        narrowed = optimal_value(
-            f, x, y, AdjacencyRule.TJ, cardinality_k=2, restriction=x | y
-        )
+        narrowed = optimal_value(f, x, y, AdjacencyRule.TJ, restriction=x | y)
         assert narrowed == 0.75
         assert walk_value(f, swap_reconfigure(f, x, y)) == 0.75
 

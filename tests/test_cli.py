@@ -111,7 +111,7 @@ class TestGen:
         assert code == 0
         spec = load_instance(path)
         assert spec.rule is AdjacencyRule.TJ
-        assert (spec.theta_kind, spec.theta_param) == ("value", 2.0)
+        assert (spec.theta, spec.theta_frac) == (2.0, None)
         # cover endpoints meet the all-edges threshold
         assert spec.oracle.evaluate(spec.x) == 2.0
         assert spec.oracle.evaluate(spec.y) == 2.0
@@ -127,7 +127,7 @@ class TestGen:
         spec = load_instance(path)
         assert spec.rule is AdjacencyRule.TJAR
         # 3 edges, size-2 covers of a 4-vertex path: 3 - 2/2 + 4/2 = 4
-        assert (spec.theta_kind, spec.theta_param) == ("value", 4.0)
+        assert (spec.theta, spec.theta_frac) == (4.0, None)
         assert spec.oracle.evaluate(spec.x) == 4.0
 
     def test_nae_clause_instance(self, tmp_path):
@@ -140,7 +140,7 @@ class TestGen:
         assert code == 0
         spec = load_instance(path)
         assert spec.rule is AdjacencyRule.TAR
-        assert (spec.theta_kind, spec.theta_param) == ("value", 1.0)
+        assert (spec.theta, spec.theta_frac) == (1.0, None)
         assert spec.x == Subset(3, (0,))
         assert spec.y == Subset(3, (0, 1))
 
@@ -155,7 +155,7 @@ class TestGen:
         spec = load_instance(path)
         assert spec.rule is AdjacencyRule.TJ
         # both endpoints are covers, so they sit exactly at the threshold
-        theta = spec.theta_param
+        theta = spec.theta
         assert spec.oracle.evaluate(spec.x) == theta
         assert spec.oracle.evaluate(spec.y) == theta
         assert len(spec.x) == len(spec.y)
@@ -269,6 +269,20 @@ class TestExact:
             "algorithm=exact rule=tj status=found theta=- value=0.75 length=2 "
             "calls_total=9 calls_algorithm=6 calls_evaluation=3 restricted=yes\n"
         )
+
+    def test_threshold_above_the_optimum_is_no_path(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs52")
+        out_csv = tmp_path / "walk.csv"
+        capsys.readouterr()
+        assert main(["exact", str(path), "--theta", "1.01", "--out", str(out_csv)]) == 1
+        out = capsys.readouterr().out
+        # the summary and the CSV still describe the optimal walk
+        assert out.startswith(
+            "algorithm=exact rule=tj status=no_path theta=1.01 value=1 length=3 "
+        )
+        assert len(load_sequence_csv(out_csv, 5)) == 4
+        assert main(["exact", str(path), "--theta", "1"]) == 0
+        assert "status=found theta=1 value=1 " in capsys.readouterr().out
 
     def test_lattice_guard_is_inconclusive(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs54", "--n", "24")
@@ -407,6 +421,12 @@ class TestInputErrors:
     def test_no_instance_source(self, capsys):
         assert main(["solve", "swap"]) == 3
         assert "source" in capsys.readouterr().err
+
+    def test_obs54_size_zero(self, tmp_path, capsys):
+        path = tmp_path / "z.inst"
+        assert main(["gen", "obs54", "--n", "0", "--out", str(path)]) == 3
+        assert "positive multiple of 4" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_two_instance_sources(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs55")

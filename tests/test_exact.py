@@ -91,9 +91,7 @@ K2_CUT = cut_oracle(WeightedGraph.build(2, [(0, 1)]))
 class TestOptimalValue:
     def test_singleton_exchange(self):
         f = modular_oracle([3.0, 1.0, 2.0])
-        v = optimal_value(
-            f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ, cardinality_k=1
-        )
+        v = optimal_value(f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ)
         assert v == 2.0  # the weaker endpoint is the bottleneck
 
     def test_tar_forces_a_valley(self):
@@ -105,6 +103,17 @@ class TestOptimalValue:
         f = modular_oracle([1.0, 5.0])
         v = optimal_value(f, Subset(2, [1]), Subset(2, [1]), AdjacencyRule.TAR)
         assert v == 5.0
+
+    def test_exchange_slice_has_the_size_of_x(self):
+        f = modular_oracle([3.0, 1.0, 2.0, 5.0])
+        assert optimal_value(f, Subset(4, [0, 1]), Subset(4, [2, 3]), AdjacencyRule.TJ) == 4.0
+        assert f.calls == 6  # C(4, 2) tabulated states, not 2^4
+
+    def test_exchange_endpoints_of_unequal_size(self):
+        f = modular_oracle([1.0, 1.0, 1.0])
+        for solve in (optimal_value, optimal_sequence):
+            with pytest.raises(ValueError, match="equal size"):
+                solve(f, Subset(3, [0]), Subset(3, [1, 2]), AdjacencyRule.TJ)
 
     def test_endpoints_must_respect_restriction(self):
         f = modular_oracle([1.0, 1.0, 1.0])
@@ -120,10 +129,8 @@ class TestOptimalValue:
     def test_restriction_never_helps(self):
         f = modular_oracle([3.0, 1.0, 4.0, 2.0])
         x, y = Subset(4, [0]), Subset(4, [3])
-        free = optimal_value(f, x, y, AdjacencyRule.TJ, cardinality_k=1)
-        narrowed = optimal_value(
-            f, x, y, AdjacencyRule.TJ, cardinality_k=1, restriction=Subset(4, [0, 1, 3])
-        )
+        free = optimal_value(f, x, y, AdjacencyRule.TJ)
+        narrowed = optimal_value(f, x, y, AdjacencyRule.TJ, restriction=Subset(4, [0, 1, 3]))
         # singletons are pairwise exchange-adjacent, so the weaker endpoint
         # is the whole story either way
         assert free == narrowed == 2.0
@@ -132,16 +139,9 @@ class TestOptimalValue:
         from subreco import obs52_instance
 
         inst = obs52_instance()
-        free = optimal_value(
-            inst.oracle, inst.x, inst.y, inst.rule, cardinality_k=inst.cardinality_k
-        )
+        free = optimal_value(inst.oracle, inst.x, inst.y, inst.rule)
         narrowed = optimal_value(
-            inst.oracle,
-            inst.x,
-            inst.y,
-            inst.rule,
-            cardinality_k=inst.cardinality_k,
-            restriction=inst.x | inst.y,
+            inst.oracle, inst.x, inst.y, inst.rule, restriction=inst.x | inst.y
         )
         # the detour element outside X | Y is what sustains full value
         assert free == 1.0
@@ -165,7 +165,7 @@ class TestOptimalValue:
             kwargs = {}
         table, _ = build_value_table(f, rule, **kwargs)
         expected = widest_path_value(table, rule, n, x.mask, y.mask)
-        got = optimal_value(f, x, y, rule, **kwargs)
+        got = optimal_value(f, x, y, rule)
         assert got == pytest.approx(expected)
 
     @given(st.integers(0, 999))
@@ -198,9 +198,7 @@ class TestOptimalValue:
 class TestOptimalSequence:
     def test_returns_attaining_sequence(self):
         f = modular_oracle([3.0, 1.0, 2.0])
-        v, seq = optimal_sequence(
-            f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ, cardinality_k=1
-        )
+        v, seq = optimal_sequence(f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ)
         assert v == 2.0
         assert seq[0] == Subset(3, [0]) and seq[-1] == Subset(3, [2])
         assert sequence_value(f, seq) == v
@@ -218,7 +216,7 @@ class TestOptimalSequence:
     def test_obs52_walk_is_pinned(self):
         # A*'s tie order picks this one among the shortest walks at the optimum
         inst = obs52_instance()
-        v, seq = optimal_sequence(inst.oracle, inst.x, inst.y, inst.rule, cardinality_k=2)
+        v, seq = optimal_sequence(inst.oracle, inst.x, inst.y, inst.rule)
         assert v == 1.0
         steps = ([0, 1], [0, 4], [3, 4], [2, 3])
         assert seq == ReconfigSequence([Subset(5, s) for s in steps])
@@ -309,7 +307,7 @@ class TestReachable:
             x = random_subset(rng, n, rng.randint(0, n))
             y = random_subset(rng, n, rng.randint(0, n))
             kwargs = {}
-        best = optimal_value(f, x, y, rule, **kwargs)
+        best = optimal_value(f, x, y, rule)
         theta = rng.uniform(0.0, best + 1.0)
         inst = ProblemInstance(f, x, y, rule, theta=theta, **kwargs)
         assert reachable(inst) == (best >= theta - 1e-9)

@@ -125,8 +125,7 @@ class TestRunExperiment:
             Subset(3, [0]),
             Subset(3, [2]),
             AdjacencyRule.TJAR,
-            theta_kind="frac",
-            theta_param=0.5,
+            theta_frac=0.5,
         )
         report = run_experiment(ExperimentConfig(algorithm="swap", instance=p))
         assert report.theta == pytest.approx(1.0)

@@ -41,6 +41,7 @@ from subreco import (
     write_gram,
     write_instance,
     write_instance_for,
+    write_sequence_csv,
 )
 
 
@@ -318,7 +319,7 @@ class TestInstanceFiles:
         f = coverage_oracle(CoverageSpec(4, ((0, 1), (1, 2), (3,)), divisor=2.0))
         p, inst = self.roundtrip(
             tmp_path, f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ,
-            theta_kind="value", theta_param=0.5,
+            theta=0.5,
         )
         assert inst.x == Subset(3, [0]) and inst.y == Subset(3, [2])
         assert inst.rule is AdjacencyRule.TJ
@@ -350,7 +351,7 @@ class TestInstanceFiles:
         f = nae_clause_oracle(CnfFormula.monotone3(4, [(0, 1, 2), (1, 2, 3)]))
         _, inst = self.roundtrip(
             tmp_path, f, Subset(4, [0]), Subset(4, [3]), AdjacencyRule.TAR,
-            theta_kind="value", theta_param=2.0,
+            theta=2.0,
         )
         assert_same_values(f, inst.oracle)
 
@@ -417,7 +418,7 @@ class TestInstanceFiles:
         f = modular_oracle([3.0, 1.0, 2.0])
         _, inst = self.roundtrip(
             tmp_path, f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ,
-            theta_kind="frac", theta_param=0.5,
+            theta_frac=0.5,
         )
         # min(f(X), f(Y)) = 2
         assert inst.resolve_theta() == pytest.approx(1.0)
@@ -426,7 +427,7 @@ class TestInstanceFiles:
         f = modular_oracle([3.0, 1.0, 2.0])
         _, parsed = self.roundtrip(
             tmp_path, f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ,
-            theta_kind="value", theta_param=1.5,
+            theta=1.5,
         )
         inst = parsed.to_problem_instance(parsed.resolve_theta())
         assert inst.theta == 1.5
@@ -435,6 +436,15 @@ class TestInstanceFiles:
         assert parsed.resolve_theta(theta_frac=0.5) == pytest.approx(1.0)
         assert parsed.resolve_theta(theta=0.25, theta_frac=0.5) == 0.25
         assert override.theta is None
+
+    def test_theta_and_fraction_together_are_refused(self, tmp_path):
+        p = tmp_path / "case.instance"
+        with pytest.raises(ValueError):
+            write_instance(
+                p, modular_oracle([1.0, 2.0]), Subset(2, [0]), Subset(2, [1]),
+                AdjacencyRule.TAR, theta=1.0, theta_frac=0.5,
+            )
+        assert not p.exists()
 
     def test_write_instance_for(self, tmp_path):
         inst = ProblemInstance(
@@ -596,6 +606,20 @@ class TestParseErrorsNameTheLine:
                 "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nvalue 1\nnone\n",
                 14,
             ),
+            (
+                "case.instance",
+                "[oracle]\nkind coverage\nn 2\nitems 2\ndivsor 2\ncover 1\ncover 2\n"
+                + _TAIL,
+                5,
+            ),
+            ("case.instance", "[oracle]\nkind modular\nweights 1 2\nn 2\n" + _TAIL, 4),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2\nweights 1\n" + _TAIL, 5),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[rules]\ntj\n",
+                12,
+            ),
+            ("case.instance", "[oracle]\nkind modular\nweights 1 2\n\n[typo]\n" + _TAIL, 5),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
@@ -609,7 +633,8 @@ class TestParseErrorsNameTheLine:
             "weights-nan", "divisor-inf", "upsilon-nan", "edge-weight-nan", "edge-weight-inf",
             "edge-arity", "theta-inf", "theta-frac-nan", "edges-weight-inf",
             "edges-probability-nan", "rr-seed-hex", "second-x", "second-y",
-            "second-theta",
+            "second-theta", "coverage-directive", "modular-directive", "cut-directive",
+            "section-rules", "section-typo",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
@@ -622,6 +647,13 @@ class TestParseErrorsNameTheLine:
 
 
 class TestSequenceCsv:
+    def test_round_trip(self, tmp_path):
+        p = tmp_path / "seq.csv"
+        rows = [(0, Subset(4, [0, 1]), 1.0), (1, Subset(4, [0, 2]), 0.5)]
+        write_sequence_csv(p, rows)
+        assert p.read_text() == 'index,set,value\n0,"{1,2}",1.0\n1,"{1,3}",0.5\n'
+        assert load_sequence_csv(p, 4) == ReconfigSequence([s for _, s, _ in rows])
+
     def test_load(self, tmp_path):
         p = tmp_path / "seq.csv"
         p.write_text('index,set,value\n0,"{1,2}",1.0\n1,"{1,3}",2.0\n')

@@ -361,21 +361,14 @@ class TestInapproxGadget:
 class TestObs52:
     def test_exact_optimum_uses_the_outside_element(self):
         inst = obs52_instance()
-        v, seq = optimal_sequence(
-            inst.oracle, inst.x, inst.y, inst.rule, cardinality_k=inst.cardinality_k
-        )
+        v, seq = optimal_sequence(inst.oracle, inst.x, inst.y, inst.rule)
         assert v == 1.0
         assert any(4 in s for s in seq)
 
     def test_restricted_and_swap_values_drop(self):
         inst = obs52_instance()
         restricted = optimal_value(
-            inst.oracle,
-            inst.x,
-            inst.y,
-            inst.rule,
-            cardinality_k=inst.cardinality_k,
-            restriction=inst.x | inst.y,
+            inst.oracle, inst.x, inst.y, inst.rule, restriction=inst.x | inst.y
         )
         assert restricted == 0.75
         seq = swap_reconfigure(inst.oracle, inst.x, inst.y)
