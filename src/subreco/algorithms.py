@@ -18,7 +18,6 @@ thresholded walk search: :mod:`subreco.exact` runs it too.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -191,39 +190,51 @@ def feasible_path(
     Returns ``(status, masks, expansions)``: ``found`` with the walk's masks
     from X to Y, ``no_path``, or ``inconclusive`` when ``budget`` expansions
     ran out first.  ``feasible`` is asked about X, then Y (either failing
-    settles ``no_path`` without searching), then about a neighbour only when
-    it would improve that neighbour's step count.  The open list is a heap
-    keyed by ``g +`` :func:`step_bound` with most-recent-first tie-breaking
-    and lazy deletion: a state is pushed again whenever a shorter path to it
-    appears, and a popped entry whose ``g`` is no longer the state's best is
-    skipped.  The bound is consistent, so every walk found is shortest.
+    settles ``no_path`` without searching), then about another state only
+    when it is popped with its current step count ``g``; only passing pops
+    count as expansions.  The open list is a monotone bucket queue: bucket
+    ``2 * (g +`` :func:`step_bound` ``)`` is a stack of ``(parent, state)``
+    pairs, popped lowest bucket first and most recent push first, and an
+    entry whose bucket no longer matches its state's ``g`` is stale.  The
+    bound is consistent, so no push lands below the current bucket, each
+    state is popped with its current ``g`` at most once, and every walk
+    found is shortest.
     """
-    if not feasible(x_mask) or not feasible(y_mask):
+    if not feasible(x_mask) or (y_mask != x_mask and not feasible(y_mask)):
         return "no_path", None, 0
     g_score: dict[int, int] = {x_mask: 0}
     parent: dict[int, int] = {}
-    heap = [(step_bound(rule, x_mask, y_mask), 0, 0, x_mask)]
-    push_count = 0
+    b = int(2 * step_bound(rule, x_mask, y_mask))
+    buckets: list[list[int]] = [[] for _ in range(b)] + [[x_mask, x_mask]]
     expansions = 0
-    while heap:
-        _, _, g, mask = heapq.heappop(heap)
-        if g != g_score[mask]:
+    while b < len(buckets):
+        stack = buckets[b]
+        if not stack:
+            b += 1
+            continue
+        mask = stack.pop()
+        via = stack.pop()
+        g = g_score[mask]
+        if 2 * (g + step_bound(rule, mask, y_mask)) != b:
             continue  # superseded by a shorter path pushed later
+        if mask != x_mask and mask != y_mask and not feasible(mask):
+            continue
         if expansions >= budget:
             return "inconclusive", None, expansions
         expansions += 1
+        parent[mask] = via
         if mask == y_mask:
             chain = [mask]
             while chain[-1] != x_mask:
                 chain.append(parent[chain[-1]])
             return "found", chain[::-1], expansions
         for t in neighbor_masks(rule, n, mask):
-            if g + 1 < g_score.get(t, math.inf) and feasible(t):
+            if g + 1 < g_score.get(t, math.inf):
                 g_score[t] = g + 1
-                parent[t] = mask
-                push_count += 1
-                score = g + 1 + step_bound(rule, t, y_mask)
-                heapq.heappush(heap, (score, -push_count, g + 1, t))
+                tb = int(2 * (g + 1 + step_bound(rule, t, y_mask)))
+                while len(buckets) <= tb:
+                    buckets.append([])
+                buckets[tb] += (mask, t)
     return "no_path", None, expansions
 
 
@@ -252,8 +263,9 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
     """Shortest threshold-feasible sequence from X to Y, by A*.
 
     Runs :func:`feasible_path` with feasibility ``f(S) >= instance.theta -
-    VALUE_SLACK``, memoized per subset, so every distinct subset touched
-    costs exactly one oracle call.  A budget of 0 expansions is always
+    VALUE_SLACK``.  There is no memo: the oracle calls are one per distinct
+    endpoint plus one per other state popped with its current step count,
+    and no subset is evaluated twice.  A budget of 0 expansions is always
     inconclusive; a negative budget raises ``ValueError``.
     """
     if instance.theta is None:
@@ -266,14 +278,9 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
         raise ValueError(f"budget must be nonnegative, got {budget}")
     bound = instance.theta - VALUE_SLACK
     calls_before = f.calls
-    feasible_cache: dict[int, bool] = {}
 
     def feasible(mask: int) -> bool:
-        v = feasible_cache.get(mask)
-        if v is None:
-            v = f.evaluate(Subset.from_mask(n, mask)) >= bound
-            feasible_cache[mask] = v
-        return v
+        return f.evaluate(Subset.from_mask(n, mask)) >= bound
 
     status, masks, expansions = feasible_path(
         instance.rule, n, instance.x.mask, instance.y.mask, feasible, budget

@@ -160,6 +160,8 @@ def _cmd_gen(args) -> int:
     elif name == "gadget":
         if args.upsilon is None:
             raise ValueError("gen gadget needs --upsilon")
+        if args.n is not None and args.n < 0:
+            raise ValueError(f"gen gadget --n must be nonnegative, got {args.n}")
         weights = (
             [float(t) for t in args.weights.replace(",", " ").split()]
             if args.weights

@@ -1,7 +1,7 @@
 """Exact solvers: reachability by A*, and the bottleneck optimum over the lattice.
 
 :func:`reachable` answers the decision form for one threshold with A*, so it
-evaluates only the states the search touches and tabulates nothing.
+evaluates only the states the search pops and tabulates nothing.
 
 The optimum tabulates.  Every whole-lattice evaluation, here and in the
 exhaustive structural checks of :mod:`subreco.core`, goes through
@@ -86,8 +86,8 @@ def build_value_table(
 def reachable(instance: ProblemInstance) -> bool:
     """Is there a sequence whose every step satisfies ``f >= theta - VALUE_SLACK``?
 
-    This is :func:`~subreco.algorithms.astar` with its default budget: only
-    the states the search touches are evaluated, so there is no size guard.
+    This is :func:`~subreco.algorithms.astar` with its default budget: it
+    evaluates only the states the search pops, so there is no size guard.
     Raises ``BudgetExceededError`` when the budget runs out before an answer.
     Needs ``instance.theta``.
     """

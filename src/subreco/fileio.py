@@ -421,6 +421,8 @@ _ORACLE_DIRECTIVES = {
     "influence": "rr-file graph-file directed probability rr-count seed",
     "gadget": "upsilon weights",
 }
+# the directives that may appear more than once; the first 'weights' line wins
+_REPEATABLE = ("cover", "edge", "clause", "weights")
 
 
 def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
@@ -430,9 +432,13 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
     if kind not in _ORACLE_DIRECTIVES:
         raise InstanceParseError(path, 0, f"unknown oracle kind {kind!r}")
     known = ["kind", *_ORACLE_DIRECTIVES[kind].split()]
+    seen = set()
     for lineno, tokens in entries:
         if tokens[0] not in known:
             raise InstanceParseError(path, lineno, f"{kind} oracle has no directive {tokens[0]!r}")
+        if tokens[0] in seen and tokens[0] not in _REPEATABLE:
+            raise InstanceParseError(path, lineno, f"second '{tokens[0]}' line in [oracle]")
+        seen.add(tokens[0])
     base = path.parent
 
     if kind == "coverage":

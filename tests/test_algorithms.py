@@ -1,5 +1,7 @@
 """Greedy ordering, the two approximation walks, and threshold A* search."""
 
+import heapq
+import math
 import random
 
 import pytest
@@ -27,6 +29,8 @@ from subreco import (
     total_curvature,
     validate_sequence,
 )
+from subreco.algorithms import feasible_path, step_bound
+from subreco.core import VALUE_SLACK, neighbor_masks
 
 from conftest import (
     bfs_shortest_feasible,
@@ -35,6 +39,56 @@ from conftest import (
     random_nonnegative_oracle,
     random_subset,
 )
+
+
+def eager_feasible_path(rule, n, x_mask, y_mask, feasible, budget):
+    """Reference A* that asks ``feasible`` about each neighbour on relax.
+
+    The open list is a heap keyed by ``(g + step_bound, -push_count)``, so
+    the lowest score goes first and the most recent push first among ties.
+    """
+    if not feasible(x_mask) or not feasible(y_mask):
+        return "no_path", None, 0
+    g_score = {x_mask: 0}
+    parent = {}
+    heap = [(step_bound(rule, x_mask, y_mask), 0, 0, x_mask)]
+    push_count = 0
+    expansions = 0
+    while heap:
+        _, _, g, mask = heapq.heappop(heap)
+        if g != g_score[mask]:
+            continue
+        if expansions >= budget:
+            return "inconclusive", None, expansions
+        expansions += 1
+        if mask == y_mask:
+            chain = [mask]
+            while chain[-1] != x_mask:
+                chain.append(parent[chain[-1]])
+            return "found", chain[::-1], expansions
+        for t in neighbor_masks(rule, n, mask):
+            if g + 1 < g_score.get(t, math.inf) and feasible(t):
+                g_score[t] = g + 1
+                parent[t] = mask
+                push_count += 1
+                score = g + 1 + step_bound(rule, t, y_mask)
+                heapq.heappush(heap, (score, -push_count, g + 1, t))
+    return "no_path", None, expansions
+
+
+def random_query(seed, n, rule, frac):
+    """A nonnegative oracle, endpoints fit for ``rule``, and a threshold of
+    ``frac`` times the larger endpoint value."""
+    rng = random.Random(seed)
+    f = random_nonnegative_oracle(rng, n)
+    if rule is AdjacencyRule.TJ:
+        k = rng.randint(1, n)
+        x, y = random_subset(rng, n, k), random_subset(rng, n, k)
+    else:
+        x = random_subset(rng, n, rng.randint(0, n))
+        y = random_subset(rng, n, rng.randint(0, n))
+    theta = frac * max(f.evaluate(x), f.evaluate(y))
+    return f, x, y, theta
 
 
 class TestGreedy:
@@ -296,21 +350,47 @@ class TestAstar:
         with pytest.raises(ValueError):
             astar(inst)
 
-    def test_each_subset_evaluated_once(self):
+    @given(st.integers(0, 9999), st.integers(2, 7), st.sampled_from(list(AdjacencyRule)),
+           st.floats(0.0, 1.05))
+    @settings(max_examples=80, deadline=None)
+    def test_each_subset_evaluated_once(self, seed, n, rule, frac):
+        base, x, y, theta = random_query(seed, n, rule, frac)
         hits: dict[int, int] = {}
 
         def fn(s: Subset) -> float:
             hits[s.mask] = hits.get(s.mask, 0) + 1
-            return float(len(s))
+            return base.evaluate(s)
 
-        f = SetFunctionOracle(fn, GroundSet(4))
-        inst = ProblemInstance(
-            f, Subset(4, [0]), Subset(4, [1, 2, 3]), AdjacencyRule.TAR, theta=0.0
-        )
-        result = astar(inst)
-        assert result.status == "found"
+        f = SetFunctionOracle(fn, GroundSet(n))
+        result = astar(ProblemInstance(f, x, y, rule, theta=theta))
         assert max(hits.values()) == 1
         assert result.oracle_calls == len(hits)
+
+    @given(st.integers(0, 9999), st.integers(2, 7), st.sampled_from(list(AdjacencyRule)),
+           st.floats(0.0, 1.05), st.one_of(st.none(), st.integers(0, 6)))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_eager_reference(self, seed, n, rule, frac, budget):
+        f, x, y, theta = random_query(seed, n, rule, frac)
+        if budget is None:
+            budget = 1 << n
+        memo: dict[int, bool] = {}
+        lazy_calls = []
+
+        def value_passes(mask):
+            return f.evaluate(Subset.from_mask(n, mask)) >= theta - VALUE_SLACK
+
+        def eager(mask):
+            if mask not in memo:
+                memo[mask] = value_passes(mask)
+            return memo[mask]
+
+        def lazy(mask):
+            lazy_calls.append(mask)
+            return value_passes(mask)
+
+        expected = eager_feasible_path(rule, n, x.mask, y.mask, eager, budget)
+        assert feasible_path(rule, n, x.mask, y.mask, lazy, budget) == expected
+        assert len(lazy_calls) <= len(memo)
 
     def test_deterministic_across_runs(self):
         inst = self.make_instance(
@@ -353,11 +433,11 @@ class TestAstar:
     @pytest.mark.parametrize(
         "seed, rule, frac, budget, expected",
         [
-            (1, AdjacencyRule.TJ, 0.9, None, ("found", 4, 7, 125)),
-            (18, AdjacencyRule.TJ, 0.95, None, ("found", 6, 29, 304)),
-            (2, AdjacencyRule.TAR, 0.9, None, ("found", 10, 84, 547)),
+            (1, AdjacencyRule.TJ, 0.9, None, ("found", 4, 7, 30)),
+            (18, AdjacencyRule.TJ, 0.95, None, ("found", 6, 29, 245)),
+            (2, AdjacencyRule.TAR, 0.9, None, ("found", 10, 84, 376)),
             (1, AdjacencyRule.TAR, 0.95, None, ("no_path", None, 65, 452)),
-            (2, AdjacencyRule.TAR, 0.9, 20, ("inconclusive", None, 20, 173)),
+            (2, AdjacencyRule.TAR, 0.9, 20, ("inconclusive", None, 20, 91)),
         ],
     )
     def test_pinned_search_effort(self, seed, rule, frac, budget, expected):

@@ -428,6 +428,12 @@ class TestInputErrors:
         assert "positive multiple of 4" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_gadget_negative_size(self, tmp_path, capsys):
+        path = tmp_path / "g.inst"
+        assert main(["gen", "gadget", "--upsilon", "6", "--n", "-3", "--out", str(path)]) == 3
+        assert "must be nonnegative" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_two_instance_sources(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs55")
         graph = write_p3(tmp_path)

@@ -273,13 +273,19 @@ class TestReachable:
         assert reachable(inst)
         assert inst.oracle.calls < 2000
 
+    def test_pinned_calls_above_the_lattice_guard(self):
+        # the search evaluates only the states it pops
+        inst = replace(obs54_instance(24), theta=1.0)
+        assert reachable(inst)
+        assert inst.oracle.calls == 13
+
     def test_evaluates_only_touched_states(self):
         f = modular_oracle([1.0] * 16)
         inst = ProblemInstance(
             f, Subset(16, range(8)), Subset(16, range(8, 16)), AdjacencyRule.TJAR, 8.0
         )
         assert reachable(inst)
-        assert f.calls < 1 << 16
+        assert f.calls == 9  # 2 endpoints and 7 popped states, not 2^16
 
     def test_inconclusive_search_raises(self, monkeypatch):
         monkeypatch.setattr(

@@ -620,6 +620,24 @@ class TestParseErrorsNameTheLine:
                 12,
             ),
             ("case.instance", "[oracle]\nkind modular\nweights 1 2\n\n[typo]\n" + _TAIL, 5),
+            (
+                "case.instance",
+                "[oracle]\nkind coverage\nn 2\nitems 2\ndivisor 2\ndivisor 4\ncover 1\n"
+                "cover 2\n" + _TAIL,
+                6,
+            ),
+            ("case.instance", "[oracle]\nkind modular\nkind cut\nweights 1 2\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2\nn 3\n" + _TAIL, 5),
+            (
+                "case.instance",
+                "[oracle]\nkind gadget\nupsilon 1\nweights 1 2\nupsilon 2\n" + _TAIL,
+                5,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind influence\nrr-file a.rr\nrr-file b.rr\n" + _TAIL,
+                4,
+            ),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
@@ -634,7 +652,8 @@ class TestParseErrorsNameTheLine:
             "edge-arity", "theta-inf", "theta-frac-nan", "edges-weight-inf",
             "edges-probability-nan", "rr-seed-hex", "second-x", "second-y",
             "second-theta", "coverage-directive", "modular-directive", "cut-directive",
-            "section-rules", "section-typo",
+            "section-rules", "section-typo", "second-divisor", "second-kind", "second-n",
+            "second-upsilon", "second-rr-file",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
