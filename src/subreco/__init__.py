@@ -5,7 +5,7 @@ a ground set and a set function f, can X be transformed into Y by elementary
 steps (exchanges, additions, removals) so that every intermediate subset
 keeps a high value of f?  It provides validated sequence objects, concrete
 oracles, two approximation algorithms with guarantees, an A* search for
-shortest feasible sequences, exact small-instance solvers, and the standard
+shortest feasible sequences, an exact bottleneck solver, and the standard
 hardness reductions.
 """
 

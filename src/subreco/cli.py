@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success (including a feasible search), 1 for a definite
 negative answer (no sequence, failed validation, counterexample found), 2 for
-an inconclusive answer (a search or check budget ran out, or an enumeration
-exceeded its size guard), 3 for input errors.
+an inconclusive answer (a search or check budget ran out, including the
+expansion budget of ``exact``), 3 for input errors.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float)
     p.add_argument("--theta-frac", type=float)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--budget", type=int, help="A* node-expansion budget")
+    p.add_argument("--budget", type=int, help="A* expansion budget (exact: over all searches)")
 
 
 def _run_solver(args, algorithm: str, restriction=None) -> int:

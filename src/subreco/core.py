@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -34,7 +33,7 @@ class OracleDomainError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed its configured size guard."""
+    """A search ran out of its budget, or an enumeration would exceed its size guard."""
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,8 @@ class SetFunctionOracle:
 
     The wrapped function must return identical values for identical subsets;
     randomized constructions have to be frozen before being wrapped.  The call
-    counter increases by one per completed evaluation and is safe against
-    concurrent use (its value is only meaningful at quiescence).
+    counter increases by one per completed evaluation; it takes no lock, since
+    the package runs in a single thread.
 
     ``claims_*`` flags are declarations by the constructor, not verified
     facts; :func:`check_submodular` and :func:`check_monotone` test them.
@@ -218,7 +217,6 @@ class SetFunctionOracle:
         self.name = name
         self.serial = serial  # optional (kind, payload) used by file writers
         self._calls = 0
-        self._lock = threading.Lock()
 
     @property
     def calls(self) -> int:
@@ -232,8 +230,7 @@ class SetFunctionOracle:
         value = self._fn(s)
         if self.claims_nonnegative and value < -1e-12:
             raise ValueError(f"nonnegative oracle returned {value} on {s}")
-        with self._lock:
-            self._calls += 1
+        self._calls += 1
         return value
 
     def __repr__(self) -> str:

@@ -1,28 +1,27 @@
-"""Exact solvers: reachability by A*, and the bottleneck optimum over the lattice.
+"""Exact solvers: reachability and the bottleneck optimum, both by A*.
 
 :func:`reachable` answers the decision form for one threshold with A*, so it
 evaluates only the states the search pops and tabulates nothing.
 
-The optimum tabulates.  Every whole-lattice evaluation, here and in the
-exhaustive structural checks of :mod:`subreco.core`, goes through
-``core._value_table``; this module picks the states and their order.
-States are all subsets of the (optionally restricted) ground set in
-descending mask order, or, under the exchange rule (TJ), the subsets of size
-``|X|`` in combinations order; a size guard refuses enumerations beyond
-``2^20`` states (``10^6`` for the fixed-size slice).
+The optimum is the largest threshold whose decision answer is yes, found by
+threshold ascent over the same search (:func:`~subreco.algorithms.feasible_path`),
+as in Gabow and Tarjan's reduction of bottleneck problems to threshold
+decisions.  Starting at ``v = -inf``, each round asks for a walk from X to Y
+through states of the restriction with ``f > v``; a walk found raises ``v``
+to its smallest value, and a round without one proves ``v`` optimal.  Under
+the exchange rule (TJ) every state keeps ``|X|`` elements.  One ``mask ->
+value`` memo spans all rounds, so no state costs more than one oracle call,
+and one expansion budget spans all rounds and the sequence pass.
 
-The bottleneck solver answers the optimization form: the largest threshold
-``theta`` for which a feasible sequence exists equals the value at which X
-and Y first fall into one connected component when states are inserted in
-decreasing value order.  Its sequence is the same A* walk through the
-table's states that reach that value.
+:func:`build_value_table` tabulates a whole lattice or TJ slice with a size
+guard; no solver uses it, and it stays for tests and the benchmark probe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Optional
 
 from .core import (
@@ -33,7 +32,6 @@ from .core import (
     SetFunctionOracle,
     Subset,
     _value_table,
-    neighbor_masks,
 )
 from .algorithms import astar, feasible_path
 
@@ -76,7 +74,7 @@ def build_value_table(
     else:
         if not 0 <= cardinality_k <= len(elements):
             raise ValueError("cardinality outside the restricted ground set")
-        if comb(len(elements), cardinality_k) > SLICE_LIMIT:
+        if math.comb(len(elements), cardinality_k) > SLICE_LIMIT:
             raise BudgetExceededError("fixed-size state count exceeds the guard")
         masks = [sum(1 << e for e in c) for c in combinations(elements, cardinality_k)]
     table = dict(zip(masks, _value_table(oracle, masks)))
@@ -97,65 +95,59 @@ def reachable(instance: ProblemInstance) -> bool:
     return result.status == "found"
 
 
-def _bottleneck(
-    table: dict[int, float],
-    rule: AdjacencyRule,
-    n: int,
-    x_mask: int,
-    y_mask: int,
-) -> float:
-    """Insert states in decreasing value order until X and Y connect.
-
-    Connectivity is a union-find forest over the inserted states.  Ties are
-    broken by ascending state id, though any tie order yields the same
-    bottleneck value.  Returns the value of the last inserted state.
-    """
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for mask in sorted(table, key=lambda m: (-table[m], m)):
-        parent[mask] = mask
-        for t in neighbor_masks(rule, n, mask):
-            if t in parent:
-                parent[find(mask)] = find(t)
-        if x_mask in parent and y_mask in parent and find(x_mask) == find(y_mask):
-            return table[mask]
-    raise RuntimeError("endpoints never connected; table is inconsistent")
-
-
 def _optimum(
     oracle: SetFunctionOracle,
     x: Subset,
     y: Subset,
     rule: AdjacencyRule,
     restriction: Optional[Subset],
-) -> tuple[float, Optional[dict[int, float]]]:
-    """The optimal threshold and the value table it came from.
+    budget: Optional[int],
+    walk: bool,
+) -> tuple[float, Optional[list[int]]]:
+    """The optimal threshold, and with ``walk`` the masks of a walk attaining it.
 
-    The table covers the restriction (all ``n`` elements by default), which
-    must hold X and Y; under TJ it is the slice of sets with ``|X|`` elements,
-    and ``|Y| != |X|`` raises ``ValueError``.  X == Y costs one evaluation and
-    no table (the table is None).
+    The states are the subsets of the restriction (all ``n`` elements by
+    default), which must hold X and Y; under TJ X and Y must have equal size
+    (``ValueError`` otherwise).  X == Y costs one evaluation and no search.
     """
     n = oracle.universe.n
     if restriction is None:
         restriction = Subset.full(n)
     if not x.issubset(restriction) or not y.issubset(restriction):
         raise ValueError("endpoints must lie inside the ground restriction")
-    k = len(x) if rule is AdjacencyRule.TJ else None
-    if k is not None and len(y) != k:
+    if rule is AdjacencyRule.TJ and len(y) != len(x):
         raise ValueError(f"TJ endpoints must have equal size, got {len(x)} and {len(y)}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if x == y:
-        return oracle.evaluate(x), None
-    table, _ = build_value_table(oracle, rule, cardinality_k=k, restriction=restriction)
-    return _bottleneck(table, rule, n, x.mask, y.mask), table
+        return oracle.evaluate(x), [x.mask]
+    memo: dict[int, float] = {}
+    outside = ~restriction.mask
+    spent = 0
+
+    def value(mask: int) -> float:
+        if mask not in memo:
+            memo[mask] = oracle.evaluate(Subset.from_mask(n, mask))
+        return memo[mask]
+
+    def search(passes) -> Optional[list[int]]:
+        nonlocal spent
+        left = 1 << min(n, 24) if budget is None else budget - spent
+        status, chain, expansions = feasible_path(
+            rule, n, x.mask, y.mask, lambda m: not m & outside and passes(value(m)), left
+        )
+        spent += expansions
+        if status == "inconclusive":
+            raise BudgetExceededError(f"search gave up after {spent} expansions")
+        return chain
+
+    v = -math.inf
+    while v < min(value(x.mask), value(y.mask)):
+        chain = search(lambda t: t > v)
+        if chain is None:
+            break
+        v = min(memo[m] for m in chain)
+    return v, search(lambda t: t >= v) if walk else None
 
 
 def optimal_value(
@@ -165,13 +157,21 @@ def optimal_value(
     rule: AdjacencyRule,
     *,
     restriction: Optional[Subset] = None,
+    budget: Optional[int] = None,
 ) -> float:
     """Largest ``theta`` for which an all-feasible sequence from X to Y exists.
 
-    Under TJ every set of the walk has ``|X|`` elements, so only that slice of
-    the lattice is evaluated, and X and Y must have equal size.
+    Found by threshold ascent: each round is an A* search for a walk with
+    every value above the best found so far, until a round finds none or the
+    walk reaches ``min(f(X), f(Y))``.  A memo shared by the rounds evaluates
+    X, Y and the states the searches pop, each at most once.  Under TJ every
+    set of the walk has ``|X|`` elements, and X and Y must have equal size.
+    ``budget`` caps the expansions of all rounds together; running out raises
+    ``BudgetExceededError``, and a negative budget raises ``ValueError``.
+    Without one, each round gets :func:`~subreco.algorithms.astar`'s default
+    of ``2 ** min(n, 24)``, which no search over at most 24 elements exhausts.
     """
-    return _optimum(oracle, x, y, rule, restriction)[0]
+    return _optimum(oracle, x, y, rule, restriction, budget, walk=False)[0]
 
 
 def optimal_sequence(
@@ -181,21 +181,18 @@ def optimal_sequence(
     rule: AdjacencyRule,
     *,
     restriction: Optional[Subset] = None,
+    budget: Optional[int] = None,
 ) -> tuple[float, ReconfigSequence]:
     """Optimal threshold plus a shortest sequence attaining it.
 
-    The sequence is A*'s shortest walk (:func:`~subreco.algorithms.feasible_path`,
-    with its tie order) through the tabulated states whose value reaches the
-    optimal threshold, compared exactly: the threshold is itself a table entry.
-    The states, and under TJ the size rule, are those of :func:`optimal_value`.
+    After the ascent of :func:`optimal_value`, one more A* pass
+    (:func:`~subreco.algorithms.feasible_path`, with its tie order) finds the
+    shortest walk through the states whose value reaches the optimum,
+    compared exactly: the optimum is itself a state's value.  The pass reads
+    the ascent's memo and spends from the same ``budget``.
     """
-    best, table = _optimum(oracle, x, y, rule, restriction)
-    if table is None:
-        return best, ReconfigSequence([x])
-    n = oracle.universe.n
-    status, chain, _ = feasible_path(
-        rule, n, x.mask, y.mask, lambda t: t in table and table[t] >= best, len(table)
-    )
+    best, chain = _optimum(oracle, x, y, rule, restriction, budget, walk=True)
     if chain is None:
-        raise RuntimeError(f"bottleneck value {status}; solver inconsistency")
+        raise RuntimeError(f"no walk at the bottleneck value {best}; solver inconsistency")
+    n = oracle.universe.n
     return best, ReconfigSequence([Subset.from_mask(n, m) for m in chain])

@@ -86,7 +86,8 @@ class ExperimentConfig:
     (determinant experiment).  The last two build endpoints with
     :func:`interchangeable_greedy` and require ``k``; the influence path also
     requires an explicit ``seed``.  ``restriction`` (ids of the ground set,
-    for example a :class:`Subset`) confines the exact solver's lattice.
+    for example a :class:`Subset`) confines the exact solver's lattice, and
+    ``budget`` caps the A* expansions of ``astar``, or of all ``exact``'s searches.
     """
 
     algorithm: str
@@ -216,7 +217,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         expansions = result.expansions
     else:
         value, seq = optimal_sequence(
-            f, instance.x, instance.y, instance.rule, restriction=restriction
+            f, instance.x, instance.y, instance.rule, restriction=restriction, budget=cfg.budget
         )
         # like astar: a set threshold above the optimum has no sequence
         status = "no_path" if theta is not None and value < theta - VALUE_SLACK else "found"

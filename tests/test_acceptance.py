@@ -406,7 +406,14 @@ def test_11_synthetic_gram_search_optimum_and_walk_gap():
         assert len(x | y) == 12
         assert optimal_value(f, x, y, AdjacencyRule.TJAR, restriction=x | y) == v
 
+        # the true optimum over all 24 elements, past the old lattice guard
+        calls = f.calls
+        best = optimal_value(f, x, y, AdjacencyRule.TJAR)
+        assert best == v
+        assert f.calls - calls == 7  # one round: X, Y and five exchanges between
+
         walk = tjar_reconfigure(f, x, y)
         wv = walk_value(f, walk)
+        assert wv <= best
         assert wv >= v / 24 - 1e-9
         assert wv < 0.5 * v  # the walk can land far below the search optimum

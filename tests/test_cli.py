@@ -284,12 +284,27 @@ class TestExact:
         assert main(["exact", str(path), "--theta", "1"]) == 0
         assert "status=found theta=1 value=1 " in capsys.readouterr().out
 
-    def test_lattice_guard_is_inconclusive(self, tmp_path, capsys):
+    def test_answers_above_the_old_lattice_guard(self, tmp_path, capsys):
+        # 24 elements: 2^24 states, of which the ascent evaluates 13
         path = gen_instance(tmp_path, "obs54", "--n", "24")
         capsys.readouterr()
-        assert main(["exact", str(path)]) == 2
+        assert main(["exact", str(path)]) == 0
         out = capsys.readouterr().out
-        assert out == "inconclusive: full lattice over 24 elements exceeds the guard\n"
+        assert "status=found" in out
+        assert "calls_algorithm=13 " in out
+
+    def test_budget_run_out_is_inconclusive(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs54", "--n", "24")
+        capsys.readouterr()
+        assert main(["exact", str(path), "--budget", "20"]) == 2
+        out = capsys.readouterr().out
+        assert out == "inconclusive: search gave up after 20 expansions\n"
+
+    def test_negative_budget_is_an_input_error(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs52")
+        capsys.readouterr()
+        assert main(["exact", str(path), "--budget", "-3"]) == 3
+        assert "budget must be nonnegative, got -3" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 """State-graph enumeration, reachability, and the bottleneck optimum."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -88,6 +89,33 @@ class TestBuildValueTable:
 K2_CUT = cut_oracle(WeightedGraph.build(2, [(0, 1)]))
 
 
+def random_ascent_case(rng: random.Random, max_n: int):
+    """An oracle, endpoints, a rule and maybe a restriction, for the ascent.
+
+    Half the oracles are tables drawing from a few repeated values and
+    ``-inf``, so ties and a ``-inf`` optimum both occur.
+    """
+    n = rng.randint(2, max_n)
+    if rng.random() < 0.5:
+        f = random_nonnegative_oracle(rng, n)
+    else:
+        pool = [-math.inf, 0.0, 1.0, 2.0, rng.uniform(0.0, 3.0)]
+        values = [rng.choice(pool) for _ in range(1 << n)]
+        f = SetFunctionOracle(lambda s: values[s.mask], GroundSet(n))
+    restriction = None
+    ground = list(range(n))
+    if rng.random() < 0.3:
+        ground = rng.sample(ground, rng.randint(1, n))
+        restriction = Subset(n, ground)
+    rule = rng.choice(list(AdjacencyRule))
+    k = rng.randint(0, len(ground))
+    x = Subset(n, rng.sample(ground, k))
+    if rule is not AdjacencyRule.TJ:
+        k = rng.randint(0, len(ground))
+    y = Subset(n, rng.sample(ground, k))
+    return f, x, y, rule, restriction
+
+
 class TestOptimalValue:
     def test_singleton_exchange(self):
         f = modular_oracle([3.0, 1.0, 2.0])
@@ -107,7 +135,7 @@ class TestOptimalValue:
     def test_exchange_slice_has_the_size_of_x(self):
         f = modular_oracle([3.0, 1.0, 2.0, 5.0])
         assert optimal_value(f, Subset(4, [0, 1]), Subset(4, [2, 3]), AdjacencyRule.TJ) == 4.0
-        assert f.calls == 6  # C(4, 2) tabulated states, not 2^4
+        assert f.calls == 3  # X, Y and one state between them, not C(4, 2)
 
     def test_exchange_endpoints_of_unequal_size(self):
         f = modular_oracle([1.0, 1.0, 1.0])
@@ -148,25 +176,45 @@ class TestOptimalValue:
         assert narrowed == 0.75
 
     @given(st.integers(0, 9999))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_widest_path_reference(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(2, 5)
-        f = random_nonnegative_oracle(rng, n)
-        rule = rng.choice(list(AdjacencyRule))
-        if rule is AdjacencyRule.TJ:
-            k = rng.randint(1, n)
-            x = random_subset(rng, n, k)
-            y = random_subset(rng, n, k)
-            kwargs = dict(cardinality_k=k)
-        else:
-            x = random_subset(rng, n, rng.randint(0, n))
-            y = random_subset(rng, n, rng.randint(0, n))
-            kwargs = {}
-        table, _ = build_value_table(f, rule, **kwargs)
-        expected = widest_path_value(table, rule, n, x.mask, y.mask)
-        got = optimal_value(f, x, y, rule)
-        assert got == pytest.approx(expected)
+        f, x, y, rule, restriction = random_ascent_case(rng, 8)
+        table, _ = build_value_table(
+            f,
+            rule,
+            cardinality_k=len(x) if rule is AdjacencyRule.TJ else None,
+            restriction=restriction,
+        )
+        expected = widest_path_value(table, rule, f.universe.n, x.mask, y.mask)
+        assert optimal_value(f, x, y, rule, restriction=restriction) == expected
+
+    @given(st.integers(0, 9999))
+    @settings(max_examples=80, deadline=None)
+    def test_ascent_evaluates_each_state_once(self, seed):
+        rng = random.Random(seed)
+        f, x, y, rule, restriction = random_ascent_case(rng, 7)
+        seen = []
+        recording = SetFunctionOracle(
+            lambda s: seen.append(s.mask) or f.evaluate(s), f.universe
+        )
+        optimal_sequence(recording, x, y, rule, restriction=restriction)
+        # one memo across all rounds and the sequence pass
+        assert len(seen) == len(set(seen)) == recording.calls
+        _, summary = build_value_table(
+            f,
+            rule,
+            cardinality_k=len(x) if rule is AdjacencyRule.TJ else None,
+            restriction=restriction,
+        )
+        assert recording.calls <= summary.states
+
+    def test_pinned_calls_above_the_old_lattice_guard(self):
+        # 2^24 and 2^40 states; the ascent evaluates what its searches pop
+        for n, calls in ((24, 13), (40, 21)):
+            inst = obs54_instance(n)
+            optimal_value(inst.oracle, inst.x, inst.y, inst.rule)
+            assert inst.oracle.calls == calls
 
     @given(st.integers(0, 999))
     @settings(max_examples=30, deadline=None)
@@ -241,6 +289,39 @@ class TestOptimalSequence:
         assert sequence_value(f, seq) == pytest.approx(v)
         # shortest among sequences meeting the optimum threshold
         assert seq.length == bfs_shortest_feasible(f, x, y, rule, v)
+
+
+class TestBudget:
+    def test_negative_budget_raises(self):
+        inst = obs52_instance()
+        for solve in (optimal_value, optimal_sequence):
+            with pytest.raises(ValueError, match="budget must be nonnegative, got -3"):
+                solve(inst.oracle, inst.x, inst.y, inst.rule, budget=-3)
+
+    def test_identical_endpoints_need_no_search(self):
+        f = modular_oracle([1.0, 5.0])
+        x = Subset(2, [1])
+        v, seq = optimal_sequence(f, x, x, AdjacencyRule.TAR, budget=0)
+        assert v == 5.0 and seq.length == 0
+        assert f.calls == 1
+
+    def test_budget_spans_rounds_and_the_sequence_pass(self):
+        inst = obs52_instance()
+        args = (inst.oracle, inst.x, inst.y, inst.rule)
+        assert optimal_value(*args, budget=7) == 1.0
+        with pytest.raises(BudgetExceededError, match="^search gave up after 6 expansions$"):
+            optimal_value(*args, budget=6)
+        assert optimal_sequence(*args, budget=11)[0] == 1.0
+        with pytest.raises(BudgetExceededError, match="^search gave up after 10 expansions$"):
+            optimal_sequence(*args, budget=10)
+
+    def test_default_budget_is_per_search(self):
+        # the three searches expand 7 states of a 4-state lattice in total
+        x, y = Subset(2, [0]), Subset(2, [1])
+        with pytest.raises(BudgetExceededError):
+            optimal_sequence(K2_CUT, x, y, AdjacencyRule.TAR, budget=6)
+        v, seq = optimal_sequence(K2_CUT, x, y, AdjacencyRule.TAR)
+        assert v == 0.0 and seq.length == 2
 
 
 class TestReachable:

@@ -70,11 +70,11 @@ class TestRunExperiment:
         assert report.value == 1.0
         assert report.length == 3
         assert len(report.rows) == 4
-        # fixed-size slice of a 5-element universe
+        # the ascent evaluates 8 of the 10 states of the size-2 slice
         assert report.calls_setup == 2
-        assert report.calls_algorithm == 10
+        assert report.calls_algorithm == 8
         assert report.calls_evaluation == 4
-        assert report.calls_total == 14
+        assert report.calls_total == 12
         seq = load_sequence_csv(out, 5)
         assert seq.steps == tuple(s for _, s, _ in report.rows)
 
