@@ -70,7 +70,6 @@ from .exact import (
     reachable,
 )
 from .reductions import (
-    GadgetInstance,
     SatAssignment,
     VcReconfigInstance,
     inapprox_gadget,
@@ -98,7 +97,6 @@ from .fileio import (
     write_edge_list,
     write_gram,
     write_instance,
-    write_instance_for,
     write_sequence_csv,
 )
 from .experiment import (

@@ -15,6 +15,7 @@ from pathlib import Path
 from .core import (
     AdjacencyRule,
     BudgetExceededError,
+    ProblemInstance,
     check_monotone,
     check_submodular,
     total_curvature,
@@ -30,9 +31,8 @@ from .fileio import (
     load_sequence_csv,
     parse_ids_1indexed,
     write_instance,
-    write_instance_for,
 )
-from .oracles import modular_oracle
+from .oracles import CnfFormula, modular_oracle
 from .reductions import (
     SatAssignment,
     VcReconfigInstance,
@@ -119,60 +119,51 @@ def _cmd_validate(args) -> int:
     return INFEASIBLE
 
 
+def _require(args, *flags: str) -> None:
+    if any(getattr(args, f) in (None, "") for f in flags):
+        raise ValueError(f"gen {args.name} needs " + ", ".join(f"--{f}" for f in flags))
+
+
+def _cover_pair(args) -> VcReconfigInstance:
+    _require(args, "graph", "x", "y")
+    graph = load_edge_list(args.graph)
+    return VcReconfigInstance(
+        graph, parse_ids_1indexed(args.x, graph.n), parse_ids_1indexed(args.y, graph.n)
+    )
+
+
+def _assignment_pair(args) -> tuple[CnfFormula, SatAssignment, SatAssignment]:
+    _require(args, "cnf", "sx", "sy")
+    sx, sy = (SatAssignment.from_string(t) for t in (args.sx, args.sy))
+    return load_cnf(args.cnf), sx, sy
+
+
+def _gadget(args) -> ProblemInstance:
+    _require(args, "upsilon")
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"gen {args.name} --n must be nonnegative, got {args.n}")
+    tokens = args.weights.replace(",", " ").split() if args.weights else ["0"] * (args.n or 0)
+    return inapprox_gadget(modular_oracle([float(t) for t in tokens]), args.upsilon)
+
+
+# generator name -> builder of its instance from the parsed flags
+_GENERATORS = {
+    "obs52": lambda args: obs52_instance(),
+    "obs54": lambda args: obs54_instance(8 if args.n is None else args.n),
+    "obs55": lambda args: obs55_instance(),
+    "vc2msreco": lambda args: vc_to_msreco(_cover_pair(args)),
+    "minvc2tjar": lambda args: minvc_to_usreco_tjar(_cover_pair(args)),
+    "nae2tar": lambda args: nae3sat_to_usreco_tar(*_assignment_pair(args)),
+    # the instance format holds a cover pair only as its fixed-size threshold form
+    "sat2vc": lambda args: vc_to_msreco(sat_reconfig_to_vc_reconfig(*_assignment_pair(args))),
+    "gadget": _gadget,
+}
+
+
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    name = args.name
-    if name == "obs52":
-        write_instance_for(obs52_instance(), out)
-    elif name == "obs54":
-        write_instance_for(obs54_instance(8 if args.n is None else args.n), out)
-    elif name == "obs55":
-        write_instance_for(obs55_instance(), out)
-    elif name in ("vc2msreco", "minvc2tjar"):
-        if not (args.graph and args.x and args.y):
-            raise ValueError(f"gen {name} needs --graph, --x, and --y")
-        graph = load_edge_list(args.graph)
-        vc = VcReconfigInstance(
-            graph,
-            parse_ids_1indexed(args.x, graph.n),
-            parse_ids_1indexed(args.y, graph.n),
-        )
-        instance = vc_to_msreco(vc) if name == "vc2msreco" else minvc_to_usreco_tjar(vc)
-        write_instance_for(instance, out)
-    elif name == "nae2tar":
-        if not (args.cnf and args.sx and args.sy):
-            raise ValueError("gen nae2tar needs --cnf, --sx, and --sy")
-        phi = load_cnf(args.cnf)
-        instance = nae3sat_to_usreco_tar(
-            phi, SatAssignment.from_string(args.sx), SatAssignment.from_string(args.sy)
-        )
-        write_instance_for(instance, out)
-    elif name == "sat2vc":
-        if not (args.cnf and args.sx and args.sy):
-            raise ValueError("gen sat2vc needs --cnf, --sx, and --sy")
-        phi = load_cnf(args.cnf)
-        vc = sat_reconfig_to_vc_reconfig(
-            phi, SatAssignment.from_string(args.sx), SatAssignment.from_string(args.sy)
-        )
-        # the cover pair is only expressible in the instance format through
-        # its fixed-size threshold form, so emit that composition
-        write_instance_for(vc_to_msreco(vc), out)
-    elif name == "gadget":
-        if args.upsilon is None:
-            raise ValueError("gen gadget needs --upsilon")
-        if args.n is not None and args.n < 0:
-            raise ValueError(f"gen gadget --n must be nonnegative, got {args.n}")
-        weights = (
-            [float(t) for t in args.weights.replace(",", " ").split()]
-            if args.weights
-            else [0.0] * (0 if args.n is None else args.n)
-        )
-        gadget = inapprox_gadget(modular_oracle(weights), args.upsilon)
-        write_instance(
-            out, gadget.oracle, gadget.x, gadget.y, AdjacencyRule.TJAR
-        )
-    else:
-        raise ValueError(f"unknown generator {name!r}")
+    inst = _GENERATORS[args.name](args)
+    write_instance(out, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
     print(f"wrote {out}")
     return OK
 
@@ -223,19 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("gen", help="emit a named instance to a file")
-    p.add_argument(
-        "name",
-        choices=[
-            "obs52",
-            "obs54",
-            "obs55",
-            "vc2msreco",
-            "minvc2tjar",
-            "nae2tar",
-            "sat2vc",
-            "gadget",
-        ],
-    )
+    p.add_argument("name", choices=list(_GENERATORS))
     p.add_argument("--n", type=int)
     p.add_argument("--graph")
     p.add_argument("--x")

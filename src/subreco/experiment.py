@@ -86,8 +86,9 @@ class ExperimentConfig:
     (determinant experiment).  The last two build endpoints with
     :func:`interchangeable_greedy` and require ``k``; the influence path also
     requires an explicit ``seed``.  ``restriction`` (ids of the ground set,
-    for example a :class:`Subset`) confines the exact solver's lattice, and
-    ``budget`` caps the A* expansions of ``astar``, or of all ``exact``'s searches.
+    for example a :class:`Subset`) confines ``exact``'s lattice; the other
+    algorithms refuse it.  ``budget`` caps the A* expansions of ``astar``, or
+    of all ``exact``'s searches.
     """
 
     algorithm: str
@@ -178,6 +179,8 @@ def _resolve_instance(
 def run_experiment(cfg: ExperimentConfig) -> Report:
     if cfg.algorithm not in ("swap", "tjar", "astar", "exact"):
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+    if cfg.restriction is not None and cfg.algorithm != "exact":
+        raise ValueError(f"{cfg.algorithm} takes no restriction; only exact does")
     source = cfg.instance
     # an oracle built during the run starts from zero calls
     calls_start = source.oracle.calls if isinstance(source, ProblemInstance) else 0

@@ -34,6 +34,7 @@ from .core import (
     ReconfigSequence,
     SetFunctionOracle,
     Subset,
+    UniverseMismatchError,
     resolve_threshold,
 )
 from .oracles import (
@@ -95,7 +96,16 @@ def ids_1indexed(text: str) -> list[int]:
 
 
 def parse_ids_1indexed(text: str, n: int) -> Subset:
-    return Subset(n, ids_1indexed(text))
+    return _subset_1indexed(n, ids_1indexed(text))
+
+
+def _subset_1indexed(n: int, ids: Sequence[int]) -> Subset:
+    """The subset of the 0-indexed ``ids``; one outside the universe is named
+    as the file or command line wrote it, 1-indexed."""
+    for e in ids:
+        if not 0 <= e < n:
+            raise UniverseMismatchError(f"element {e + 1} outside 1..{n}")
+    return Subset(n, ids)
 
 
 def _numbers(path: Path, lineno: int, tokens: Sequence[str], convert=int) -> list:
@@ -534,7 +544,7 @@ def load_instance(path: PathLike) -> InstanceFile:
     for lineno, tokens in sections["endpoints"]:
         ids = [i - 1 for i in _numbers(path, lineno, tokens[1:])]
         try:
-            subset = Subset(n, ids)
+            subset = _subset_1indexed(n, ids)
         except ValueError as exc:
             raise InstanceParseError(path, lineno, str(exc)) from None
         if tokens[0] not in ("x", "y"):
@@ -645,13 +655,6 @@ def write_instance(
         "[theta]", threshold,
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_instance_for(instance: ProblemInstance, path: PathLike) -> None:
-    """Write a problem instance whose threshold (if any) is absolute."""
-    write_instance(
-        path, instance.oracle, instance.x, instance.y, instance.rule, theta=instance.theta
-    )
 
 
 # ---------------------------------------------------------------------------

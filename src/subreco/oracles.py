@@ -37,6 +37,8 @@ class NotPositiveDefiniteError(ValueError):
 def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
     """Additive function ``f(S) = sum_{e in S} w_e``."""
     w = tuple(float(x) for x in weights)
+    if not all(math.isfinite(x) for x in w):
+        raise ValueError(f"modular weights must be finite, got {w}")
 
     def fn(s: Subset) -> float:
         return sum(w[e] for e in s)
@@ -75,8 +77,8 @@ class CoverageSpec:
                         f"covered item {item} outside item universe of size "
                         f"{self.universe_size}"
                     )
-        if self.divisor <= 0:
-            raise ValueError("divisor must be positive")
+        if not 0 < self.divisor < math.inf:
+            raise ValueError(f"divisor must be positive and finite, got {self.divisor}")
 
     @property
     def n(self) -> int:

@@ -9,8 +9,8 @@ from the optimum; their exact values are pinned down in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (
     AdjacencyRule,
@@ -213,15 +213,7 @@ def sat_reconfig_to_vc_reconfig(
     return VcReconfigInstance(graph, cover_x, cover_y)
 
 
-class GadgetInstance(NamedTuple):
-    """A wrapped oracle with fresh endpoints on four extra elements."""
-
-    oracle: SetFunctionOracle
-    x: Subset
-    y: Subset
-
-
-def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> GadgetInstance:
+def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> ProblemInstance:
     """Append a scaled 4-cycle cut to ``f`` so endpoint values dwarf the middle.
 
     The new universe adds elements ``n..n+3`` forming a complete bipartite
@@ -231,10 +223,11 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> GadgetInstance:
     ``2 * upsilon + f({})``, while any set with a nonzero-cut gadget part
     scores at most ``upsilon`` from the gadget, creating the value bands
     ``{0, upsilon, 2 * upsilon}``.  Choose ``upsilon`` above the maximum of
-    ``f`` for the bands to order as intended.
+    ``f`` for the bands to order as intended.  The instance walks under TJAR
+    and carries no threshold.
     """
-    if upsilon <= 0:
-        raise ValueError("upsilon must be positive")
+    if not 0 < upsilon < math.inf:
+        raise ValueError(f"upsilon must be positive and finite, got {upsilon}")
     if not (f.claims_submodular and f.claims_nonnegative):
         raise ValueError("gadget wraps a nonnegative submodular oracle")
     n = f.universe.n
@@ -272,7 +265,7 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> GadgetInstance:
     )
     x = Subset(total, (n, n + 1))
     y = Subset(total, (n + 2, n + 3))
-    return GadgetInstance(oracle, x, y)
+    return ProblemInstance(oracle, x, y, AdjacencyRule.TJAR)
 
 
 def obs52_instance() -> ProblemInstance:

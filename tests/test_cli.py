@@ -181,9 +181,28 @@ class TestGen:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_cover_generators_require_graph_and_endpoints(self, tmp_path):
+    def test_cover_generators_require_graph_and_endpoints(self, tmp_path, capsys):
         assert main(["gen", "vc2msreco", "--out", str(tmp_path / "v.inst")]) == 3
         assert main(["gen", "nae2tar", "--out", str(tmp_path / "n.inst")]) == 3
+        err = capsys.readouterr().err
+        assert "gen vc2msreco needs --graph" in err and "gen nae2tar needs --cnf" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["gadget", "--upsilon", "nan"], "upsilon must be positive and finite"),
+            (["gadget", "--upsilon", "2", "--weights", "1,inf"], "weights must be finite"),
+            (["vc2msreco", "--x", "2,3", "--y", "2,9"], "element 9 outside 1..4"),
+            (["vc2msreco", "--x", "0,3", "--y", "1,3"], "element 0 outside 1..4"),
+        ],
+        ids=["upsilon-nan", "weight-inf", "cover-id-high", "cover-id-zero"],
+    )
+    def test_bad_input_writes_no_file(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "g.inst"
+        graph = ["--graph", str(write_p4(tmp_path))] if flags[0] == "vc2msreco" else []
+        assert main(["gen", *flags, *graph, "--out", str(path)]) == 3
+        assert message in capsys.readouterr().err
+        assert not path.exists()
 
     def test_unknown_generator_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -413,7 +413,20 @@ class TestValidateSequence:
             [Subset(4, [0, 1]), Subset(4, [0, 1, 2]), Subset(4, [2, 3])]
         )
         verdict = validate_sequence(self.make(), seq)
-        assert not verdict.ok and verdict.index == 1 and "size" in verdict.reason
+        # a step that changes the size is not a TJ move
+        assert not verdict.ok and verdict.index == 1 and "adjacent" in verdict.reason
+
+    @pytest.mark.parametrize("k", [2, None])
+    def test_first_bad_step_is_reported(self, k):
+        inst = ProblemInstance(
+            modular_oracle([1.0] * 5), Subset(5, [0, 1]), Subset(5, [2, 3]),
+            AdjacencyRule.TJ, cardinality_k=k,
+        )
+        seq = ReconfigSequence(
+            [Subset(5, [0, 1]), Subset(5, [2, 4]), Subset(5, [2, 3, 4]), Subset(5, [2, 3])]
+        )
+        verdict = validate_sequence(inst, seq)
+        assert not verdict.ok and verdict.index == 1 and "adjacent" in verdict.reason
 
     def test_adjacency_violation(self):
         seq = ReconfigSequence([Subset(4, [0, 1]), Subset(4, [2, 3])])

@@ -19,7 +19,6 @@ from subreco import (
     obs55_instance,
     run_experiment,
     write_instance,
-    write_instance_for,
 )
 
 
@@ -151,6 +150,16 @@ class TestRunExperiment:
         )
         assert report.value == 0.75
 
+    @pytest.mark.parametrize("algorithm", ["swap", "tjar", "astar"])
+    def test_restriction_outside_exact_is_refused(self, algorithm):
+        inst = obs52_instance()
+        cfg = ExperimentConfig(
+            algorithm=algorithm, instance=inst, theta=0.5, restriction=[0, 1, 2, 3]
+        )
+        with pytest.raises(ValueError, match=f"{algorithm} takes no restriction"):
+            run_experiment(cfg)
+        assert inst.oracle.calls == 0
+
     def test_instance_from_file(self, tmp_path):
         inst = ProblemInstance(
             modular_oracle([2.0, 1.0, 3.0]),
@@ -160,7 +169,7 @@ class TestRunExperiment:
             cardinality_k=1,
         )
         p = tmp_path / "case.instance"
-        write_instance_for(inst, p)
+        write_instance(p, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
         report = run_experiment(ExperimentConfig(algorithm="swap", instance=p))
         assert report.status == "ok"
         assert report.endpoint_values == (2.0, 3.0)

@@ -40,7 +40,6 @@ from subreco import (
     write_edge_list,
     write_gram,
     write_instance,
-    write_instance_for,
     write_sequence_csv,
 )
 
@@ -68,7 +67,7 @@ class TestIdFormatting:
             s = Subset(5, members)
             assert parse_ids_1indexed(format_ids_1indexed(s), 5) == s
         assert parse_ids_1indexed("2, 4", 4) == Subset(4, [1, 3])
-        with pytest.raises(UniverseMismatchError):
+        with pytest.raises(UniverseMismatchError, match="element 7 outside 1..4"):
             parse_ids_1indexed("{7}", 4)
 
 
@@ -446,7 +445,7 @@ class TestInstanceFiles:
             )
         assert not p.exists()
 
-    def test_write_instance_for(self, tmp_path):
+    def test_write_problem_instance(self, tmp_path):
         inst = ProblemInstance(
             modular_oracle([1.0, 2.0]),
             Subset(2, [0]),
@@ -455,7 +454,7 @@ class TestInstanceFiles:
             theta=0.75,
         )
         p = tmp_path / "case.instance"
-        write_instance_for(inst, p)
+        write_instance(p, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
         spec = load_instance(p)
         back = spec.to_problem_instance(spec.resolve_theta())
         assert back.theta == 0.75
@@ -663,6 +662,17 @@ class TestParseErrorsNameTheLine:
             self.LOADERS[name](p)
         assert exc.value.line == line
         assert str(exc.value).startswith(f"{p}:{line}: ")
+
+    @pytest.mark.parametrize("ids, bad", [("1 9", 9), ("0 2", 0)])
+    def test_endpoint_id_is_named_as_written(self, tmp_path, ids, bad):
+        p = tmp_path / "e.inst"
+        p.write_text(
+            f"[oracle]\nkind modular\nweights 1 2 3 4 5\n\n[endpoints]\ny 2\nx {ids}\n"
+            "\n[rule]\ntar\n"
+        )
+        with pytest.raises(InstanceParseError) as exc:
+            load_instance(p)
+        assert str(exc.value) == f"{p}:7: element {bad} outside 1..5"
 
 
 class TestSequenceCsv:

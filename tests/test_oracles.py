@@ -50,6 +50,11 @@ class TestModular:
         assert not f.claims_monotone and not f.claims_nonnegative
         assert f.claims_submodular
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            modular_oracle([1.0, bad])
+
 
 class TestCoverage:
     SPEC = CoverageSpec(4, ((0, 1), (1, 2), (3,)))
@@ -74,6 +79,11 @@ class TestCoverage:
             CoverageSpec(2, ((0, 5),))
         with pytest.raises(ValueError):
             CoverageSpec(2, ((0,),), divisor=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_divisor(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CoverageSpec(2, ((0,),), divisor=bad)
 
     def test_claims_hold(self):
         f = coverage_oracle(self.SPEC)

@@ -1,5 +1,6 @@
 """Reductions between reconfiguration problems and the pinned counterexamples."""
 
+import math
 import random
 from itertools import combinations
 
@@ -323,6 +324,7 @@ class TestInapproxGadget:
         assert f.universe.n == 6
         assert gadget.x == Subset(6, [2, 3])
         assert gadget.y == Subset(6, [4, 5])
+        assert gadget.rule is AdjacencyRule.TJAR and gadget.theta is None
         assert f.evaluate(gadget.x) == pytest.approx(3.0)  # 2 * upsilon
         assert f.evaluate(gadget.y) == pytest.approx(3.0)
         # one gadget element per side cuts half the edges
@@ -353,6 +355,9 @@ class TestInapproxGadget:
     def test_validation(self):
         with pytest.raises(ValueError):
             self.make(upsilon=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                self.make(upsilon=bad)
         plain = SetFunctionOracle(lambda s: float(len(s)), GroundSet(2))
         with pytest.raises(ValueError):
             inapprox_gadget(plain, 1.0)
