@@ -24,6 +24,7 @@ from .core import (
 from .experiment import ExperimentConfig, run_experiment
 from .fileio import (
     InstanceParseError,
+    format_ids_1indexed,
     ids_1indexed,
     load_cnf,
     load_edge_list,
@@ -115,7 +116,7 @@ def _cmd_validate(args) -> int:
     if verdict:
         print("ok")
         return OK
-    print(f"invalid at step {verdict.index}: {verdict.reason}")
+    print(f"invalid at step {verdict.index}: {verdict.describe(format_ids_1indexed)}")
     return INFEASIBLE
 
 

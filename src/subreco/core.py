@@ -20,9 +20,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 VALUE_SLACK = 1e-9
 CHECK_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 16
+# batch forms take masks as int64, so they serve universes of up to 62 elements,
+# and this many at a time, which keeps their temporary arrays small
+_BATCH_BITS = 62
+_BATCH_CHUNK = 4096
 
 
 class UniverseMismatchError(ValueError):
@@ -195,6 +201,13 @@ class SetFunctionOracle:
     counter increases by one per completed evaluation; it takes no lock, since
     the package runs in a single thread.
 
+    ``batch_fn`` (optional) is the same function over many subsets at once:
+    it takes a 1-D int64 array of in-range masks and returns their values as
+    a float64 array, equal bit for bit to ``fn`` on each, or None when it
+    cannot (the log-determinant's batch does so on a failed Cholesky
+    factorization).  :meth:`evaluate_many` uses it and otherwise evaluates
+    one subset at a time; either way it charges one call per mask.
+
     ``claims_*`` flags are declarations by the constructor, not verified
     facts; :func:`check_submodular` and :func:`check_monotone` test them.
     """
@@ -209,8 +222,10 @@ class SetFunctionOracle:
         claims_nonnegative: bool = False,
         name: str = "",
         serial: Optional[tuple] = None,
+        batch_fn: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None,
     ):
         self._fn = fn
+        self._batch_fn = batch_fn
         self.universe = universe
         self.claims_monotone = claims_monotone
         self.claims_submodular = claims_submodular
@@ -233,6 +248,37 @@ class SetFunctionOracle:
             raise ValueError(f"nonnegative oracle returned {value} on {s}")
         self._calls += 1
         return value
+
+    def evaluate_many(self, masks: Sequence[int]) -> np.ndarray:
+        """The values of the subsets with these masks, in the order given.
+
+        Charges ``len(masks)`` calls, as many :meth:`evaluate` calls would.
+        The batch form runs when there is one, ``n <= 62`` and every mask
+        lies in the universe.  A batch it declines, or one holding a value
+        below ``-1e-12`` on a ``claims_nonnegative`` oracle, is discarded
+        uncharged, and :meth:`evaluate` reruns the masks in order, so errors,
+        their messages and the calls charged before them are those of the
+        one-at-a-time loop.
+        """
+        n = self.universe.n
+        if self._batch_fn is not None and n <= _BATCH_BITS:
+            try:
+                arr = np.asarray(masks, dtype=np.int64)
+            except OverflowError:  # a mask past 2**63 lies outside the universe
+                arr = None
+            if arr is not None and arr.ndim == 1 and not ((arr < 0) | (arr >> n != 0)).any():
+                values = np.empty(len(arr))
+                for lo in range(0, len(arr), _BATCH_CHUNK):
+                    part = self._batch_fn(arr[lo : lo + _BATCH_CHUNK])
+                    if part is None or self.claims_nonnegative and (part < -1e-12).any():
+                        break
+                    values[lo : lo + _BATCH_CHUNK] = part
+                else:
+                    self._calls += len(values)
+                    return values
+        return np.array(
+            [self.evaluate(Subset.from_mask(n, int(m))) for m in masks], dtype=np.float64
+        )
 
     def __repr__(self) -> str:
         flags = "".join(
@@ -481,14 +527,27 @@ def neighbors(rule: AdjacencyRule, s: Subset) -> list[Subset]:
 
 @dataclass(frozen=True)
 class SequenceVerdict:
-    """Outcome of validating a sequence; falsy iff some check failed."""
+    """Outcome of validating a sequence; falsy iff some check failed.
+
+    ``template`` states the failure with one ``{}`` per entry of ``subsets``.
+    ``reason`` fills them in with ``str`` (0-indexed ids), and
+    :meth:`describe` with any other subset format.
+    """
 
     ok: bool
-    reason: Optional[str] = None
     index: Optional[int] = None
+    template: str = ""
+    subsets: tuple[Subset, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @property
+    def reason(self) -> Optional[str]:
+        return None if self.ok else self.describe()
+
+    def describe(self, fmt: Callable[[Subset], str] = str) -> str:
+        return self.template.format(*map(fmt, self.subsets))
 
 
 _OK = SequenceVerdict(True)
@@ -510,25 +569,25 @@ def validate_sequence(
     """
     steps = seq.steps
     if steps[0].n != instance.oracle.universe.n:
-        return SequenceVerdict(False, "sequence universe differs from instance", 0)
+        return SequenceVerdict(False, 0, "sequence universe differs from instance")
     if steps[0] != instance.x:
-        return SequenceVerdict(False, f"first step {steps[0]} is not X", 0)
+        return SequenceVerdict(False, 0, "first step {} is not X", (steps[0],))
     if steps[-1] != instance.y:
-        return SequenceVerdict(False, f"last step {steps[-1]} is not Y", len(steps) - 1)
+        return SequenceVerdict(False, len(steps) - 1, "last step {} is not Y", (steps[-1],))
     for i in range(1, len(steps)):
         if not is_adjacent(instance.rule, steps[i - 1], steps[i]):
             return SequenceVerdict(
                 False,
-                f"steps {steps[i - 1]} and {steps[i]} are not adjacent under "
-                f"{instance.rule.token}",
                 i,
+                f"steps {{}} and {{}} are not adjacent under {instance.rule.token}",
+                steps[i - 1 : i + 1],
             )
     if instance.theta is not None:
         bound = instance.theta - value_slack
         for i, s in enumerate(steps):
             if instance.oracle.evaluate(s) < bound:
                 return SequenceVerdict(
-                    False, f"step {s} falls below threshold {instance.theta}", i
+                    False, i, f"step {{}} falls below threshold {instance.theta}", (s,)
                 )
     return _OK
 
@@ -545,10 +604,36 @@ class CheckVerdict:
         return self.ok
 
 
-def _value_table(oracle: SetFunctionOracle, masks: Iterable[int]) -> list[float]:
-    """One evaluation per mask, in the order given."""
+def _lattice(oracle: SetFunctionOracle, check: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every mask over the universe and f on it, by one
+    :meth:`~SetFunctionOracle.evaluate_many` (guarded at ``EXHAUSTIVE_LIMIT``).
+
+    Both arrays have one axis per element: axis ``n - 1 - e`` indexes
+    membership of ``e``, so fixing axes leaves the subsets without them in
+    ascending mask order, as C-order flattening reads them.
+    """
     n = oracle.universe.n
-    return [oracle.evaluate(Subset.from_mask(n, m)) for m in masks]
+    if n > EXHAUSTIVE_LIMIT:
+        raise BudgetExceededError(
+            f"exhaustive {check} check refused for n={n} > {EXHAUSTIVE_LIMIT}"
+        )
+    masks = np.arange(1 << n, dtype=np.int64)
+    return masks.reshape((2,) * n), oracle.evaluate_many(masks).reshape((2,) * n)
+
+
+def _pin(n: int, members: dict[int, int]) -> tuple:
+    """Index of the lattice array that fixes the membership (0 or 1) of each
+    element of ``members``; the result is an array even with every axis fixed."""
+    index: list = [slice(None)] * n
+    for e, member in members.items():
+        index[n - 1 - e] = member
+    return (*index, ...)
+
+
+def _first_mask(masks: np.ndarray, bad: np.ndarray) -> Optional[int]:
+    """The mask at the first true entry of ``bad`` in C order, or None."""
+    i = int(np.argmax(bad))
+    return int(masks.flat[i]) if bad.flat[i] else None
 
 
 def _require_sampled(mode: str, sample_count: int) -> None:
@@ -566,39 +651,37 @@ def check_submodular(
 ) -> CheckVerdict:
     """Test the diminishing-returns inequality, exhaustively or by sampling.
 
-    The exhaustive mode tabulates the whole lattice (guarded at n <= 16) and
-    checks every triple (S, e, g) with e, g outside S:
+    The exhaustive mode tabulates the whole lattice (guarded at n <= 16) with
+    one :meth:`~SetFunctionOracle.evaluate_many`, so it costs ``2**n`` calls,
+    and checks every triple (S, e, g) with e, g outside S:
     ``f(S+e) - f(S) >= f(S+g+e) - f(S+g)``.  Chaining these immediate-cover
     inequalities is equivalent to diminishing returns for arbitrary S <= T.
-    Sampled mode draws random (S <= T, e) triples instead.
+    The scan runs in numpy, one pair (e, g) at a time, and reports the first
+    violation in the order S ascending, then e, then g.  Sampled mode draws
+    random (S <= T, e) triples instead.
     """
     n = oracle.universe.n
     if mode == "exhaustive":
-        if n > EXHAUSTIVE_LIMIT:
-            raise BudgetExceededError(
-                f"exhaustive submodularity check refused for n={n} > {EXHAUSTIVE_LIMIT}"
-            )
-        table = _value_table(oracle, range(1 << n))
-        for s_mask in range(1 << n):
-            free = [e for e in range(n) if not s_mask >> e & 1]
-            base = table[s_mask]
-            for ai in range(len(free)):
-                e = free[ai]
-                with_e = table[s_mask | 1 << e]
-                for g in free[ai + 1 :]:
-                    with_g = table[s_mask | 1 << g]
-                    with_both = table[s_mask | 1 << e | 1 << g]
-                    if (with_e - base) - (with_both - with_g) < -CHECK_TOL:
-                        return CheckVerdict(
-                            False,
-                            (
-                                Subset.from_mask(n, s_mask),
-                                Subset.from_mask(n, s_mask | 1 << g),
-                                e,
-                            ),
-                            f"gain of {e} grows when {g} is added",
-                        )
-        return CheckVerdict(True)
+        masks, table = _lattice(oracle, "submodularity")
+        found = []  # per pair (e, g), its first violation (S, e, g)
+        with np.errstate(invalid="ignore"):  # -inf - -inf is nan, never a violation
+            for e in range(n):
+                for g in range(e + 1, n):
+                    base, with_e, with_g, with_both = (
+                        table[_pin(n, {e: i & 1, g: i >> 1})] for i in range(4)
+                    )
+                    bad = (with_e - base) - (with_both - with_g) < -CHECK_TOL
+                    s = _first_mask(masks[_pin(n, {e: 0, g: 0})], bad)
+                    if s is not None:
+                        found.append((s, e, g))
+        if not found:
+            return CheckVerdict(True)
+        s, e, g = min(found)
+        return CheckVerdict(
+            False,
+            (Subset.from_mask(n, s), Subset.from_mask(n, s | 1 << g), e),
+            f"gain of {e} grows when {g} is added",
+        )
     _require_sampled(mode, sample_count)
     rng = random.Random(seed)
     mask_all = (1 << n) - 1
@@ -630,24 +713,30 @@ def check_monotone(
     sample_count: int = 1000,
     seed: int = 0,
 ) -> CheckVerdict:
-    """Test ``f(S) <= f(S + e)`` for all (S, e), exhaustively or by sampling."""
+    """Test ``f(S) <= f(S + e)`` for all (S, e), exhaustively or by sampling.
+
+    The exhaustive mode tabulates the whole lattice (guarded at n <= 16) with
+    one :meth:`~SetFunctionOracle.evaluate_many`, so it costs ``2**n`` calls,
+    then scans it in numpy one e at a time and reports the first violation
+    in the order S ascending, then e.
+    """
     n = oracle.universe.n
     if mode == "exhaustive":
-        if n > EXHAUSTIVE_LIMIT:
-            raise BudgetExceededError(
-                f"exhaustive monotonicity check refused for n={n} > {EXHAUSTIVE_LIMIT}"
-            )
-        table = _value_table(oracle, range(1 << n))
-        for s_mask in range(1 << n):
-            base = table[s_mask]
-            for e in range(n):
-                if not s_mask >> e & 1 and table[s_mask | 1 << e] < base - CHECK_TOL:
-                    return CheckVerdict(
-                        False,
-                        (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << e)),
-                        f"adding {e} decreases the value",
-                    )
-        return CheckVerdict(True)
+        masks, table = _lattice(oracle, "monotonicity")
+        found = []  # per element e, its first violation (S, e)
+        for e in range(n):
+            base, with_e = table[_pin(n, {e: 0})], table[_pin(n, {e: 1})]
+            s = _first_mask(masks[_pin(n, {e: 0})], with_e < base - CHECK_TOL)
+            if s is not None:
+                found.append((s, e))
+        if not found:
+            return CheckVerdict(True)
+        s, e = min(found)
+        return CheckVerdict(
+            False,
+            (Subset.from_mask(n, s), Subset.from_mask(n, s | 1 << e)),
+            f"adding {e} decreases the value",
+        )
     _require_sampled(mode, sample_count)
     rng = random.Random(seed)
     for _ in range(sample_count):

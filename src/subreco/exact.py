@@ -31,7 +31,6 @@ from .core import (
     ReconfigSequence,
     SetFunctionOracle,
     Subset,
-    _value_table,
 )
 from .algorithms import astar, feasible_path
 
@@ -56,7 +55,8 @@ def build_value_table(
     cardinality_k: Optional[int] = None,
     restriction: Optional[Subset] = None,
 ) -> tuple[dict[int, float], StateGraphSummary]:
-    """Evaluate the oracle on every state; one call per state."""
+    """Evaluate the oracle on every state through
+    :meth:`~subreco.core.SetFunctionOracle.evaluate_many`; one call per state."""
     n = oracle.universe.n
     if restriction is None:
         restriction = Subset.full(n)
@@ -77,7 +77,7 @@ def build_value_table(
         if math.comb(len(elements), cardinality_k) > SLICE_LIMIT:
             raise BudgetExceededError("fixed-size state count exceeds the guard")
         masks = [sum(1 << e for e in c) for c in combinations(elements, cardinality_k)]
-    table = dict(zip(masks, _value_table(oracle, masks)))
+    table = dict(zip(masks, oracle.evaluate_many(masks).tolist()))
     return table, StateGraphSummary(restriction, rule, cardinality_k, len(table))
 
 

@@ -33,7 +33,13 @@ from .core import (
     validate_sequence,
 )
 from .exact import optimal_sequence
-from .fileio import load_edge_list, load_gram, load_instance, write_sequence_csv
+from .fileio import (
+    _subset_1indexed,
+    load_edge_list,
+    load_gram,
+    load_instance,
+    write_sequence_csv,
+)
 from .oracles import GramMatrix, influence_oracle, logdet_oracle, sample_rr_sets
 
 PathLike = Union[str, Path]
@@ -87,8 +93,9 @@ class ExperimentConfig:
     :func:`interchangeable_greedy` and require ``k``; the influence path also
     requires an explicit ``seed``.  ``restriction`` (ids of the ground set,
     for example a :class:`Subset`) confines ``exact``'s lattice; the other
-    algorithms refuse it.  ``budget`` caps the A* expansions of ``astar``, or
-    of all ``exact``'s searches.
+    algorithms refuse it, and an id outside the ground set is named 1-indexed,
+    as ``exact --restrict`` takes it.  ``budget`` caps the A* expansions of
+    ``astar``, or of all ``exact``'s searches.
     """
 
     algorithm: str
@@ -196,7 +203,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             f"not {instance.rule.token}"
         )
     f = instance.oracle
-    restriction = None if cfg.restriction is None else Subset(f.universe.n, cfg.restriction)
+    n = f.universe.n
+    restriction = None if cfg.restriction is None else _subset_1indexed(n, list(cfg.restriction))
 
     fx = f.evaluate(instance.x)
     fy = f.evaluate(instance.y)

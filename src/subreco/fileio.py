@@ -406,8 +406,8 @@ def _single(path, entries, key, convert=str, default=None):
     return default
 
 
-def _single_int(path, entries, key) -> int:
-    value = _single(path, entries, key, int)
+def _required(path, entries, key, convert=int):
+    value = _single(path, entries, key, convert)
     if value is None:
         raise InstanceParseError(path, 0, f"missing '{key}' in [oracle]")
     return value
@@ -452,8 +452,8 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
     base = path.parent
 
     if kind == "coverage":
-        n = _single_int(path, entries, "n")
-        items = _single_int(path, entries, "items")
+        n = _required(path, entries, "n")
+        items = _required(path, entries, "items")
         divisor = _single(path, entries, "divisor", float, 1.0)
         if divisor <= 0:
             lineno = next(i for i, tokens in entries if tokens[0] == "divisor")
@@ -477,7 +477,7 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         if graph_file is not None:
             graph = load_edge_list(base / graph_file, directed=False)
         else:
-            n = _single_int(path, entries, "n")
+            n = _required(path, entries, "n")
             rows = [
                 _edge_row(path, lineno, tokens[1:], n)
                 for lineno, tokens in entries
@@ -495,7 +495,7 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         cnf_file = _single(path, entries, "cnf-file")
         if cnf_file is not None:
             return nae_clause_oracle(load_cnf(base / cnf_file))
-        n = _single_int(path, entries, "n")
+        n = _required(path, entries, "n")
         clauses = []
         for lineno, tokens in entries:
             if tokens[0] == "clause":
@@ -522,13 +522,13 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
             raise InstanceParseError(path, 0, "influence oracle needs 'rr-file' or 'graph-file'")
         directed = _single(path, entries, "directed", default="false").lower() == "true"
         mode = _single(path, entries, "probability", default="inverse-in-degree")
-        rr_count = _single_int(path, entries, "rr-count")
-        seed = _single_int(path, entries, "seed")
+        rr_count = _required(path, entries, "rr-count")
+        seed = _required(path, entries, "seed")
         graph = load_edge_list(base / graph_file, directed=directed, probability_mode=mode)
         return influence_oracle(sample_rr_sets(graph, rr_count, seed))
 
     # the one kind left is gadget
-    upsilon = _single(path, entries, "upsilon", float, 0.0)
+    upsilon = _required(path, entries, "upsilon", float)
     return inapprox_gadget(modular_oracle(_weights(path, entries)), upsilon).oracle
 
 

@@ -24,6 +24,21 @@ from .core import (
 
 GRAM_SYMMETRY_TOL = 1e-12
 LOGDET_PIVOT_TOL = 1e-12
+# a log-det batch factors at most this many same-size submatrices at a time;
+# small stacks keep peak memory near that of one-at-a-time evaluation
+LOGDET_CHUNK = 64
+# set bits per byte value, a popcount that needs no NumPy 2 ``bitwise_count``
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _member(masks: np.ndarray, e) -> np.ndarray:
+    """Per mask, whether element ``e`` is in it (0 or 1, int64)."""
+    return (masks >> e) & 1
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-D array of 64-bit words."""
+    return _POPCOUNT8[np.ascontiguousarray(words).view(np.uint8)].sum(axis=1)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -43,6 +58,13 @@ def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
     def fn(s: Subset) -> float:
         return sum(w[e] for e in s)
 
+    def batch_fn(masks: np.ndarray) -> np.ndarray:
+        # adding 0.0 for a non-member is exact, so the sum runs in fn's order
+        total = np.zeros(len(masks))
+        for e, x in enumerate(w):
+            total += np.where(_member(masks, e) == 1, x, 0.0)
+        return total
+
     return SetFunctionOracle(
         fn,
         GroundSet(len(w)),
@@ -51,6 +73,7 @@ def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
         claims_nonnegative=all(x >= 0 for x in w),
         name="modular",
         serial=("modular", w),
+        batch_fn=batch_fn,
     )
 
 
@@ -91,12 +114,23 @@ def coverage_oracle(spec: CoverageSpec) -> SetFunctionOracle:
         sum(1 << item for item in v) for v in spec.covered
     )
     divisor = spec.divisor
+    # element e's items as 64-bit words, item i at bit i % 64 of word i // 64
+    words = np.zeros((spec.n, max(1, (spec.universe_size + 63) // 64)), dtype=np.uint64)
+    for e, items in enumerate(spec.covered):
+        for item in items:
+            words[e, item // 64] |= np.uint64(1 << item % 64)
 
     def fn(s: Subset) -> float:
         acc = 0
         for e in s:
             acc |= item_masks[e]
         return acc.bit_count() / divisor
+
+    def batch_fn(masks: np.ndarray) -> np.ndarray:
+        acc = np.zeros((len(masks), words.shape[1]), dtype=np.uint64)
+        for e in range(spec.n):
+            np.bitwise_or(acc, words[e], out=acc, where=_member(masks, e)[:, None] == 1)
+        return _popcount(acc) / divisor
 
     return SetFunctionOracle(
         fn,
@@ -106,6 +140,7 @@ def coverage_oracle(spec: CoverageSpec) -> SetFunctionOracle:
         claims_nonnegative=True,
         name="coverage",
         serial=("coverage", spec),
+        batch_fn=batch_fn,
     )
 
 
@@ -231,6 +266,13 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
                 total += weights[i]
         return total
 
+    def batch_fn(masks: np.ndarray) -> np.ndarray:
+        # edge by edge in fn's order; adding 0.0 for an uncut edge is exact
+        total = np.zeros(len(masks))
+        for (u, v), w in zip(edges, weights):
+            total += np.where(_member(masks, u) != _member(masks, v), w, 0.0)
+        return total
+
     return SetFunctionOracle(
         fn,
         GroundSet(g.n),
@@ -239,6 +281,7 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
         claims_nonnegative=True,
         name="cut",
         serial=("cut", g),
+        batch_fn=batch_fn,
     )
 
 
@@ -257,6 +300,12 @@ def incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
             sum(1 for u, v in edges if (mask >> u | mask >> v) & 1)
         )
 
+    def batch_fn(masks: np.ndarray) -> np.ndarray:
+        count = np.zeros(len(masks), dtype=np.int64)
+        for u, v in edges:
+            count += _member(masks, u) | _member(masks, v)
+        return count.astype(np.float64)
+
     return SetFunctionOracle(
         fn,
         GroundSet(g.n),
@@ -265,6 +314,7 @@ def incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
         claims_nonnegative=True,
         name="incidence",
         serial=("incidence", g),
+        batch_fn=batch_fn,
     )
 
 
@@ -387,6 +437,13 @@ def nae_clause_oracle(phi: CnfFormula) -> SetFunctionOracle:
                 total += 1
         return float(total)
 
+    def batch_fn(masks: np.ndarray) -> np.ndarray:
+        count = np.zeros(len(masks), dtype=np.int64)
+        for cm in clause_masks:
+            inside = masks & cm
+            count += (inside != 0) & (inside != cm)
+        return count.astype(np.float64)
+
     return SetFunctionOracle(
         fn,
         GroundSet(phi.n_vars),
@@ -395,6 +452,7 @@ def nae_clause_oracle(phi: CnfFormula) -> SetFunctionOracle:
         claims_nonnegative=True,
         name="nae_clauses",
         serial=("nae", phi),
+        batch_fn=batch_fn,
     )
 
 
@@ -442,8 +500,15 @@ def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:
     return ``-inf`` so that sequence minima propagate the degeneracy; an
     indefinite submatrix raises :class:`NotPositiveDefiniteError` carrying the
     offending subset.  Submodular; not monotone in general.
+
+    The batch form (``evaluate_many``) factors the submatrices of one size as
+    a stack, ``LOGDET_CHUNK`` at a time, with the same per-matrix Cholesky, so
+    its values equal ``evaluate``'s bit for bit.  A stack whose factorization
+    fails hands the whole batch back to one-at-a-time evaluation, which gives
+    the same ``-inf`` values and the same error on the same subset.
     """
     a = gram.a
+    n = gram.n
 
     def fn(s: Subset) -> float:
         if len(s) == 0:
@@ -465,6 +530,25 @@ def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:
             return float("-inf")
         return float(2.0 * np.log(np.diag(chol)).sum())
 
+    def batch_fn(masks: np.ndarray) -> Optional[np.ndarray]:
+        values = np.zeros(len(masks))
+        sizes = _popcount(masks[:, None])
+        for k in range(1, n + 1):
+            rows = np.flatnonzero(sizes == k)
+            for lo in range(0, len(rows), LOGDET_CHUNK):
+                chunk = rows[lo : lo + LOGDET_CHUNK]
+                # each subset's members, ascending as a Subset iterates them
+                idx = np.nonzero(_member(masks[chunk, None], np.arange(n)))[1].reshape(-1, k)
+                try:
+                    chol = np.linalg.cholesky(a[idx[:, :, None], idx[:, None, :]])
+                except np.linalg.LinAlgError:
+                    return None
+                diag = np.diagonal(chol, axis1=1, axis2=2)
+                out = 2.0 * np.log(diag).sum(axis=1)
+                out[(diag**2).min(axis=1) < LOGDET_PIVOT_TOL] = -np.inf
+                values[chunk] = out
+        return values
+
     return SetFunctionOracle(
         fn,
         GroundSet(gram.n),
@@ -473,6 +557,7 @@ def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:
         claims_nonnegative=False,
         name="logdet",
         serial=("logdet", gram),
+        batch_fn=batch_fn,
     )
 
 

@@ -11,18 +11,26 @@ import heapq
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subreco import (
     AdjacencyRule,
+    CnfFormula,
     CoverageSpec,
+    GramMatrix,
     GroundSet,
     SetFunctionOracle,
     Subset,
     WeightedGraph,
     coverage_oracle,
     cut_oracle,
+    incidence_oracle,
     is_adjacent,
+    logdet_oracle,
+    make_synthetic_gram,
+    modular_oracle,
+    nae_clause_oracle,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -95,6 +103,35 @@ def random_nonnegative_oracle(rng: random.Random, n: int) -> SetFunctionOracle:
 
 def random_subset(rng: random.Random, n: int, size: int) -> Subset:
     return Subset(n, rng.sample(range(n), size))
+
+
+BATCH_KINDS = ("modular", "cut", "coverage", "incidence", "nae", "logdet")
+
+
+def batch_kind_oracle(kind: str, seed: int, n: int) -> SetFunctionOracle:
+    """A random oracle of one of the kinds with a batch form, from ``seed``."""
+    rng = random.Random(seed)
+    if kind == "modular":
+        return modular_oracle([rng.uniform(-2.0, 2.0) for _ in range(n)])
+    if kind == "coverage":
+        items = rng.randint(0, 150)  # past 64 items the bitmaps take several words
+        covered = tuple(
+            tuple(rng.sample(range(items), rng.randint(0, min(items, 9)))) for _ in range(n)
+        )
+        return coverage_oracle(CoverageSpec(items, covered, rng.choice([1.0, 3.0, 0.7])))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    if kind == "cut":
+        return cut_oracle(WeightedGraph.build(n, [(u, v, rng.uniform(0.1, 2.0)) for u, v in pairs]))
+    if kind == "incidence":
+        return incidence_oracle(WeightedGraph.build(n, pairs))
+    if kind == "nae":
+        clauses = [rng.sample(range(n), 3) for _ in range(rng.randint(0, 12))] if n >= 3 else []
+        return nae_clause_oracle(CnfFormula.monotone3(n, clauses))
+    if rng.random() < 0.5:
+        return logdet_oracle(make_synthetic_gram(n, seed))
+    # rank up to n: when below, singular submatrices, some factored and some refused
+    b = np.random.default_rng(seed).normal(size=(n, rng.randint(1, n)))
+    return logdet_oracle(GramMatrix(b @ b.T))
 
 
 # ---------------------------------------------------------------------------

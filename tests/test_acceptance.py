@@ -31,6 +31,8 @@ from subreco import (
     VcReconfigInstance,
     WeightedGraph,
     astar,
+    check_monotone,
+    check_submodular,
     exact_influence,
     inapprox_gadget,
     influence_oracle,
@@ -417,3 +419,12 @@ def test_11_synthetic_gram_search_optimum_and_walk_gap():
         assert wv <= best
         assert wv >= v / 24 - 1e-9
         assert wv < 0.5 * v  # the walk can land far below the search optimum
+
+
+def test_12_exhaustive_audit_of_a_16_element_gram():
+    with criterion("[12] exhaustive structural audit, 16-element gram", budget=3.0):
+        f = logdet_oracle(make_synthetic_gram(16, seed=3))
+        # one evaluate_many over 65,536 states per check, then numpy scans
+        assert check_submodular(f).ok
+        assert check_monotone(f).ok
+        assert f.calls == 2 * (1 << 16)

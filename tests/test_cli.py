@@ -353,7 +353,8 @@ class TestValidate:
         seq.write_text("\n".join(reordered) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["validate", str(path), str(seq), "--theta", "1"]) == 1
-        assert "invalid at step 0" in capsys.readouterr().out
+        # subsets are named 1-indexed, as the CSV writes them
+        assert capsys.readouterr().out == "invalid at step 0: first step {3,4} is not X\n"
 
     def test_threshold_violation(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs54")
@@ -362,7 +363,9 @@ class TestValidate:
         capsys.readouterr()
         # the swap walk dips to value 0, far below half the endpoint values
         assert main(["validate", str(path), str(out_csv), "--theta", "0.5"]) == 1
-        assert "invalid at step" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "invalid at step 2: step {1,2,5,6} falls below threshold 0.5\n"
+        )
 
     def test_without_theta_checks_structure_only(self, tmp_path):
         path = gen_instance(tmp_path, "obs54")
@@ -511,6 +514,13 @@ class TestInputErrors:
         code = main(["solve", "astar", str(path), "--theta", "1", "--budget", "-3"])
         assert code == 3
         assert capsys.readouterr().err == "error: budget must be nonnegative, got -3\n"
+
+    @pytest.mark.parametrize("ids, bad", [("1,9", 9), ("0,2", 0)])
+    def test_restriction_id_is_named_as_written(self, tmp_path, capsys, ids, bad):
+        path = gen_instance(tmp_path, "obs52")
+        capsys.readouterr()
+        assert main(["exact", str(path), "--restrict", ids]) == 3
+        assert capsys.readouterr().err == f"error: element {bad} outside 1..5\n"
 
     def test_missing_sequence_file(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs52")

@@ -4,12 +4,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subreco import (
     AdjacencyRule,
     BudgetExceededError,
+    CheckVerdict,
     CoverageSpec,
     GroundSet,
     OracleDomainError,
@@ -32,8 +33,9 @@ from subreco import (
     total_curvature,
     validate_sequence,
 )
+from subreco.core import CHECK_TOL
 
-from conftest import random_monotone_oracle
+from conftest import batch_kind_oracle, random_monotone_oracle
 
 
 def table_oracle(values: dict[frozenset, float], n: int, **claims) -> SetFunctionOracle:
@@ -486,6 +488,62 @@ class TestProblemInstance:
 # structural checks
 
 
+def reference_submodular(oracle: SetFunctionOracle) -> CheckVerdict:
+    """The exhaustive diminishing-returns scan as a plain loop over (S, e, g)."""
+    n = oracle.universe.n
+    table = [oracle.evaluate(Subset.from_mask(n, m)) for m in range(1 << n)]
+    for s_mask in range(1 << n):
+        free = [e for e in range(n) if not s_mask >> e & 1]
+        base = table[s_mask]
+        for ai in range(len(free)):
+            e = free[ai]
+            with_e = table[s_mask | 1 << e]
+            for g in free[ai + 1 :]:
+                with_g = table[s_mask | 1 << g]
+                with_both = table[s_mask | 1 << e | 1 << g]
+                if (with_e - base) - (with_both - with_g) < -CHECK_TOL:
+                    return CheckVerdict(
+                        False,
+                        (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << g), e),
+                        f"gain of {e} grows when {g} is added",
+                    )
+    return CheckVerdict(True)
+
+
+def reference_monotone(oracle: SetFunctionOracle) -> CheckVerdict:
+    """The exhaustive monotonicity scan as a plain loop over (S, e)."""
+    n = oracle.universe.n
+    table = [oracle.evaluate(Subset.from_mask(n, m)) for m in range(1 << n)]
+    for s_mask in range(1 << n):
+        base = table[s_mask]
+        for e in range(n):
+            if not s_mask >> e & 1 and table[s_mask | 1 << e] < base - CHECK_TOL:
+                return CheckVerdict(
+                    False,
+                    (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << e)),
+                    f"adding {e} decreases the value",
+                )
+    return CheckVerdict(True)
+
+
+@st.composite
+def value_tables(draw) -> tuple[int, list[float]]:
+    """A budget-additive table (monotone submodular, rich in ties) with a few
+    entries overwritten, some by ``-inf``."""
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cap = draw(st.integers(0, 3 * n))
+    table = [
+        float(min(cap, sum(w for e, w in enumerate(weights) if m >> e & 1)))
+        for m in range(1 << n)
+    ]
+    values = st.sampled_from([-math.inf, -1.0, 0.0, 1e-9, 1.0, 2.5, 9.0])
+    planted = st.tuples(st.integers(0, (1 << n) - 1), values)
+    for m, v in draw(st.lists(planted, max_size=4)):
+        table[m] = v
+    return n, table
+
+
 class TestChecks:
     def test_supermodular_square_is_caught(self):
         f = SetFunctionOracle(lambda s: float(len(s) ** 2), GroundSet(4))
@@ -537,6 +595,34 @@ class TestChecks:
             check_submodular(f, mode="sampled", sample_count=count)
         with pytest.raises(ValueError):
             check_monotone(f, mode="sampled", sample_count=count)
+
+    @given(value_tables())
+    # a gain that shrinks, or a value that drops, by exactly CHECK_TOL is no violation
+    @example((2, [0.0, 0.0, 0.0, 1e-9]))
+    @example((2, [1e-9, 0.0, 0.0, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_scans_match_the_reference_loops(self, case):
+        n, table = case
+        for check, reference in (
+            (check_submodular, reference_submodular),
+            (check_monotone, reference_monotone),
+        ):
+            got, want = (
+                scan(SetFunctionOracle(lambda s: table[s.mask], GroundSet(n)))
+                for scan in (check, reference)
+            )
+            assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
+
+    @pytest.mark.parametrize("kind", ["cut", "nae", "logdet", "coverage"])
+    def test_oracle_kinds_match_the_reference_loops(self, kind):
+        for check, reference in (
+            (check_submodular, reference_submodular),
+            (check_monotone, reference_monotone),
+        ):
+            f, g = batch_kind_oracle(kind, 5, 9), batch_kind_oracle(kind, 5, 9)
+            got, want = check(f), reference(g)
+            assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
+            assert f.calls == g.calls == 1 << 9
 
     @given(st.integers(0, 999))
     @settings(max_examples=25, deadline=None)

@@ -637,6 +637,7 @@ class TestParseErrorsNameTheLine:
                 "[oracle]\nkind influence\nrr-file a.rr\nrr-file b.rr\n" + _TAIL,
                 4,
             ),
+            ("case.instance", "[oracle]\nkind gadget\nweights 1 2\n" + _TAIL, 0),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
@@ -652,7 +653,7 @@ class TestParseErrorsNameTheLine:
             "edges-probability-nan", "rr-seed-hex", "second-x", "second-y",
             "second-theta", "coverage-directive", "modular-directive", "cut-directive",
             "section-rules", "section-typo", "second-divisor", "second-kind", "second-n",
-            "second-upsilon", "second-rr-file",
+            "second-upsilon", "second-rr-file", "upsilon-missing",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):

@@ -5,15 +5,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subreco import (
     BudgetExceededError,
     CnfFormula,
     CoverageSpec,
     GramMatrix,
+    GroundSet,
     NotPositiveDefiniteError,
     RrSetCollection,
+    SetFunctionOracle,
     Subset,
+    UniverseMismatchError,
     WeightedGraph,
     check_monotone,
     check_submodular,
@@ -32,6 +37,8 @@ from subreco import (
     shifted_incidence_oracle,
 )
 from subreco import oracles
+
+from conftest import BATCH_KINDS, batch_kind_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +359,93 @@ class TestLogdet:
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         f = logdet_oracle(GramMatrix(q @ np.diag(np.linspace(1.5, 3.0, 5)) @ q.T))
         assert check_monotone(f).ok
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation
+
+def one_at_a_time(f: SetFunctionOracle, masks) -> list[float]:
+    return [f.evaluate(Subset.from_mask(f.universe.n, m)) for m in masks]
+
+
+@given(
+    kind=st.sampled_from(BATCH_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_evaluate_many_equals_evaluate(kind, seed, data):
+    n = data.draw(st.integers(1, 10), label="n")
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=80), label="masks")
+    batch, loop = batch_kind_oracle(kind, seed, n), batch_kind_oracle(kind, seed, n)
+    got = batch.evaluate_many(masks)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, one_at_a_time(loop, masks))
+    assert batch.calls == loop.calls == len(masks)
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_whole_lattice_in_small_chunks(self, kind, monkeypatch):
+        monkeypatch.setattr(oracles, "LOGDET_CHUNK", 5)
+        masks = list(range(1 << 9))[::-1]
+        got = batch_kind_oracle(kind, 11, 9).evaluate_many(masks)
+        assert np.array_equal(got, one_at_a_time(batch_kind_oracle(kind, 11, 9), masks))
+
+    def test_indefinite_gram_fails_on_the_same_subset(self):
+        a = np.zeros((3, 3))
+        a[:2, :2] = [[1.0, 1.0002], [1.0002, 1.0]]
+        a[2, 2] = 1e6
+        batch, loop = logdet_oracle(GramMatrix(a)), logdet_oracle(GramMatrix(a))
+        masks = [0b001, 0b100, 0b011, 0b010]
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            batch.evaluate_many(masks)
+        with pytest.raises(NotPositiveDefiniteError) as want:
+            one_at_a_time(loop, masks)
+        assert got.value.subset == want.value.subset == Subset(3, [0, 1])
+        assert str(got.value) == str(want.value)
+        assert batch.calls == loop.calls == 2
+
+    def test_singular_gram_gives_minus_inf(self):
+        f = logdet_oracle(GramMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        assert f.evaluate_many([3, 0, 1, 2, 3]).tolist() == [-math.inf, 0.0, 0.0, 0.0, -math.inf]
+        assert f.calls == 5
+
+    def test_negative_value_on_a_nonnegative_oracle(self):
+        batches = []
+
+        def batch_fn(masks):
+            batches.append(len(masks))
+            return np.where(masks == 2, -1.0, 0.0)
+
+        f = SetFunctionOracle(
+            lambda s: -1.0 if s.mask == 2 else 0.0,
+            GroundSet(2),
+            claims_nonnegative=True,
+            batch_fn=batch_fn,
+        )
+        with pytest.raises(ValueError, match=r"^nonnegative oracle returned -1.0 on \{1\}$"):
+            f.evaluate_many([0, 1, 2, 3])
+        assert batches == [4]  # the batch ran, then was discarded uncharged
+        assert f.calls == 2
+
+    @pytest.mark.parametrize("bad", [8, -1, 1 << 70])
+    def test_out_of_range_mask(self, bad):
+        f = modular_oracle([1.0, 2.0, 3.0])
+        with pytest.raises(UniverseMismatchError):
+            f.evaluate_many([0, 7, bad, 1])
+        assert f.calls == 2
+
+    def test_oracle_without_batch_form(self):
+        f = SetFunctionOracle(lambda s: float(len(s)), GroundSet(3))
+        assert f.evaluate_many(range(8)).tolist() == [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]
+        assert f.calls == 8
+        assert f.evaluate_many([]).shape == (0,)
+
+    def test_large_universe_evaluates_one_at_a_time(self):
+        f = modular_oracle([float(e) for e in range(70)])
+        assert f.evaluate_many([1 << 69, 0b110]).tolist() == [69.0, 3.0]
+        assert f.calls == 2
 
 
 # ---------------------------------------------------------------------------
