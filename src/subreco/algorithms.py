@@ -193,29 +193,37 @@ def feasible_path(
     settles ``no_path`` without searching), then about another state only
     when it is popped with its current step count ``g``; only passing pops
     count as expansions.  The open list is a monotone bucket queue: bucket
-    ``2 * (g +`` :func:`step_bound` ``)`` is a stack of ``(parent, state)``
-    pairs, popped lowest bucket first and most recent push first, and an
-    entry whose bucket no longer matches its state's ``g`` is stale.  The
-    bound is consistent, so no push lands below the current bucket, each
-    state is popped with its current ``g`` at most once, and every walk
-    found is shortest.
+    ``2 * (g +`` :func:`step_bound` ``)`` is a stack of ``(parent, state,
+    g)`` triples, each laid flat as three list items (a tuple per push
+    costs memory), popped lowest bucket first and most recent push first.
+    A triple is stale exactly when its ``g`` is no longer the state's best
+    step count, since a shorter path pushed the state again later.  A push
+    computes its bucket inline as ``2 * g + a * |T ^ Y| + c * abs(|T| -
+    |Y|)``, with ``a = 2`` for TAR and 1 otherwise and ``c = 1`` for TJAR
+    and 0 otherwise, which is ``2 * (g + step_bound(rule, T, Y))`` for
+    every rule.  The bound is consistent, so no push lands below the
+    current bucket, each state is popped with its current ``g`` at most
+    once, and every walk found is shortest.
     """
     if not feasible(x_mask) or (y_mask != x_mask and not feasible(y_mask)):
         return "no_path", None, 0
     g_score: dict[int, int] = {x_mask: 0}
     parent: dict[int, int] = {}
+    a = 2 if rule is AdjacencyRule.TAR else 1
+    tjar = rule is AdjacencyRule.TJAR
+    y_size = y_mask.bit_count()
     b = int(2 * step_bound(rule, x_mask, y_mask))
-    buckets: list[list[int]] = [[] for _ in range(b)] + [[x_mask, x_mask]]
+    buckets: list[list[int]] = [[] for _ in range(b)] + [[x_mask, x_mask, 0]]
     expansions = 0
     while b < len(buckets):
         stack = buckets[b]
         if not stack:
             b += 1
             continue
+        g = stack.pop()
         mask = stack.pop()
         via = stack.pop()
-        g = g_score[mask]
-        if 2 * (g + step_bound(rule, mask, y_mask)) != b:
+        if g_score[mask] != g:
             continue  # superseded by a shorter path pushed later
         if mask != x_mask and mask != y_mask and not feasible(mask):
             continue
@@ -228,13 +236,16 @@ def feasible_path(
             while chain[-1] != x_mask:
                 chain.append(parent[chain[-1]])
             return "found", chain[::-1], expansions
+        g += 1
         for t in neighbor_masks(rule, n, mask):
-            if g + 1 < g_score.get(t, math.inf):
-                g_score[t] = g + 1
-                tb = int(2 * (g + 1 + step_bound(rule, t, y_mask)))
+            if g < g_score.get(t, math.inf):
+                g_score[t] = g
+                tb = 2 * g + a * (t ^ y_mask).bit_count()
+                if tjar:
+                    tb += abs(t.bit_count() - y_size)
                 while len(buckets) <= tb:
                     buckets.append([])
-                buckets[tb] += (mask, t)
+                buckets[tb] += (mask, t, g)
     return "no_path", None, expansions
 
 

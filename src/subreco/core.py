@@ -373,7 +373,11 @@ def modular_upper_bound(oracle: SetFunctionOracle, r: Subset) -> SetFunctionOrac
             raise OracleDomainError(
                 f"modular bound query {s} intersects masked set {r}"
             )
-        return sum(weights[e] for e in s)
+        # in order: built-in sum() compensates from Python 3.12
+        total = 0.0
+        for e in s:
+            total += weights[e]
+        return total
 
     return SetFunctionOracle(
         fn,

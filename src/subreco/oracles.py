@@ -29,6 +29,8 @@ LOGDET_PIVOT_TOL = 1e-12
 LOGDET_CHUNK = 64
 # set bits per byte value, a popcount that needs no NumPy 2 ``bitwise_count``
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# positions of the set bits of each byte value, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def _member(masks: np.ndarray, e) -> np.ndarray:
@@ -56,7 +58,11 @@ def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
         raise ValueError(f"modular weights must be finite, got {w}")
 
     def fn(s: Subset) -> float:
-        return sum(w[e] for e in s)
+        # in order, as batch_fn adds: built-in sum() compensates from Python 3.12
+        total = 0.0
+        for e in s:
+            total += w[e]
+        return total
 
     def batch_fn(masks: np.ndarray) -> np.ndarray:
         # adding 0.0 for a non-member is exact, so the sum runs in fn's order
@@ -251,19 +257,54 @@ def inverse_indegree_probabilities(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph(d.n, d.edges, d.weights, True, probs)
 
 
+def _edge_words(g: WeightedGraph) -> list[int]:
+    """Per vertex, the word with bit ``i`` set for each edge ``i`` it ends."""
+    words = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        words[u] |= 1 << i
+        words[v] |= 1 << i
+    return words
+
+
 def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
-    """Weighted cut ``f(S) = sum of w(u,v) over edges with exactly one end in S``."""
+    """Weighted cut ``f(S) = sum of w(u,v) over edges with exactly one end in S``.
+
+    An edge is cut exactly when one of its ends is in S, so the XOR of the
+    members' incident-edge words is the word of cut edges.  Construction
+    tabulates, for each run of 4 vertex ids, the XOR of every subset of
+    their words: 16 words per 4 vertices, each ``|E|`` bits wide.  An
+    evaluation XORs one entry per 4 bits of the mask, then walks the cut
+    word a byte at a time and adds each cut edge's weight in ascending edge
+    index, the order a plain loop over the edges adds them in, so the value
+    is the same float.
+    """
     if g.directed:
         raise ValueError("cut oracle expects an undirected graph")
     edges = g.edges
     weights = g.weights
+    words = _edge_words(g) + [0] * (-g.n % 4)
+    tables = []
+    for lo in range(0, g.n, 4):
+        table = [0] * 16
+        for k in range(1, 16):
+            low = k & -k
+            table[k] = table[k ^ low] ^ words[lo + low.bit_length() - 1]
+        tables.append(tuple(table))
+    tables = tuple(tables)
+    width = (len(edges) + 7) // 8
+    # the weights of edges 8p .. 8p + 7, for byte p of the cut word
+    byte_weights = tuple(tuple(weights[lo : lo + 8]) for lo in range(0, len(edges), 8))
 
     def fn(s: Subset) -> float:
         mask = s.mask
+        cut = 0
+        for table in tables:
+            cut ^= table[mask & 15]
+            mask >>= 4
         total = 0.0
-        for i, (u, v) in enumerate(edges):
-            if (mask >> u & 1) != (mask >> v & 1):
-                total += weights[i]
+        for w, byte in zip(byte_weights, cut.to_bytes(width, "little")):
+            for i in _BYTE_BITS[byte]:
+                total += w[i]
         return total
 
     def batch_fn(masks: np.ndarray) -> np.ndarray:
@@ -285,20 +326,35 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
     )
 
 
+def _covered_count(g: WeightedGraph):
+    """``mask -> number of edges with an end in the mask``, from the edge words."""
+    words = _edge_words(g)
+
+    def count(mask: int) -> int:
+        acc = 0
+        while mask:
+            low = mask & -mask
+            acc |= words[low.bit_length() - 1]
+            mask ^= low
+        return acc.bit_count()
+
+    return count
+
+
 def incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
     """Number of edges with at least one endpoint in S (unweighted).
 
-    ``f(S) = |E|`` exactly when S is a vertex cover.
+    ``f(S) = |E|`` exactly when S is a vertex cover.  An evaluation ORs the
+    members' incident-edge words (bit ``i`` for edge ``i``) and counts the
+    set bits.
     """
     if g.directed:
         raise ValueError("incidence oracle expects an undirected graph")
     edges = g.edges
+    covered = _covered_count(g)
 
     def fn(s: Subset) -> float:
-        mask = s.mask
-        return float(
-            sum(1 for u, v in edges if (mask >> u | mask >> v) & 1)
-        )
+        return float(covered(s.mask))
 
     def batch_fn(masks: np.ndarray) -> np.ndarray:
         count = np.zeros(len(masks), dtype=np.int64)
@@ -328,11 +384,11 @@ def shifted_incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
     """
     if g.directed:
         raise ValueError("shifted incidence oracle expects an undirected graph")
-    base = incidence_oracle(g)
+    covered = _covered_count(g)
     n = g.n
 
     def fn(s: Subset) -> float:
-        return base.evaluate(s) + 0.5 * (n - len(s))
+        return float(covered(s.mask)) + 0.5 * (n - len(s))
 
     return SetFunctionOracle(
         fn,

@@ -449,6 +449,41 @@ class TestAstar:
         length = result.sequence.length if result.sequence else None
         assert (result.status, length, result.expansions, result.oracle_calls) == expected
 
+    # n = 24 cut graphs (p = 0.25), so vertex ids span three bytes; each case
+    # pins status, length, effort and the exact walk found
+    @pytest.mark.parametrize(
+        "seed, k, rule, frac, expected",
+        [
+            (0, 8, AdjacencyRule.TJ, 0.9, ("found", 8, 14, 105, (
+                0xCE1050, 0x4E10D0, 0x0F10D0, 0x0710F0, 0x0312F0, 0x0312B8,
+                0x2312A8, 0x2132A8, 0x2126A8))),
+            (0, 10, AdjacencyRule.TJ, 0.99, ("found", 11, 31, 1162, (
+                0xCE9052, 0xCE90D0, 0xCE9098, 0xC69198, 0xC29398, 0xC213B8,
+                0xC233A8, 0xC037A8, 0xC02FA8, 0xC12EA8, 0xA12EA8, 0x216EA8))),
+            (2, 10, AdjacencyRule.TJAR, 0.99, ("found", 11, 60, 2202, (
+                0x52C259, 0x52C278, 0x50CA78, 0x514A78, 0x414AF8, 0x410EF8,
+                0x490EE8, 0x490EAA, 0x4D0EA2, 0xCD0CA2, 0x8D2CA2, 0x8D25A2))),
+            (3, 8, AdjacencyRule.TJAR, 0.99, ("found", 9, 15, 427, (
+                0x228B14, 0x2A8A14, 0x2A8A44, 0x1A8A44, 0x1B0A44, 0x130AC4,
+                0x111AC4, 0x1112C5, 0x1116C1, 0x1114E1))),
+            (3, 10, AdjacencyRule.TJ, 0.99, ("no_path", None, 4, 478, None)),
+            (3, 10, AdjacencyRule.TJAR, 0.99, ("found", 12, 16, 780, (
+                0x2AAB14, 0xA2AB14, 0xA2AB15, 0xA0BB15, 0xA03B95, 0xE03B91,
+                0x603F91, 0x703E91, 0x703EC1, 0x513EC1, 0x551EC1, 0x5516E1,
+                0x5514E1))),
+        ],
+    )
+    def test_pinned_search_on_24_elements(self, seed, k, rule, frac, expected):
+        f = cut_oracle(random_graph(random.Random(seed), 24, 0.25))
+        x, y = interchangeable_greedy(f, k)
+        theta = frac * min(f.evaluate(x), f.evaluate(y))
+        tj_k = k if rule is AdjacencyRule.TJ else None
+        result = astar(ProblemInstance(f, x, y, rule, theta, tj_k))
+        seq = result.sequence
+        walk = tuple(s.mask for s in seq) if seq else None
+        length = seq.length if seq else None
+        assert (result.status, length, result.expansions, result.oracle_calls, walk) == expected
+
     def test_result_truthiness(self):
         found = AstarResult("found", ReconfigSequence([Subset(1, [0])]), 1, 1)
         assert bool(found)

@@ -32,6 +32,7 @@ from subreco import (
     is_vertex_cover,
     logdet_oracle,
     modular_oracle,
+    modular_upper_bound,
     nae_clause_oracle,
     sample_rr_sets,
     shifted_incidence_oracle,
@@ -46,6 +47,16 @@ from conftest import BATCH_KINDS, batch_kind_oracle
 
 
 class TestModular:
+    def test_sums_in_element_order(self):
+        # in order, 1.0 + 1e16 rounds back to 1e16 and so does adding the
+        # second 1.0; a compensated sum (built-in sum() from Python 3.12)
+        # gives 1.0000000000000002e16
+        f = modular_oracle([1.0, 1e16, 1.0])
+        assert f.evaluate(Subset.full(3)) == 1e16
+        assert f.evaluate_many([0b111])[0] == 1e16
+        bound = modular_upper_bound(f, Subset.empty(3))
+        assert bound.evaluate(Subset.full(3)) == 1e16
+
     def test_values(self):
         f = modular_oracle([3.0, 1.0, 2.0])
         assert f.evaluate(Subset(3, [0, 2])) == 5.0
@@ -213,6 +224,56 @@ class TestShiftedIncidence:
         f = shifted_incidence_oracle(K3)
         assert check_submodular(f).ok
         assert not check_monotone(f).ok
+
+
+# The plain loops the table-driven cut and incidence evaluations replace.
+
+
+def reference_cut(g: WeightedGraph, mask: int) -> float:
+    total = 0.0
+    for i, (u, v) in enumerate(g.edges):
+        if (mask >> u & 1) != (mask >> v & 1):
+            total += g.weights[i]
+    return total
+
+
+def reference_incidence(g: WeightedGraph, mask: int) -> float:
+    return float(sum(1 for u, v in g.edges if (mask >> u | mask >> v) & 1))
+
+
+@given(
+    n=st.integers(0, 80),
+    m=st.integers(0, 150),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_scalar_paths_equal_reference_loops(n, m, seed, data):
+    # past 64 edges the edge words are wider than a machine word, and past
+    # 4 vertices the masks span several table entries
+    rng = random.Random(seed)
+    edges = []
+    if n >= 2:
+        for _ in range(m):
+            u, v = rng.sample(range(n), 2)
+            w = rng.choice([0.0, 10 ** rng.uniform(-300, 300), rng.uniform(0.5, 1.5)])
+            edges.append((u, v, w))
+        edges += rng.sample(edges, min(len(edges), 5))  # parallel edges
+    g = WeightedGraph.build(n, edges)
+    cut, inc, shifted = cut_oracle(g), incidence_oracle(g), shifted_incidence_oracle(g)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    for mask in masks + [rng.getrandbits(n)]:
+        s = Subset.from_mask(n, mask)
+        assert cut.evaluate(s) == reference_cut(g, mask)
+        assert inc.evaluate(s) == reference_incidence(g, mask)
+        assert shifted.evaluate(s) == reference_incidence(g, mask) + 0.5 * (n - len(s))
+
+
+def test_cut_adds_weights_in_edge_order():
+    # star on vertex 0: in edge order each 1.0 rounds away against 1e16, while
+    # adding the two 1.0s first, or a compensated sum, gives 1.0000000000000002e16
+    g = WeightedGraph.build(4, [(0, 1, 1.0), (0, 2, 1e16), (0, 3, 1.0)])
+    assert cut_oracle(g).evaluate(Subset(4, [0])) == 1e16
 
 
 # ---------------------------------------------------------------------------
