@@ -144,6 +144,8 @@ def _gadget(args) -> ProblemInstance:
     if args.n is not None and args.n < 0:
         raise ValueError(f"gen {args.name} --n must be nonnegative, got {args.n}")
     tokens = args.weights.replace(",", " ").split() if args.weights else ["0"] * (args.n or 0)
+    if args.n is not None and args.n != len(tokens):
+        raise ValueError(f"gen {args.name} --n {args.n} differs from the {len(tokens)} weights")
     return inapprox_gadget(modular_oracle([float(t) for t in tokens]), args.upsilon)
 
 

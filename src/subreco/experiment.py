@@ -91,11 +91,12 @@ class ExperimentConfig:
     file path, an edge list (influence experiment), or a gram matrix
     (determinant experiment).  The last two build endpoints with
     :func:`interchangeable_greedy` and require ``k``; the influence path also
-    requires an explicit ``seed``.  ``restriction`` (ids of the ground set,
-    for example a :class:`Subset`) confines ``exact``'s lattice; the other
-    algorithms refuse it, and an id outside the ground set is named 1-indexed,
-    as ``exact --restrict`` takes it.  ``budget`` caps the A* expansions of
-    ``astar``, or of all ``exact``'s searches.
+    requires an explicit ``seed``.  A ``k`` with an instance, or a ``seed``
+    with anything but an edge list, is refused.  ``restriction`` (ids of the
+    ground set, for example a :class:`Subset`) confines ``exact``'s lattice;
+    the other algorithms refuse it, and an id outside the ground set is named
+    1-indexed, as ``exact --restrict`` takes it.  ``budget`` caps the A*
+    expansions of ``astar``, or of all ``exact``'s searches.
     """
 
     algorithm: str
@@ -155,6 +156,11 @@ def _resolve_instance(
     """The instance to run, and its source's own ``(theta, theta_frac)``."""
     if sum(s is not None for s in (cfg.instance, cfg.graph_path, cfg.gram_path)) != 1:
         raise ValueError("exactly one instance source must be set")
+
+    if cfg.seed is not None and cfg.graph_path is None:
+        raise ValueError("seed applies only to an edge-list (--graph) source")
+    if cfg.k is not None and cfg.instance is not None:
+        raise ValueError("k applies only to --graph and --gram sources")
 
     if isinstance(cfg.instance, ProblemInstance):
         return cfg.instance, (cfg.instance.theta, None)

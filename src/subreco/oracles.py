@@ -114,39 +114,54 @@ class CoverageSpec:
         return len(self.covered)
 
 
-def coverage_oracle(spec: CoverageSpec) -> SetFunctionOracle:
-    """Weighted coverage ``f(S) = |union of covered sets| / divisor``."""
-    item_masks = tuple(
-        sum(1 << item for item in v) for v in spec.covered
-    )
-    divisor = spec.divisor
-    # element e's items as 64-bit words, item i at bit i % 64 of word i // 64
-    words = np.zeros((spec.n, max(1, (spec.universe_size + 63) // 64)), dtype=np.uint64)
-    for e, items in enumerate(spec.covered):
-        for item in items:
-            words[e, item // 64] |= np.uint64(1 << item % 64)
+def _union_count(words: Sequence[int], mask: int) -> int:
+    """Set bits in the OR of ``words[e]`` over the members ``e`` of ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= words[low.bit_length() - 1]
+        mask ^= low
+    return acc.bit_count()
+
+
+def _union_count_oracle(words: Sequence[int], value, **kwargs) -> SetFunctionOracle:
+    """The oracle ``S -> value(c, mask)``, ``c`` the union count of S's members' words.
+
+    ``evaluate`` hands ``value`` the count as a float and the mask as an int;
+    the batch form hands it a float64 array of counts and the int64 array of
+    masks, ORing the members' words over 64-bit columns (bit ``i`` of a word
+    is bit ``i % 64`` of column ``i // 64``).  A count is a small int either
+    way, so a formula applied to it gives the same float in both forms.
+    """
+    n = len(words)
+    cols = max(1, (max((w.bit_length() for w in words), default=0) + 63) // 64)
+    columns = np.frombuffer(
+        b"".join(w.to_bytes(8 * cols, "little") for w in words), dtype="<u8"
+    ).reshape(n, cols)
 
     def fn(s: Subset) -> float:
-        acc = 0
-        for e in s:
-            acc |= item_masks[e]
-        return acc.bit_count() / divisor
+        return value(float(_union_count(words, s.mask)), s.mask)
 
     def batch_fn(masks: np.ndarray) -> np.ndarray:
-        acc = np.zeros((len(masks), words.shape[1]), dtype=np.uint64)
-        for e in range(spec.n):
-            np.bitwise_or(acc, words[e], out=acc, where=_member(masks, e)[:, None] == 1)
-        return _popcount(acc) / divisor
+        acc = np.zeros((len(masks), cols), dtype=np.uint64)
+        for e in range(n):
+            np.bitwise_or(acc, columns[e], out=acc, where=_member(masks, e)[:, None] == 1)
+        return value(_popcount(acc).astype(np.float64), masks)
 
-    return SetFunctionOracle(
-        fn,
-        GroundSet(spec.n),
+    return SetFunctionOracle(fn, GroundSet(n), batch_fn=batch_fn, **kwargs)
+
+
+def coverage_oracle(spec: CoverageSpec) -> SetFunctionOracle:
+    """Weighted coverage ``f(S) = |union of covered sets| / divisor``."""
+    divisor = spec.divisor
+    return _union_count_oracle(
+        [sum(1 << item for item in v) for v in spec.covered],
+        lambda c, mask: c / divisor,
         claims_monotone=True,
         claims_submodular=True,
         claims_nonnegative=True,
         name="coverage",
         serial=("coverage", spec),
-        batch_fn=batch_fn,
     )
 
 
@@ -326,21 +341,6 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
     )
 
 
-def _covered_count(g: WeightedGraph):
-    """``mask -> number of edges with an end in the mask``, from the edge words."""
-    words = _edge_words(g)
-
-    def count(mask: int) -> int:
-        acc = 0
-        while mask:
-            low = mask & -mask
-            acc |= words[low.bit_length() - 1]
-            mask ^= low
-        return acc.bit_count()
-
-    return count
-
-
 def incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
     """Number of edges with at least one endpoint in S (unweighted).
 
@@ -350,27 +350,14 @@ def incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
     """
     if g.directed:
         raise ValueError("incidence oracle expects an undirected graph")
-    edges = g.edges
-    covered = _covered_count(g)
-
-    def fn(s: Subset) -> float:
-        return float(covered(s.mask))
-
-    def batch_fn(masks: np.ndarray) -> np.ndarray:
-        count = np.zeros(len(masks), dtype=np.int64)
-        for u, v in edges:
-            count += _member(masks, u) | _member(masks, v)
-        return count.astype(np.float64)
-
-    return SetFunctionOracle(
-        fn,
-        GroundSet(g.n),
+    return _union_count_oracle(
+        _edge_words(g),
+        lambda c, mask: c,
         claims_monotone=True,
         claims_submodular=True,
         claims_nonnegative=True,
         name="incidence",
         serial=("incidence", g),
-        batch_fn=batch_fn,
     )
 
 
@@ -384,15 +371,15 @@ def shifted_incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
     """
     if g.directed:
         raise ValueError("shifted incidence oracle expects an undirected graph")
-    covered = _covered_count(g)
     n = g.n
 
-    def fn(s: Subset) -> float:
-        return float(covered(s.mask)) + 0.5 * (n - len(s))
+    def value(c, mask):
+        size = mask.bit_count() if isinstance(mask, int) else _popcount(mask[:, None])
+        return c + 0.5 * (n - size)
 
-    return SetFunctionOracle(
-        fn,
-        GroundSet(n),
+    return _union_count_oracle(
+        _edge_words(g),
+        value,
         claims_monotone=False,
         claims_submodular=True,
         claims_nonnegative=True,
@@ -769,10 +756,7 @@ def influence_oracle(rr: RrSetCollection) -> SetFunctionOracle:
     scale = n / count
 
     def fn(s: Subset) -> float:
-        acc = 0
-        for v in s:
-            acc |= vertex_masks[v]
-        return scale * acc.bit_count()
+        return scale * _union_count(vertex_masks, s.mask)
 
     return SetFunctionOracle(
         fn,

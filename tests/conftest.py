@@ -31,6 +31,7 @@ from subreco import (
     make_synthetic_gram,
     modular_oracle,
     nae_clause_oracle,
+    shifted_incidence_oracle,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -105,7 +106,7 @@ def random_subset(rng: random.Random, n: int, size: int) -> Subset:
     return Subset(n, rng.sample(range(n), size))
 
 
-BATCH_KINDS = ("modular", "cut", "coverage", "incidence", "nae", "logdet")
+BATCH_KINDS = ("modular", "cut", "coverage", "incidence", "shifted_incidence", "nae", "logdet")
 
 
 def batch_kind_oracle(kind: str, seed: int, n: int) -> SetFunctionOracle:
@@ -124,6 +125,8 @@ def batch_kind_oracle(kind: str, seed: int, n: int) -> SetFunctionOracle:
         return cut_oracle(WeightedGraph.build(n, [(u, v, rng.uniform(0.1, 2.0)) for u, v in pairs]))
     if kind == "incidence":
         return incidence_oracle(WeightedGraph.build(n, pairs))
+    if kind == "shifted_incidence":
+        return shifted_incidence_oracle(WeightedGraph.build(n, pairs))
     if kind == "nae":
         clauses = [rng.sample(range(n), 3) for _ in range(rng.randint(0, 12))] if n >= 3 else []
         return nae_clause_oracle(CnfFormula.monotone3(n, clauses))

@@ -130,6 +130,19 @@ class TestGen:
         assert (spec.theta, spec.theta_frac) == (4.0, None)
         assert spec.oracle.evaluate(spec.x) == 4.0
 
+    def test_shifted_incidence_audit_verdicts(self, tmp_path, capsys):
+        # the exhaustive checks read shifted incidence through its batch form
+        graph = write_p4(tmp_path)
+        path = gen_instance(
+            tmp_path, "minvc2tjar", "--graph", str(graph), "--x", "2,3", "--y", "1,3"
+        )
+        capsys.readouterr()
+        assert main(["check", "submodular", str(path)]) == 0
+        assert main(["check", "monotone", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "ok\ncounterexample: {1}, {0,1} (adding 0 decreases the value)\n"
+        )
+
     def test_nae_clause_instance(self, tmp_path):
         cnf = write_single_clause_cnf(tmp_path)
         path = tmp_path / "nae.inst"
@@ -465,6 +478,13 @@ class TestInputErrors:
         assert "positive multiple of 4" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_gadget_size_differs_from_weights(self, tmp_path, capsys):
+        path = tmp_path / "g.inst"
+        flags = ["--upsilon", "6", "--n", "2", "--weights", "1,2,3", "--out", str(path)]
+        assert main(["gen", "gadget", *flags]) == 3
+        assert capsys.readouterr().err == "error: gen gadget --n 2 differs from the 3 weights\n"
+        assert not path.exists()
+
     def test_gadget_negative_size(self, tmp_path, capsys):
         path = tmp_path / "g.inst"
         assert main(["gen", "gadget", "--upsilon", "6", "--n", "-3", "--out", str(path)]) == 3
@@ -494,6 +514,25 @@ class TestInputErrors:
         )
         assert code == 3
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "astar", "{inst}", "--k", "3"], "k applies only to"),
+            (["exact", "{inst}", "--k", "1"], "k applies only to"),
+            (["solve", "swap", "{inst}", "--seed", "1"], "seed applies only to"),
+            (["exact", "--gram", "{gram}", "--k", "1", "--seed", "1"], "seed applies only to"),
+        ],
+        ids=["k-solve", "k-exact", "seed-instance", "seed-gram"],
+    )
+    def test_flag_the_source_does_not_read(self, tmp_path, capsys, argv, message):
+        inst = gen_instance(tmp_path, "obs52")
+        gram = tmp_path / "m.gram"
+        gram.write_text("2\n2.0 0.0\n0.0 2.0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([a.format(inst=inst, gram=gram) for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_non_finite_gram(self, tmp_path, capsys):
         path = tmp_path / "nan.gram"

@@ -613,7 +613,9 @@ class TestChecks:
             )
             assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
 
-    @pytest.mark.parametrize("kind", ["cut", "nae", "logdet", "coverage"])
+    @pytest.mark.parametrize(
+        "kind", ["cut", "nae", "logdet", "coverage", "incidence", "shifted_incidence"]
+    )
     def test_oracle_kinds_match_the_reference_loops(self, kind):
         for check, reference in (
             (check_submodular, reference_submodular),

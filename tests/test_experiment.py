@@ -213,6 +213,30 @@ class TestRunExperiment:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 2}, "k applies only to"),
+            ({"seed": 1}, "seed applies only to"),
+        ],
+    )
+    def test_instance_source_refuses_k_and_seed(self, tmp_path, fields, message):
+        inst = obs52_instance()
+        path = tmp_path / "detour.inst"
+        write_instance(path, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
+        for source in (inst, path):
+            with pytest.raises(ValueError, match=message):
+                run_experiment(ExperimentConfig(algorithm="swap", instance=source, **fields))
+        assert inst.oracle.calls == 0
+
+    def test_gram_source_refuses_seed(self, tmp_path):
+        from subreco import write_gram
+
+        path = tmp_path / "m.gram"
+        write_gram(path, make_synthetic_gram(4, seed=5))
+        with pytest.raises(ValueError, match="seed applies only to"):
+            run_experiment(ExperimentConfig(algorithm="swap", gram_path=path, k=1, seed=3))
+
     def test_small_influence_pipeline(self, tmp_path):
         from subreco import WeightedGraph, write_edge_list
 

@@ -226,7 +226,8 @@ class TestShiftedIncidence:
         assert not check_monotone(f).ok
 
 
-# The plain loops the table-driven cut and incidence evaluations replace.
+# The plain loops the table-driven cut evaluation and the union-count kernel
+# (coverage, incidence, shifted incidence, influence) replace.
 
 
 def reference_cut(g: WeightedGraph, mask: int) -> float:
@@ -267,6 +268,32 @@ def test_scalar_paths_equal_reference_loops(n, m, seed, data):
         assert cut.evaluate(s) == reference_cut(g, mask)
         assert inc.evaluate(s) == reference_incidence(g, mask)
         assert shifted.evaluate(s) == reference_incidence(g, mask) + 0.5 * (n - len(s))
+
+
+def reference_coverage(spec: CoverageSpec, mask: int) -> float:
+    items = set()
+    for e in range(spec.n):
+        if mask >> e & 1:
+            items.update(spec.covered[e])
+    return len(items) / spec.divisor
+
+
+@given(
+    n=st.integers(0, 80),
+    items=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_coverage_equals_reference_loop(n, items, seed, data):
+    # past 64 items an element's covered set spans several 64-bit words
+    rng = random.Random(seed)
+    covered = tuple(tuple(rng.sample(range(items), rng.randint(0, items))) for _ in range(n))
+    spec = CoverageSpec(items, covered, rng.choice([1.0, 3.0, 0.7, 1e-300]))
+    f = coverage_oracle(spec)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    for mask in masks + [rng.getrandbits(n)]:
+        assert f.evaluate(Subset.from_mask(n, mask)) == reference_coverage(spec, mask)
 
 
 def test_cut_adds_weights_in_edge_order():
@@ -436,7 +463,7 @@ def one_at_a_time(f: SetFunctionOracle, masks) -> list[float]:
 )
 @settings(max_examples=200, deadline=None)
 def test_evaluate_many_equals_evaluate(kind, seed, data):
-    n = data.draw(st.integers(1, 10), label="n")
+    n = data.draw(st.integers(1, 20), label="n")
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=80), label="masks")
     batch, loop = batch_kind_oracle(kind, seed, n), batch_kind_oracle(kind, seed, n)
     got = batch.evaluate_many(masks)
@@ -670,6 +697,12 @@ class TestRrSamplerMatchesReference:
         assert roots_seen == set(range(6))
 
 
+def random_rr_collection(rng: random.Random, n: int, count: int) -> RrSetCollection:
+    width = (n + 7) // 8
+    rows = b"".join(rng.randrange(1, 1 << n).to_bytes(width, "little") for _ in range(count))
+    return RrSetCollection(n, rows, seed=0)
+
+
 def reference_vertex_masks(rr):
     """The per-set loop: vertex v's bitmap has the bits of the sets holding v."""
     hit = np.zeros((rr.n, rr.count), dtype=bool)
@@ -683,11 +716,40 @@ def reference_vertex_masks(rr):
 @pytest.mark.parametrize("n", [3, 34, 70])
 @pytest.mark.parametrize("count", [1, 1003])
 def test_vertex_masks_match_per_set_loop(n, count):
-    rng = random.Random(n * 7919 + count)
-    width = (n + 7) // 8
-    rows = b"".join(rng.randrange(1, 1 << n).to_bytes(width, "little") for _ in range(count))
-    rr = RrSetCollection(n, rows, seed=0)
+    rr = random_rr_collection(random.Random(n * 7919 + count), n, count)
     assert oracles._vertex_masks(rr) == reference_vertex_masks(rr)
+
+
+def reference_influence(rr: RrSetCollection, mask: int) -> float:
+    """The per-set loop: the share of sets meeting S, scaled to n as the oracle does."""
+    hits = sum(1 for r in rr.sets if r.mask & mask)
+    return rr.n / rr.count * hits
+
+
+@given(
+    n=st.integers(1, 80),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_influence_equals_reference_loop(n, count, seed, data):
+    rng = random.Random(seed)
+    rr = random_rr_collection(rng, n, count)
+    f = influence_oracle(rr)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    for mask in masks + [rng.getrandbits(n)]:
+        assert f.evaluate(Subset.from_mask(n, mask)) == reference_influence(rr, mask)
+
+
+def test_influence_evaluate_many_is_the_per_mask_loop():
+    # influence has no batch form: evaluate_many runs evaluate mask by mask
+    rng = random.Random(4)
+    rr = random_rr_collection(rng, 12, 500)
+    masks = [rng.getrandbits(12) for _ in range(200)]
+    batch, loop = influence_oracle(rr), influence_oracle(rr)
+    assert np.array_equal(batch.evaluate_many(masks), one_at_a_time(loop, masks))
+    assert batch.calls == loop.calls == len(masks)
 
 
 class TestInfluenceOracle:
