@@ -43,9 +43,7 @@ class GreedyTrace:
     oracle_calls: int
 
 
-def _best_extension(
-    f: SetFunctionOracle, n: int, base_mask: int, candidates: int
-) -> tuple[int, float]:
+def _best_extension(f: SetFunctionOracle, base_mask: int, candidates: int) -> tuple[int, float]:
     """The candidate ``e`` with the largest ``f(base + e)``, and that value.
 
     Candidates are evaluated once each in ascending id order, and ties go to
@@ -57,7 +55,7 @@ def _best_extension(
     while m:
         low = m & -m
         m ^= low
-        v = f.evaluate(Subset.from_mask(n, base_mask | low))
+        v = f.evaluate(base_mask | low)
         if best_e < 0 or v > best_v:
             best_e, best_v = low.bit_length() - 1, v
     return best_e, best_v
@@ -79,7 +77,7 @@ def greedy(f: SetFunctionOracle, ground: Subset, k: int) -> GreedyTrace:
     elements: list[int] = []
     values: list[float] = []
     for _ in range(k):
-        e, v = _best_extension(f, ground.n, chosen_mask, remaining)
+        e, v = _best_extension(f, chosen_mask, remaining)
         elements.append(e)
         values.append(v)
         chosen_mask |= 1 << e
@@ -291,7 +289,7 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
     calls_before = f.calls
 
     def feasible(mask: int) -> bool:
-        return f.evaluate(Subset.from_mask(n, mask)) >= bound
+        return f.evaluate(mask) >= bound
 
     status, masks, expansions = feasible_path(
         instance.rule, n, instance.x.mask, instance.y.mask, feasible, budget

@@ -54,13 +54,10 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", nargs="?", help="instance file")
     p.add_argument("--graph", help="edge list for an influence experiment")
     p.add_argument("--gram", help="gram matrix for a determinant experiment")
-    p.add_argument("--directed", action="store_true", help="edge list holds arcs")
-    p.add_argument(
-        "--probability-mode",
-        default="inverse-in-degree",
-        choices=["inverse-in-degree", "given"],
-    )
-    p.add_argument("--rr-count", type=int, default=100_000)
+    # the --graph flags default to None, so that another source can refuse them
+    p.add_argument("--directed", action="store_true", default=None, help="edge list holds arcs")
+    p.add_argument("--probability-mode", choices=["inverse-in-degree", "given"])
+    p.add_argument("--rr-count", type=int, help="RR sets to sample (default 100000)")
     p.add_argument("--seed", type=int, help="sampling seed (required with --graph)")
     p.add_argument("--k", type=int, help="endpoint size for greedy construction")
     p.add_argument("--rule", choices=["tj", "tar", "tjar"])
@@ -179,11 +176,14 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # unset sampling flags take the checks' own defaults
+    sampling = {"sample_count": args.samples, "seed": args.seed}
+    sampling = {k: v for k, v in sampling.items() if v is not None}
+    if sampling and args.mode != "sampled":
+        raise ValueError("--samples and --seed apply only to --mode sampled")
     spec = load_instance(args.instance)
     checker = check_submodular if args.property == "submodular" else check_monotone
-    verdict = checker(
-        spec.oracle, mode=args.mode, sample_count=args.samples, seed=args.seed
-    )
+    verdict = checker(spec.oracle, mode=args.mode, **sampling)
     if verdict:
         print("ok")
         return OK
@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=["submodular", "monotone"])
     p.add_argument("instance")
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="sampled mode: samples (default 1000)")
+    p.add_argument("--seed", type=int, help="sampled mode: seed (default 0)")
     p.set_defaults(fn=_cmd_check)
 
     return parser

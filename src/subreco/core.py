@@ -15,10 +15,11 @@ files and the command line use.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +42,14 @@ class OracleDomainError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A search ran out of its budget, or an enumeration would exceed its size guard."""
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The ids of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -102,11 +111,7 @@ class Subset:
         return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return _bits(self.mask)
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
@@ -196,17 +201,21 @@ class AdjacencyRule(Enum):
 class SetFunctionOracle:
     """Deterministic set function with call accounting.
 
-    The wrapped function must return identical values for identical subsets;
-    randomized constructions have to be frozen before being wrapped.  The call
-    counter increases by one per completed evaluation; it takes no lock, since
-    the package runs in a single thread.
+    ``fn`` takes an in-range int mask (bit ``e`` set when element ``e`` is in
+    the subset) and must return identical values for identical masks;
+    randomized constructions have to be frozen before being wrapped.
+    :meth:`evaluate` takes a :class:`Subset` or a mask of any integer type
+    (read by ``operator.index``), and raises :class:`UniverseMismatchError`
+    for one outside the universe.  The call counter increases by one per
+    completed evaluation; it takes no lock, since the package runs in a
+    single thread.
 
     ``batch_fn`` (optional) is the same function over many subsets at once:
     it takes a 1-D int64 array of in-range masks and returns their values as
     a float64 array, equal bit for bit to ``fn`` on each, or None when it
     cannot (the log-determinant's batch does so on a failed Cholesky
     factorization).  :meth:`evaluate_many` uses it and otherwise evaluates
-    one subset at a time; either way it charges one call per mask.
+    one mask at a time; either way it charges one call per mask.
 
     ``claims_*`` flags are declarations by the constructor, not verified
     facts; :func:`check_submodular` and :func:`check_monotone` test them.
@@ -214,7 +223,7 @@ class SetFunctionOracle:
 
     def __init__(
         self,
-        fn: Callable[[Subset], float],
+        fn: Callable[[int], float],
         universe: GroundSet,
         *,
         claims_monotone: bool = False,
@@ -238,14 +247,16 @@ class SetFunctionOracle:
     def calls(self) -> int:
         return self._calls
 
-    def evaluate(self, s: Subset) -> float:
-        if s.n != self.universe.n:
-            raise UniverseMismatchError(
-                f"subset over universe {s.n} queried on oracle over {self.universe.n}"
-            )
-        value = self._fn(s)
+    def evaluate(self, s: Union[Subset, int]) -> float:
+        n = self.universe.n
+        if isinstance(s, Subset) and s.n != n:
+            raise UniverseMismatchError(f"subset over universe {s.n} queried on oracle over {n}")
+        mask = s.mask if isinstance(s, Subset) else operator.index(s)
+        if mask < 0 or mask >> n:
+            raise UniverseMismatchError(f"mask {mask:#x} outside universe of size {n}")
+        value = self._fn(mask)
         if self.claims_nonnegative and value < -1e-12:
-            raise ValueError(f"nonnegative oracle returned {value} on {s}")
+            raise ValueError(f"nonnegative oracle returned {value} on {Subset.from_mask(n, mask)}")
         self._calls += 1
         return value
 
@@ -276,9 +287,7 @@ class SetFunctionOracle:
                 else:
                     self._calls += len(values)
                     return values
-        return np.array(
-            [self.evaluate(Subset.from_mask(n, int(m))) for m in masks], dtype=np.float64
-        )
+        return np.array([self.evaluate(m) for m in masks], dtype=np.float64)
 
     def __repr__(self) -> str:
         flags = "".join(
@@ -307,12 +316,12 @@ def residual(oracle: SetFunctionOracle, r: Subset) -> SetFunctionOracle:
     offset = oracle.evaluate(r)
     r_mask = r.mask
 
-    def fn(s: Subset) -> float:
-        if s.mask & r_mask:
+    def fn(mask: int) -> float:
+        if mask & r_mask:
             raise OracleDomainError(
-                f"residual query {s} intersects masked set {r}"
+                f"residual query {Subset.from_mask(n, mask)} intersects masked set {r}"
             )
-        return oracle.evaluate(Subset.from_mask(n, s.mask | r_mask)) - offset
+        return oracle.evaluate(mask | r_mask) - offset
 
     return SetFunctionOracle(
         fn,
@@ -337,12 +346,12 @@ def total_curvature(oracle: SetFunctionOracle) -> float:
     if not (oracle.claims_monotone and oracle.claims_nonnegative):
         raise ValueError("total curvature needs a monotone nonnegative oracle")
     n = oracle.universe.n
-    full = Subset.full(n)
+    full = (1 << n) - 1
     f_full = oracle.evaluate(full)
     worst = 1.0
     for e in range(n):
-        f_drop = oracle.evaluate(full.remove(e))
-        f_single = oracle.evaluate(Subset.from_mask(n, 1 << e))
+        f_drop = oracle.evaluate(full ^ 1 << e)
+        f_single = oracle.evaluate(1 << e)
         if f_single != 0.0:
             ratio = (f_full - f_drop) / f_single
             if ratio < worst:
@@ -366,16 +375,16 @@ def modular_upper_bound(oracle: SetFunctionOracle, r: Subset) -> SetFunctionOrac
     weights = {}
     for e in range(n):
         if not r_mask >> e & 1:
-            weights[e] = res.evaluate(Subset.from_mask(n, 1 << e))
+            weights[e] = res.evaluate(1 << e)
 
-    def fn(s: Subset) -> float:
-        if s.mask & r_mask:
+    def fn(mask: int) -> float:
+        if mask & r_mask:
             raise OracleDomainError(
-                f"modular bound query {s} intersects masked set {r}"
+                f"modular bound query {Subset.from_mask(n, mask)} intersects masked set {r}"
             )
         # in order: built-in sum() compensates from Python 3.12
         total = 0.0
-        for e in s:
+        for e in _bits(mask):
             total += weights[e]
         return total
 
@@ -696,12 +705,8 @@ def check_submodular(
         s_mask = t_mask & (rng.getrandbits(n) if n else 0)
         free = [e for e in range(n) if not t_mask >> e & 1]
         e = rng.choice(free)
-        gain_small = oracle.evaluate(
-            Subset.from_mask(n, s_mask | 1 << e)
-        ) - oracle.evaluate(Subset.from_mask(n, s_mask))
-        gain_large = oracle.evaluate(
-            Subset.from_mask(n, t_mask | 1 << e)
-        ) - oracle.evaluate(Subset.from_mask(n, t_mask))
+        gain_small = oracle.evaluate(s_mask | 1 << e) - oracle.evaluate(s_mask)
+        gain_large = oracle.evaluate(t_mask | 1 << e) - oracle.evaluate(t_mask)
         if gain_small - gain_large < -CHECK_TOL:
             return CheckVerdict(
                 False,
@@ -749,9 +754,7 @@ def check_monotone(
         if not free:
             continue
         e = rng.choice(free)
-        if oracle.evaluate(Subset.from_mask(n, s_mask | 1 << e)) < oracle.evaluate(
-            Subset.from_mask(n, s_mask)
-        ) - CHECK_TOL:
+        if oracle.evaluate(s_mask | 1 << e) < oracle.evaluate(s_mask) - CHECK_TOL:
             return CheckVerdict(
                 False,
                 (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << e)),

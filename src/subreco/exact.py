@@ -127,7 +127,7 @@ def _optimum(
 
     def value(mask: int) -> float:
         if mask not in memo:
-            memo[mask] = oracle.evaluate(Subset.from_mask(n, mask))
+            memo[mask] = oracle.evaluate(mask)
         return memo[mask]
 
     def search(passes) -> Optional[list[int]]:

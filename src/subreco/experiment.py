@@ -61,9 +61,9 @@ def interchangeable_greedy(
     x_mask = 0
     y_mask = 0
     for _ in range(k):
-        e, _ = _best_extension(f, n, x_mask, everything & ~(x_mask | y_mask))
+        e, _ = _best_extension(f, x_mask, everything & ~(x_mask | y_mask))
         x_mask |= 1 << e
-        e, _ = _best_extension(f, n, y_mask, everything & ~(x_mask | y_mask))
+        e, _ = _best_extension(f, y_mask, everything & ~(x_mask | y_mask))
         y_mask |= 1 << e
     return Subset.from_mask(n, x_mask), Subset.from_mask(n, y_mask)
 
@@ -91,21 +91,24 @@ class ExperimentConfig:
     file path, an edge list (influence experiment), or a gram matrix
     (determinant experiment).  The last two build endpoints with
     :func:`interchangeable_greedy` and require ``k``; the influence path also
-    requires an explicit ``seed``.  A ``k`` with an instance, or a ``seed``
-    with anything but an edge list, is refused.  ``restriction`` (ids of the
-    ground set, for example a :class:`Subset`) confines ``exact``'s lattice;
-    the other algorithms refuse it, and an id outside the ground set is named
-    1-indexed, as ``exact --restrict`` takes it.  ``budget`` caps the A*
-    expansions of ``astar``, or of all ``exact``'s searches.
+    requires an explicit ``seed``.  Only the edge-list source reads
+    ``directed`` (default False), ``probability_mode`` (default
+    ``"inverse-in-degree"``), ``rr_count`` (default 100,000) and ``seed``;
+    one of these set with another source, or a ``k`` with an instance, is
+    refused.  ``restriction`` (ids of the ground set, for example a
+    :class:`Subset`) confines ``exact``'s lattice; the other algorithms
+    refuse it, and an id outside the ground set is named 1-indexed, as
+    ``exact --restrict`` takes it.  ``budget`` caps the A* expansions of
+    ``astar``, or of all ``exact``'s searches.
     """
 
     algorithm: str
     instance: Optional[Union[ProblemInstance, str, Path]] = None
     graph_path: Optional[PathLike] = None
     gram_path: Optional[PathLike] = None
-    directed: bool = False
-    probability_mode: str = "inverse-in-degree"
-    rr_count: int = 100_000
+    directed: Optional[bool] = None
+    probability_mode: Optional[str] = None
+    rr_count: Optional[int] = None
     seed: Optional[int] = None
     k: Optional[int] = None
     rule: Optional[AdjacencyRule] = None
@@ -157,8 +160,10 @@ def _resolve_instance(
     if sum(s is not None for s in (cfg.instance, cfg.graph_path, cfg.gram_path)) != 1:
         raise ValueError("exactly one instance source must be set")
 
-    if cfg.seed is not None and cfg.graph_path is None:
-        raise ValueError("seed applies only to an edge-list (--graph) source")
+    if cfg.graph_path is None:
+        for name in ("seed", "directed", "probability_mode", "rr_count"):
+            if getattr(cfg, name) is not None:
+                raise ValueError(f"{name} applies only to an edge-list (--graph) source")
     if cfg.k is not None and cfg.instance is not None:
         raise ValueError("k applies only to --graph and --gram sources")
 
@@ -174,12 +179,10 @@ def _resolve_instance(
     if cfg.graph_path is not None:
         if cfg.seed is None:
             raise ValueError("influence experiments need an explicit seed")
-        graph = load_edge_list(
-            cfg.graph_path,
-            directed=cfg.directed,
-            probability_mode=cfg.probability_mode,
-        )
-        oracle = influence_oracle(sample_rr_sets(graph, cfg.rr_count, cfg.seed))
+        mode = "inverse-in-degree" if cfg.probability_mode is None else cfg.probability_mode
+        graph = load_edge_list(cfg.graph_path, directed=bool(cfg.directed), probability_mode=mode)
+        rr_count = 100_000 if cfg.rr_count is None else cfg.rr_count
+        oracle = influence_oracle(sample_rr_sets(graph, rr_count, cfg.seed))
     else:
         oracle = logdet_oracle(load_gram(cfg.gram_path))
 

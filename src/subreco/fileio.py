@@ -11,8 +11,8 @@ Formats:
 * gram matrix: first line ``n``, then ``n`` rows of ``n`` reals;
 * CNF: DIMACS-like (``c`` comments, ``p cnf <vars> <clauses>``, clauses as
   signed integers terminated by 0);
-* reverse-reachable collection: header ``n count seed``, an optional
-  ``% graph <digest>`` comment, then one vertex set per line;
+* reverse-reachable collection: header ``n count seed``, then one vertex set
+  per line;
 * instance: sections ``[oracle]`` (kind plus parameters or data-file
   references; an ``edge`` line holds an edge-list row), ``[endpoints]``,
   ``[rule]``, ``[theta]``.
@@ -305,8 +305,6 @@ def save_rr_collection(path: PathLike, rr: RrSetCollection) -> None:
     # past 4,300 decimal digits, the default int-to-str limit, the seed goes in hex
     seed = hex(rr.seed) if abs(rr.seed) >= 10**4300 else str(rr.seed)
     lines = [f"{rr.n} {rr.count} {seed}"]
-    if rr.source_digest:
-        lines.append(f"% graph {rr.source_digest}")
     for s in rr.sets:
         lines.append(" ".join(str(v + 1) for v in s))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -314,15 +312,9 @@ def save_rr_collection(path: PathLike, rr: RrSetCollection) -> None:
 
 def load_rr_collection(path: PathLike) -> RrSetCollection:
     path = Path(path)
-    digest = ""
     header = None
     rows: list[bytes] = []
-    for lineno, text in _lines(path):
-        if text.startswith("%"):
-            tokens = text[1:].split()
-            if len(tokens) == 2 and tokens[0] == "graph":
-                digest = tokens[1]
-            continue
+    for lineno, text in _data_lines(path):
         if header is None:
             parts = text.split()
             if len(parts) != 3:
@@ -342,7 +334,7 @@ def load_rr_collection(path: PathLike) -> RrSetCollection:
         raise InstanceParseError(path, 0, "missing header line")
     if len(rows) != count:
         raise InstanceParseError(path, header, f"header promised {count} sets, found {len(rows)}")
-    return RrSetCollection(n, b"".join(rows), seed, digest)
+    return RrSetCollection(n, b"".join(rows), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ data first, so the oracles themselves stay deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -20,6 +19,7 @@ from .core import (
     GroundSet,
     SetFunctionOracle,
     Subset,
+    _bits,
 )
 
 GRAM_SYMMETRY_TOL = 1e-12
@@ -57,10 +57,10 @@ def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
     if not all(math.isfinite(x) for x in w):
         raise ValueError(f"modular weights must be finite, got {w}")
 
-    def fn(s: Subset) -> float:
+    def fn(mask: int) -> float:
         # in order, as batch_fn adds: built-in sum() compensates from Python 3.12
         total = 0.0
-        for e in s:
+        for e in _bits(mask):
             total += w[e]
         return total
 
@@ -139,8 +139,8 @@ def _union_count_oracle(words: Sequence[int], value, **kwargs) -> SetFunctionOra
         b"".join(w.to_bytes(8 * cols, "little") for w in words), dtype="<u8"
     ).reshape(n, cols)
 
-    def fn(s: Subset) -> float:
-        return value(float(_union_count(words, s.mask)), s.mask)
+    def fn(mask: int) -> float:
+        return value(float(_union_count(words, mask)), mask)
 
     def batch_fn(masks: np.ndarray) -> np.ndarray:
         acc = np.zeros((len(masks), cols), dtype=np.uint64)
@@ -231,15 +231,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def digest(self) -> str:
-        """Stable fingerprint of the graph structure, for replay bookkeeping."""
-        h = hashlib.sha256()
-        h.update(f"{self.n};{int(self.directed)};".encode())
-        for i, (u, v) in enumerate(self.edges):
-            p = "" if self.probabilities is None else repr(self.probabilities[i])
-            h.update(f"{u},{v},{self.weights[i]!r},{p}|".encode())
-        return h.hexdigest()
-
 
 def directionalize(g: WeightedGraph) -> WeightedGraph:
     """Replace each undirected edge with the two opposite arcs."""
@@ -310,8 +301,7 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
     # the weights of edges 8p .. 8p + 7, for byte p of the cut word
     byte_weights = tuple(tuple(weights[lo : lo + 8]) for lo in range(0, len(edges), 8))
 
-    def fn(s: Subset) -> float:
-        mask = s.mask
+    def fn(mask: int) -> float:
         cut = 0
         for table in tables:
             cut ^= table[mask & 15]
@@ -471,8 +461,7 @@ def nae_clause_oracle(phi: CnfFormula) -> SetFunctionOracle:
         sum(1 << var for var in phi.clause_vars(j)) for j in range(phi.m)
     )
 
-    def fn(s: Subset) -> float:
-        mask = s.mask
+    def fn(mask: int) -> float:
         total = 0
         for cm in clause_masks:
             inside = (cm & mask).bit_count()
@@ -553,10 +542,10 @@ def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:
     a = gram.a
     n = gram.n
 
-    def fn(s: Subset) -> float:
-        if len(s) == 0:
+    def fn(mask: int) -> float:
+        if not mask:
             return 0.0
-        idx = np.fromiter(s, dtype=int)
+        idx = np.fromiter(_bits(mask), dtype=int)
         sub = a[np.ix_(idx, idx)]
         try:
             chol = np.linalg.cholesky(sub)
@@ -564,6 +553,7 @@ def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:
             eig_min = float(np.linalg.eigvalsh(sub).min())
             scale = max(1.0, float(np.abs(sub).max()))
             if eig_min < -1e-8 * scale:
+                s = Subset.from_mask(n, mask)
                 raise NotPositiveDefiniteError(
                     s, f"submatrix at {s} has negative eigenvalue {eig_min}"
                 ) from None
@@ -617,14 +607,13 @@ class RrSetCollection:
     is bit ``v % 8`` of byte ``j * width + v // 8``.  ``sets`` is a read-only
     view that builds one :class:`Subset` per set on each access.
 
-    ``seed`` and ``source_digest`` make experiments replayable: resampling the
-    digested graph with the same seed reproduces the collection bit for bit.
+    ``seed`` makes experiments replayable: resampling the same graph with the
+    same seed reproduces the collection bit for bit.
     """
 
     n: int
     rows: bytes = field(repr=False)
     seed: int
-    source_digest: str = ""
 
     def __post_init__(self):
         if self.n < 1 or not self.rows or len(self.rows) % self.width:
@@ -733,7 +722,7 @@ def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
             frontier = found[claim[found] == ids]
             reached[frontier] = True
         rows.append(np.packbits(reached.reshape(size, n), axis=1, bitorder="little").tobytes())
-    return RrSetCollection(n, b"".join(rows), seed, g.digest())
+    return RrSetCollection(n, b"".join(rows), seed)
 
 
 def _vertex_masks(rr: RrSetCollection) -> tuple[int, ...]:
@@ -755,8 +744,8 @@ def influence_oracle(rr: RrSetCollection) -> SetFunctionOracle:
     vertex_masks = _vertex_masks(rr)
     scale = n / count
 
-    def fn(s: Subset) -> float:
-        return scale * _union_count(vertex_masks, s.mask)
+    def fn(mask: int) -> float:
+        return scale * _union_count(vertex_masks, mask)
 
     return SetFunctionOracle(
         fn,

@@ -246,13 +246,11 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> ProblemInstance:
     inner_kind, weights = f.serial or (None, None)
     serial = ("gadget", (upsilon, weights)) if inner_kind == "modular" else None
 
-    def fn(t: Subset) -> float:
-        mask = t.mask
+    def fn(mask: int) -> float:
         crossing = sum(
             1 for u, v in gadget_edges if (mask >> u & 1) != (mask >> v & 1)
         )
-        inner = Subset.from_mask(n, mask & inner_mask)
-        return half * crossing + f.evaluate(inner)
+        return half * crossing + f.evaluate(mask & inner_mask)
 
     oracle = SetFunctionOracle(
         fn,

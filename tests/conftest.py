@@ -61,8 +61,8 @@ def random_monotone_oracle(rng: random.Random, n: int) -> SetFunctionOracle:
         for _ in range(rng.randint(1, 3))
     ]
 
-    def fn(s: Subset) -> float:
-        return sum(w * g.evaluate(s) for w, g in parts)
+    def fn(mask: int) -> float:
+        return sum(w * g.evaluate(mask) for w, g in parts)
 
     return SetFunctionOracle(
         fn,
@@ -89,8 +89,8 @@ def random_nonnegative_oracle(rng: random.Random, n: int) -> SetFunctionOracle:
     cover = coverage_oracle(random_coverage_spec(rng, n, rng.randint(2, 8)))
     w1, w2 = rng.uniform(0.2, 2.0), rng.uniform(0.0, 2.0)
 
-    def fn(s: Subset) -> float:
-        return w1 * cut.evaluate(s) + w2 * cover.evaluate(s)
+    def fn(mask: int) -> float:
+        return w1 * cut.evaluate(mask) + w2 * cover.evaluate(mask)
 
     return SetFunctionOracle(
         fn,

@@ -357,9 +357,9 @@ class TestAstar:
         base, x, y, theta = random_query(seed, n, rule, frac)
         hits: dict[int, int] = {}
 
-        def fn(s: Subset) -> float:
-            hits[s.mask] = hits.get(s.mask, 0) + 1
-            return base.evaluate(s)
+        def fn(mask: int) -> float:
+            hits[mask] = hits.get(mask, 0) + 1
+            return base.evaluate(mask)
 
         f = SetFunctionOracle(fn, GroundSet(n))
         result = astar(ProblemInstance(f, x, y, rule, theta=theta))

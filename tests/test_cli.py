@@ -448,6 +448,16 @@ class TestCheck:
         assert code == 0
         assert "ok" in capsys.readouterr().out
 
+    def test_sampled_mode_defaults(self, tmp_path, capsys):
+        # unset, --samples is 1000 and --seed 0, as check_monotone defaults them
+        path = gen_instance(tmp_path, "obs55")
+        capsys.readouterr()
+        assert main(["check", "monotone", str(path), "--mode", "sampled"]) == 1
+        out = capsys.readouterr().out
+        for argv in (["--seed", "0"], ["--samples", "1000"]):
+            assert main(["check", "monotone", str(path), "--mode", "sampled", *argv]) == 1
+            assert capsys.readouterr().out == out
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_sampled_mode_needs_a_sample(self, tmp_path, capsys, samples):
         path = gen_instance(tmp_path, "obs55")
@@ -522,8 +532,29 @@ class TestInputErrors:
             (["exact", "{inst}", "--k", "1"], "k applies only to"),
             (["solve", "swap", "{inst}", "--seed", "1"], "seed applies only to"),
             (["exact", "--gram", "{gram}", "--k", "1", "--seed", "1"], "seed applies only to"),
+            (
+                ["solve", "swap", "{inst}", "--directed", "--rr-count", "5",
+                 "--probability-mode", "given"],
+                "directed applies only to",
+            ),
+            (
+                ["solve", "tjar", "{inst}", "--probability-mode", "inverse-in-degree"],
+                "probability_mode applies only to",
+            ),
+            (
+                ["exact", "--gram", "{gram}", "--k", "1", "--rr-count", "5"],
+                "rr_count applies only to",
+            ),
+            (["check", "submodular", "{inst}", "--samples", "5", "--seed", "9"], "--mode sampled"),
+            (
+                ["check", "monotone", "{inst}", "--mode", "exhaustive", "--seed", "0"],
+                "--mode sampled",
+            ),
+            (["check", "monotone", "{inst}", "--samples", "1000"], "--mode sampled"),
         ],
-        ids=["k-solve", "k-exact", "seed-instance", "seed-gram"],
+        ids=["k-solve", "k-exact", "seed-instance", "seed-gram", "graph-flags-instance",
+             "probability-mode-instance", "rr-count-gram", "check-samples-and-seed",
+             "check-seed-exhaustive", "check-samples"],
     )
     def test_flag_the_source_does_not_read(self, tmp_path, capsys, argv, message):
         inst = gen_instance(tmp_path, "obs52")

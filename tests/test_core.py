@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,27 +21,38 @@ from subreco import (
     Subset,
     UniverseMismatchError,
     WeightedGraph,
+    astar,
     check_monotone,
     check_submodular,
     coverage_oracle,
     cut_oracle,
+    influence_oracle,
+    inverse_indegree_probabilities,
     is_adjacent,
     modular_oracle,
     modular_upper_bound,
     neighbors,
+    optimal_sequence,
     residual,
+    sample_rr_sets,
     sequence_value,
     total_curvature,
     validate_sequence,
 )
 from subreco.core import CHECK_TOL
 
-from conftest import batch_kind_oracle, random_monotone_oracle
+from conftest import (
+    BATCH_KINDS,
+    batch_kind_oracle,
+    random_monotone_oracle,
+    random_nonnegative_oracle,
+    random_subset,
+)
 
 
 def table_oracle(values: dict[frozenset, float], n: int, **claims) -> SetFunctionOracle:
     return SetFunctionOracle(
-        lambda s: values[frozenset(s)], GroundSet(n), **claims
+        lambda mask: values[frozenset(Subset.from_mask(n, mask))], GroundSet(n), **claims
     )
 
 
@@ -133,12 +145,79 @@ class TestOracleWrapper:
             f.evaluate(Subset(3, [0]))
 
     def test_nonnegative_claim_is_checked(self):
-        f = SetFunctionOracle(lambda s: -1.0, GroundSet(1), claims_nonnegative=True)
+        f = SetFunctionOracle(lambda mask: -1.0, GroundSet(1), claims_nonnegative=True)
         with pytest.raises(ValueError, match="nonnegative oracle returned -1.0"):
             f.evaluate(Subset(1, [0]))
         # values within the rounding tolerance pass
-        g = SetFunctionOracle(lambda s: -1e-13, GroundSet(1), claims_nonnegative=True)
+        g = SetFunctionOracle(lambda mask: -1e-13, GroundSet(1), claims_nonnegative=True)
         assert g.evaluate(Subset(1, [0])) == -1e-13
+
+    def test_nonnegative_claim_names_a_masked_query_as_a_subset(self):
+        f = SetFunctionOracle(lambda mask: -1.0, GroundSet(3), claims_nonnegative=True)
+        for query in (0b101, np.int64(0b101), Subset(3, [0, 2])):
+            with pytest.raises(ValueError, match=r"^nonnegative oracle returned -1.0 on \{0,2\}$"):
+                f.evaluate(query)
+        assert f.calls == 0
+
+    @pytest.mark.parametrize("kind", [*BATCH_KINDS, "influence"])
+    def test_subset_int_and_numpy_masks_agree(self, kind):
+        for seed in range(4):
+            n = 3 + seed
+            if kind == "influence":
+                pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+                arcs = [(u, v) for u, v in pairs if (u + v + seed) % 3]
+                g = inverse_indegree_probabilities(WeightedGraph.build(n, arcs, directed=True))
+                f = influence_oracle(sample_rr_sets(g, 300, seed))
+            else:
+                f = batch_kind_oracle(kind, seed, n)
+            for mask in range(1 << n):
+                outcomes = set()
+                for query in (Subset.from_mask(n, mask), mask, np.int64(mask)):
+                    calls = f.calls
+                    try:
+                        outcomes.add(("value", f.evaluate(query).hex(), f.calls - calls))
+                    except ValueError as exc:  # an indefinite log-det submatrix
+                        outcomes.add(("error", str(exc), f.calls - calls))
+                (outcome,) = outcomes  # one outcome for the three forms
+                assert outcome[2] == (outcome[0] == "value")  # a value costs one call
+
+    @pytest.mark.parametrize("bad", [-1, 8, 1 << 70, np.int64(-5), np.int64(8)])
+    def test_mask_outside_the_universe(self, bad):
+        f = modular_oracle([1.0, 2.0, 3.0])
+        with pytest.raises(UniverseMismatchError, match="outside universe of size 3$"):
+            f.evaluate(bad)
+        assert f.calls == 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pass_through_wrapper(self, seed):
+        # built as a timing wrapper builds one: fn hands its mask to evaluate
+        def twins():
+            rng = random.Random(seed)
+            n = rng.randint(3, 7)
+            build = random_monotone_oracle if seed % 2 else random_nonnegative_oracle
+            g = build(rng, n)
+            wrapped = SetFunctionOracle(
+                lambda m: g.evaluate(m),
+                g.universe,
+                claims_monotone=g.claims_monotone,
+                claims_submodular=g.claims_submodular,
+                claims_nonnegative=g.claims_nonnegative,
+            )
+            x, y = (random_subset(rng, n, rng.randint(1, n)) for _ in range(2))
+            return g, wrapped, x, y
+
+        runs = []
+        for wrap in (False, True):
+            g, wrapped, x, y = twins()
+            f = wrapped if wrap else g
+            theta = 0.8 * min(f.evaluate(x), f.evaluate(y))
+            search = astar(ProblemInstance(f, x, y, AdjacencyRule.TJAR, theta=theta))
+            best = optimal_sequence(f, x, y, AdjacencyRule.TJAR)
+            verdict = check_submodular(f, mode="sampled", sample_count=200, seed=seed)
+            runs.append((search, best, verdict, f.calls, g.calls))
+        (search, best, verdict, calls, _), (w_search, w_best, w_verdict, w_calls, inner) = runs
+        assert (w_search, w_best, w_verdict) == (search, best, verdict)
+        assert w_calls == inner == calls
 
 
 # coverage fixture: element 0 covers items {0,1}, element 1 covers {1,2},
@@ -193,7 +272,7 @@ class TestTotalCurvature:
 
     def test_square_root_of_size(self):
         f = SetFunctionOracle(
-            lambda s: math.sqrt(len(s)),
+            lambda mask: math.sqrt(mask.bit_count()),
             GroundSet(2),
             claims_monotone=True,
             claims_submodular=True,
@@ -546,7 +625,7 @@ def value_tables(draw) -> tuple[int, list[float]]:
 
 class TestChecks:
     def test_supermodular_square_is_caught(self):
-        f = SetFunctionOracle(lambda s: float(len(s) ** 2), GroundSet(4))
+        f = SetFunctionOracle(lambda mask: float(mask.bit_count() ** 2), GroundSet(4))
         verdict = check_submodular(f)
         assert not verdict.ok
         s, t, e = verdict.witness
@@ -576,9 +655,9 @@ class TestChecks:
         assert check_monotone(f, mode="sampled", sample_count=200).ok
 
     def test_sampled_finds_gross_violation(self):
-        f = SetFunctionOracle(lambda s: float(len(s) ** 3), GroundSet(18))
+        f = SetFunctionOracle(lambda mask: float(mask.bit_count() ** 3), GroundSet(18))
         assert not check_submodular(f, mode="sampled", sample_count=500, seed=1).ok
-        g = SetFunctionOracle(lambda s: -float(len(s)), GroundSet(18))
+        g = SetFunctionOracle(lambda mask: -float(mask.bit_count()), GroundSet(18))
         assert not check_monotone(g, mode="sampled", sample_count=500, seed=1).ok
 
     def test_unknown_mode_rejected(self):
@@ -608,7 +687,7 @@ class TestChecks:
             (check_monotone, reference_monotone),
         ):
             got, want = (
-                scan(SetFunctionOracle(lambda s: table[s.mask], GroundSet(n)))
+                scan(SetFunctionOracle(lambda mask: table[mask], GroundSet(n)))
                 for scan in (check, reference)
             )
             assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)

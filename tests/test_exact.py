@@ -65,7 +65,7 @@ class TestBuildValueTable:
     def test_evaluation_order(self):
         # descending submasks of the restriction; a slice in combinations order
         seen = []
-        f = SetFunctionOracle(lambda s: seen.append(s.mask) or 0.0, GroundSet(3))
+        f = SetFunctionOracle(lambda mask: seen.append(mask) or 0.0, GroundSet(3))
         build_value_table(f, AdjacencyRule.TAR, restriction=Subset(3, [0, 2]))
         build_value_table(f, AdjacencyRule.TJ, cardinality_k=2)
         assert seen == [0b101, 0b100, 0b001, 0, 0b011, 0b101, 0b110]
@@ -101,7 +101,7 @@ def random_ascent_case(rng: random.Random, max_n: int):
     else:
         pool = [-math.inf, 0.0, 1.0, 2.0, rng.uniform(0.0, 3.0)]
         values = [rng.choice(pool) for _ in range(1 << n)]
-        f = SetFunctionOracle(lambda s: values[s.mask], GroundSet(n))
+        f = SetFunctionOracle(lambda mask: values[mask], GroundSet(n))
     restriction = None
     ground = list(range(n))
     if rng.random() < 0.3:
@@ -196,7 +196,7 @@ class TestOptimalValue:
         f, x, y, rule, restriction = random_ascent_case(rng, 7)
         seen = []
         recording = SetFunctionOracle(
-            lambda s: seen.append(s.mask) or f.evaluate(s), f.universe
+            lambda mask: seen.append(mask) or f.evaluate(mask), f.universe
         )
         optimal_sequence(recording, x, y, rule, restriction=restriction)
         # one memo across all rounds and the sequence pass
@@ -225,7 +225,7 @@ class TestOptimalValue:
         c = rng.choice([0.0, 1.0, 2.5])
         from subreco import GroundSet, SetFunctionOracle
 
-        f = SetFunctionOracle(lambda s: c, GroundSet(n))
+        f = SetFunctionOracle(lambda mask: c, GroundSet(n))
         x = random_subset(rng, n, rng.randint(0, n))
         y = random_subset(rng, n, rng.randint(0, n))
         assert optimal_value(f, x, y, AdjacencyRule.TJAR) == c

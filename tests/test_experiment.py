@@ -229,6 +229,44 @@ class TestRunExperiment:
                 run_experiment(ExperimentConfig(algorithm="swap", instance=source, **fields))
         assert inst.oracle.calls == 0
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"directed": False},
+            {"probability_mode": "inverse-in-degree"},
+            {"rr_count": 100_000},
+            {"directed": True, "probability_mode": "given", "rr_count": 5},
+        ],
+    )
+    def test_only_an_edge_list_reads_the_graph_fields(self, tmp_path, fields):
+        from subreco import write_gram
+
+        inst = obs52_instance()
+        gram = tmp_path / "m.gram"
+        write_gram(gram, make_synthetic_gram(4, seed=5))
+        name = next(iter(fields))
+        for source in ({"instance": inst}, {"gram_path": gram, "k": 1}):
+            with pytest.raises(ValueError, match=f"^{name} applies only to an edge-list"):
+                run_experiment(ExperimentConfig(algorithm="swap", **source, **fields))
+        assert inst.oracle.calls == 0
+
+    def test_edge_list_defaults(self, tmp_path):
+        # unset graph fields read as directed=False and inverse in-degree
+        from subreco import WeightedGraph, write_edge_list
+
+        path = tmp_path / "ring.tsv"
+        write_edge_list(path, WeightedGraph.build(6, [(i, (i + 1) % 6) for i in range(6)]))
+        reports = [
+            run_experiment(
+                ExperimentConfig(algorithm="swap", graph_path=path, k=2, seed=3, **fields)
+            )
+            for fields in (
+                {"rr_count": 500},
+                {"rr_count": 500, "directed": False, "probability_mode": "inverse-in-degree"},
+            )
+        ]
+        assert reports[0] == reports[1]
+
     def test_gram_source_refuses_seed(self, tmp_path):
         from subreco import write_gram
 

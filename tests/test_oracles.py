@@ -134,13 +134,6 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph(**kwargs)
 
-    def test_digest_tracks_structure(self):
-        g1 = WeightedGraph.build(3, [(0, 1), (1, 2)])
-        g2 = WeightedGraph.build(3, [(0, 1), (1, 2)])
-        g3 = WeightedGraph.build(3, [(0, 1), (0, 2)])
-        assert g1.digest() == g2.digest()
-        assert g1.digest() != g3.digest()
-
     def test_directionalize(self):
         g = directionalize(WeightedGraph.build(3, [(0, 1, 2.0), (1, 2)]))
         assert g.directed
@@ -507,7 +500,7 @@ class TestEvaluateMany:
             return np.where(masks == 2, -1.0, 0.0)
 
         f = SetFunctionOracle(
-            lambda s: -1.0 if s.mask == 2 else 0.0,
+            lambda mask: -1.0 if mask == 2 else 0.0,
             GroundSet(2),
             claims_nonnegative=True,
             batch_fn=batch_fn,
@@ -525,7 +518,7 @@ class TestEvaluateMany:
         assert f.calls == 2
 
     def test_oracle_without_batch_form(self):
-        f = SetFunctionOracle(lambda s: float(len(s)), GroundSet(3))
+        f = SetFunctionOracle(lambda mask: float(mask.bit_count()), GroundSet(3))
         assert f.evaluate_many(range(8)).tolist() == [0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]
         assert f.calls == 8
         assert f.evaluate_many([]).shape == (0,)
@@ -555,7 +548,6 @@ class TestRrSampling:
         c = sample_rr_sets(g, 50, seed=10)
         assert a.sets == b.sets
         assert a.sets != c.sets
-        assert a.source_digest == g.digest()
 
     def test_certain_arcs_collect_all_ancestors(self):
         # with p = 1 the set for root r is exactly the vertices that reach r

@@ -358,7 +358,7 @@ class TestInapproxGadget:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 self.make(upsilon=bad)
-        plain = SetFunctionOracle(lambda s: float(len(s)), GroundSet(2))
+        plain = SetFunctionOracle(lambda mask: float(mask.bit_count()), GroundSet(2))
         with pytest.raises(ValueError):
             inapprox_gadget(plain, 1.0)
 
