@@ -9,6 +9,7 @@ data first, so the oracles themselves stay deterministic.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -642,9 +643,9 @@ class RrSetCollection:
         return tuple(Subset.from_mask(self.n, int.from_bytes(r, "little")) for r in self.matrix)
 
 
-# Samples run in lock-step, a chunk at a time; a chunk's stream words plus its
-# reached-vertex flags stay within this many words (4 MB), and a chunk holds at
-# least one sample.
+# Samples run in lock-step, a chunk at a time, on two workers; the stream
+# words plus reached-vertex flags of both workers' chunks stay within this many
+# words (4 MB), and a chunk holds at least one sample.
 _CHUNK_WORDS = 1 << 19
 
 
@@ -672,6 +673,18 @@ def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
     walks backwards in lock-step: a frontier of ``(sample, vertex)`` pairs
     expands through a CSR array of incoming arcs, keeping an arc whose coin is
     live and whose tail the sample has not reached yet.
+
+    Threads.  Chunks run on two workers: the calling thread takes chunks
+    0, 2, 4, ... and one helper thread, started only when there is more than
+    one chunk, takes chunks 1, 3, 5, ...; the stream fill and most array work
+    release the interpreter lock.  Philox is counter-based (Salmon et al.,
+    SC'11), so each chunk makes its own Philox under the same key and
+    advances it to the chunk's first word: ``advance(d)`` skips ``4 * d``
+    words, and the ``start % 4`` words left over are drawn and dropped.  Each
+    worker allocates its stream, reached and claim buffers once and reuses
+    them for every chunk it runs.  A chunk's rows depend only on its samples'
+    words, so the collection is the same bytes however the chunks are split.
+    A helper's exception is raised in the caller once the helper has joined.
     """
     if not g.directed or g.probabilities is None:
         raise ValueError("influence sampling needs a directed graph with probabilities")
@@ -688,40 +701,70 @@ def sample_rr_sets(g: WeightedGraph, count: int, seed: int) -> RrSetCollection:
     first_in = np.cumsum(indeg) - indeg
     tails = arcs[order, 0]
     coin_word = order + 1
-    # u < p exactly when (w >> 11) < ceil(p * 2**53), as scaling by 2**53 is exact
-    limits = np.ceil(np.array(g.probabilities)[order] * 2.0**53).astype(np.uint64)
-    stream = np.random.Philox(
-        np.random.SeedSequence(2 * seed if seed >= 0 else -2 * seed - 1)
-    )
-    chunk = max(1, _CHUNK_WORDS // (width + n))
-    rows = []
-    for lo in range(0, count, chunk):
-        size = min(chunk, count - lo)
-        words = stream.random_raw(size * width)
-        words >>= np.uint64(11)
-        roots = np.minimum((words[::width] * 2.0**-53 * n).astype(np.int64), n - 1)
-        # pair s * n + v is vertex v of sample s; reached[pair] marks it found
-        reached = np.zeros(size * n, dtype=bool)
-        claim = np.empty(size * n, dtype=np.intp)
-        frontier = np.arange(size) * n + roots
-        reached[frontier] = True
-        while frontier.size:
-            sample, vertex = np.divmod(frontier, n)
-            deg = indeg[vertex]
-            pos = np.repeat(first_in[vertex] - (np.cumsum(deg) - deg), deg)
-            pos += np.arange(pos.size)
-            sample = np.repeat(sample, deg)
-            found = sample * n + tails[pos]
-            live = words[sample * width + coin_word[pos]] < limits[pos]
-            live &= ~reached[found]
-            found = found[live]
-            # a pair found twice in one level keeps one copy: the one whose
-            # write to claim survives
-            ids = np.arange(found.size)
-            claim[found] = ids
-            frontier = found[claim[found] == ids]
+    probs = np.array(g.probabilities, dtype=np.float64)[order]
+    key = np.random.SeedSequence(2 * seed if seed >= 0 else -2 * seed - 1)
+    chunk = max(1, _CHUNK_WORDS // 2 // (width + n))
+    most = min(chunk, count)  # samples in the largest chunk
+    starts = range(0, count, chunk)
+    rows = [b""] * len(starts)
+
+    def work(first: int) -> None:
+        # three spare words take the draws dropped to reach a chunk's start
+        u_buf = np.empty(most * width + 3)
+        reached_buf = np.empty(most * n, dtype=bool)
+        claim = np.empty(most * n, dtype=np.intp)
+        for c in range(first, len(starts), 2):
+            lo = starts[c]
+            size = min(chunk, count - lo)
+            stream = np.random.Philox(key)
+            stream.advance(lo * width // 4)
+            skip = lo * width % 4
+            # Generator.random gives (w >> 11) * 2**-53 for each raw word w
+            np.random.Generator(stream).random(out=u_buf[: skip + size * width])
+            u = u_buf[skip : skip + size * width]
+            roots = np.minimum((u[::width] * n).astype(np.int64), n - 1)
+            # pair s * n + v is vertex v of sample s; reached[pair] marks it found
+            reached = reached_buf[: size * n]
+            reached[:] = False
+            frontier = np.arange(size) * n + roots
             reached[frontier] = True
-        rows.append(np.packbits(reached.reshape(size, n), axis=1, bitorder="little").tobytes())
+            while frontier.size:
+                sample, vertex = np.divmod(frontier, n)
+                deg = indeg[vertex]
+                pos = np.repeat(first_in[vertex] - (np.cumsum(deg) - deg), deg)
+                pos += np.arange(pos.size)
+                sample = np.repeat(sample, deg)
+                found = sample * n + tails[pos]
+                live = u[sample * width + coin_word[pos]] < probs[pos]
+                live &= ~reached[found]
+                found = found[live]
+                # a pair found twice in one level keeps one copy: the one
+                # whose write to claim survives
+                ids = np.arange(found.size)
+                claim[found] = ids
+                frontier = found[claim[found] == ids]
+                reached[frontier] = True
+            rows[c] = np.packbits(reached.reshape(size, n), axis=1, bitorder="little").tobytes()
+
+    if len(starts) == 1:
+        work(0)
+    else:
+        errors: list[BaseException] = []
+
+        def helper() -> None:
+            try:
+                work(1)
+            except BaseException as exc:  # re-raised by the caller after join
+                errors.append(exc)
+
+        thread = threading.Thread(target=helper, name="sample_rr_sets")
+        thread.start()
+        try:
+            work(0)
+        finally:
+            thread.join()
+        if errors:
+            raise errors[0]
     return RrSetCollection(n, b"".join(rows), seed)
 
 

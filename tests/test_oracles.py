@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -629,7 +631,7 @@ class TestRrSamplerMatchesReference:
         "single-vertex": (1, [], 0.5, 50, 3),
         "chain": (3, [(0, 1), (1, 2)], 0.5, 400, 0),
         "star-17": (17, [(i, 0) for i in range(1, 17)], 0.3, 3000, -4),
-        # 182 arcs: 9,000 samples span four chunks
+        # 182 arcs: 9,000 samples span seven chunks, four on the caller
         "complete-14": (14, COMPLETE_14_ARCS, 0.12, 9000, 10**40),
         # a ring with hops 1 and 5, whose masks reach past bit 63
         "ring-70": (
@@ -687,6 +689,80 @@ class TestRrSamplerMatchesReference:
             assert roots
             roots_seen.update(roots)
         assert roots_seen == set(range(6))
+
+
+class TestRrSamplerThreads:
+    """Chunks split over the caller and one helper thread give the same bytes."""
+
+    @staticmethod
+    def chunk_words(samples: int) -> int:
+        """A ``_CHUNK_WORDS`` giving ``samples`` COMPLETE_14 samples per chunk."""
+        return 2 * (len(COMPLETE_14_ARCS) + 1 + COMPLETE_14.n) * samples
+
+    # (samples per chunk, count): a chunk of 3 samples is 549 words, so chunk
+    # starts fall at every offset within a 4-word Philox block
+    @pytest.mark.parametrize(
+        "per_chunk, count",
+        [(3, 20), (3, 18), (1, 8), (7, 1), (5, 5)],
+        ids=["7-chunks-last-short", "6-chunks", "8-single-sample-chunks", "count-1", "1-chunk"],
+    )
+    def test_chunked_sets_match_reference(self, monkeypatch, per_chunk, count):
+        monkeypatch.setattr(oracles, "_CHUNK_WORDS", self.chunk_words(per_chunk))
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        rr = sample_rr_sets(COMPLETE_14, count, 5)
+        assert [s.mask for s in rr.sets] == reference_rr_sample(COMPLETE_14, count, 5)
+        chunks = -(-count // per_chunk)
+        assert len(started) == (chunks > 1)
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(oracles, "_CHUNK_WORDS", self.chunk_words(2))
+        before = threading.active_count()
+        assert sample_rr_sets(COMPLETE_14, 9, 3).count == 9
+        assert threading.active_count() == before
+        philox = np.random.Philox
+
+        def broken(key):
+            in_helper = threading.current_thread() is not threading.main_thread()
+            if in_helper == (failing == "helper"):
+                raise RuntimeError(f"stream failed in the {failing}")
+            return philox(key)
+
+        monkeypatch.setattr(np.random, "Philox", broken)
+        with pytest.raises(RuntimeError, match=f"in the {failing}"):
+            sample_rr_sets(COMPLETE_14, 9, 3)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls(self, monkeypatch):
+        # more callers than cores, each with its own helper, switching often
+        monkeypatch.setattr(oracles, "_CHUNK_WORDS", self.chunk_words(4))
+        seeds = range(6)
+        want = {s: sample_rr_sets(COMPLETE_14, 50, s).rows for s in seeds}
+        got = {}
+
+        def call(s):
+            got[s] = sample_rr_sets(COMPLETE_14, 50, s).rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(s,)) for s in seeds]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
 
 
 def random_rr_collection(rng: random.Random, n: int, count: int) -> RrSetCollection:

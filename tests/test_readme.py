@@ -1,10 +1,12 @@
-"""README.md's console sessions, replayed through the CLI.
+"""README.md's console sessions and Python Quick start, replayed.
 
 Every ```` ```console ```` block of the README runs in a fresh temporary
 directory: each ``$ subreco ...`` line goes through ``subreco.cli.main``
 (``data/...`` arguments resolve against the repository) and each
 ``$ cat FILE`` line reads the file, and what they print must equal the lines
-the README shows under them.
+the README shows under them.  The ```` ```python ```` Quick start block runs
+as a script, and each ``print(...)`` line must print the value in its
+trailing ``# ...`` comment (the text before any two-space gap).
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import pytest
 from subreco.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"^```console\n(.*?)^```$", (REPO / "README.md").read_text(), re.M | re.S)
+README = (REPO / "README.md").read_text()
+BLOCKS = re.findall(r"^```console\n(.*?)^```$", README, re.M | re.S)
+QUICK_START = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
 
 
 def session(block: str) -> list[tuple[str, str]]:
@@ -50,3 +54,14 @@ def test_console_session(block, tmp_path, monkeypatch, capsys):
             captured = capsys.readouterr()
             got = captured.out + captured.err
         assert got == expected, command
+
+
+def test_quick_start_prints_its_comments(capsys):
+    (block,) = QUICK_START
+    expected = [
+        re.split(r"\s{2,}", m)[0]
+        for m in re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    ]
+    assert len(expected) == block.count("print(") > 0
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
