@@ -29,6 +29,7 @@ from .core import (
     SetFunctionOracle,
     Subset,
     VALUE_SLACK,
+    _bits,
     neighbor_masks,
     residual,
 )
@@ -46,28 +47,28 @@ class GreedyTrace:
 def _best_extension(f: SetFunctionOracle, base_mask: int, candidates: int) -> tuple[int, float]:
     """The candidate ``e`` with the largest ``f(base + e)``, and that value.
 
-    Candidates are evaluated once each in ascending id order, and ties go to
-    the smallest id.  ``candidates`` must be nonempty.
+    The masks ``base | e`` go to ``f.evaluate_many`` as one batch in
+    ascending id order, so each candidate costs one call, an error is the one
+    evaluating them in that order would raise, and ties go to the smallest
+    id.  ``candidates`` must be nonempty.
     """
+    ids = list(_bits(candidates))
+    values = f.evaluate_many([base_mask | 1 << e for e in ids]).tolist()
     best_e = -1
     best_v = 0.0
-    m = candidates
-    while m:
-        low = m & -m
-        m ^= low
-        v = f.evaluate(base_mask | low)
+    for e, v in zip(ids, values):
         if best_e < 0 or v > best_v:
-            best_e, best_v = low.bit_length() - 1, v
+            best_e, best_v = e, v
     return best_e, best_v
 
 
 def greedy(f: SetFunctionOracle, ground: Subset, k: int) -> GreedyTrace:
     """Pick ``k`` elements of ``ground`` by largest value of the grown prefix.
 
-    Step ``i`` evaluates every remaining candidate once, so the total cost is
-    exactly ``sum_{i=1..k} (|ground| - i + 1)`` oracle calls.  Ties go to the
-    smallest element id.  For submodular ``f`` the prefix marginals are
-    nonincreasing.
+    Step ``i`` evaluates every remaining candidate once, as one
+    ``evaluate_many`` batch, so the total cost is exactly ``sum_{i=1..k}
+    (|ground| - i + 1)`` oracle calls.  Ties go to the smallest element id.
+    For submodular ``f`` the prefix marginals are nonincreasing.
     """
     if not 0 <= k <= len(ground):
         raise ValueError(f"cannot pick {k} elements from {len(ground)}")

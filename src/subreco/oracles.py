@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +34,38 @@ _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-def _member(masks: np.ndarray, e) -> np.ndarray:
-    """Per mask, whether element ``e`` is in it (0 or 1, int64)."""
-    return (masks >> e) & 1
+def _member_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """An ``(n, len(masks))`` bool array: row ``e`` says which masks hold ``e``."""
+    return ((masks >> np.arange(n)[:, None]) & 1).astype(bool)
+
+
+def _ordered_sum_batch(
+    fn: Callable[[int], float],
+    n: int,
+    weights: Sequence[float],
+    terms: Callable[[np.ndarray], Iterable[np.ndarray]],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """A batch form for ``fn``, which adds ``weights[i]`` over the terms ``i``
+    a mask holds, in ascending ``i``.
+
+    ``terms(rows)`` turns the member rows (:func:`_member_rows`) into one
+    bool row per weight.  The rows are added in order, an absent term as
+    ``0.0`` or ``-0.0``.  A total that starts at ``0.0`` is never ``-0.0``,
+    and adding a zero to it changes nothing, so each value is ``fn``'s
+    float.  A batch of fewer masks than weights runs ``fn`` per mask
+    instead: below that size the array operations per term cost more than
+    ``fn``'s loop per mask, as a greedy step's batches usually are.
+    """
+
+    def batch_fn(masks: np.ndarray) -> np.ndarray:
+        if len(masks) < len(weights):
+            return np.array([fn(m) for m in masks.tolist()], dtype=np.float64)
+        total = np.zeros(len(masks))
+        for present, w in zip(terms(_member_rows(masks, n)), weights):
+            total += present * w
+        return total
+
+    return batch_fn
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -53,7 +82,13 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
-    """Additive function ``f(S) = sum_{e in S} w_e``."""
+    """Additive function ``f(S) = sum_{e in S} w_e``.
+
+    ``evaluate`` adds the members' weights in ascending id order; the batch
+    form adds every weight to every mask in the same order, a non-member's
+    as a signed zero (:func:`_ordered_sum_batch`), so its values are the
+    same floats, for negative weights too.
+    """
     w = tuple(float(x) for x in weights)
     if not all(math.isfinite(x) for x in w):
         raise ValueError(f"modular weights must be finite, got {w}")
@@ -65,13 +100,6 @@ def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
             total += w[e]
         return total
 
-    def batch_fn(masks: np.ndarray) -> np.ndarray:
-        # adding 0.0 for a non-member is exact, so the sum runs in fn's order
-        total = np.zeros(len(masks))
-        for e, x in enumerate(w):
-            total += np.where(_member(masks, e) == 1, x, 0.0)
-        return total
-
     return SetFunctionOracle(
         fn,
         GroundSet(len(w)),
@@ -80,7 +108,7 @@ def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
         claims_nonnegative=all(x >= 0 for x in w),
         name="modular",
         serial=("modular", w),
-        batch_fn=batch_fn,
+        batch_fn=_ordered_sum_batch(fn, len(w), w, lambda rows: rows),
     )
 
 
@@ -145,8 +173,9 @@ def _union_count_oracle(words: Sequence[int], value, **kwargs) -> SetFunctionOra
 
     def batch_fn(masks: np.ndarray) -> np.ndarray:
         acc = np.zeros((len(masks), cols), dtype=np.uint64)
+        rows = _member_rows(masks, n)
         for e in range(n):
-            np.bitwise_or(acc, columns[e], out=acc, where=_member(masks, e)[:, None] == 1)
+            np.bitwise_or(acc, columns[e], out=acc, where=rows[e, :, None])
         return value(_popcount(acc).astype(np.float64), masks)
 
     return SetFunctionOracle(fn, GroundSet(n), batch_fn=batch_fn, **kwargs)
@@ -284,6 +313,11 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
     word a byte at a time and adds each cut edge's weight in ascending edge
     index, the order a plain loop over the edges adds them in, so the value
     is the same float.
+
+    The batch form (``evaluate_many``) reads each mask's member bits as rows,
+    takes an edge's cut row as the XOR of its ends' rows, and adds the edge
+    weights in edge order through :func:`_ordered_sum_batch`, an uncut
+    edge's as ``0.0``, so its values equal ``evaluate``'s bit for bit too.
     """
     if g.directed:
         raise ValueError("cut oracle expects an undirected graph")
@@ -313,13 +347,6 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
                 total += w[i]
         return total
 
-    def batch_fn(masks: np.ndarray) -> np.ndarray:
-        # edge by edge in fn's order; adding 0.0 for an uncut edge is exact
-        total = np.zeros(len(masks))
-        for (u, v), w in zip(edges, weights):
-            total += np.where(_member(masks, u) != _member(masks, v), w, 0.0)
-        return total
-
     return SetFunctionOracle(
         fn,
         GroundSet(g.n),
@@ -328,7 +355,9 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
         claims_nonnegative=True,
         name="cut",
         serial=("cut", g),
-        batch_fn=batch_fn,
+        batch_fn=_ordered_sum_batch(
+            fn, g.n, weights, lambda rows: (rows[u] ^ rows[v] for u, v in edges)
+        ),
     )
 
 
@@ -572,7 +601,7 @@ def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:
             for lo in range(0, len(rows), LOGDET_CHUNK):
                 chunk = rows[lo : lo + LOGDET_CHUNK]
                 # each subset's members, ascending as a Subset iterates them
-                idx = np.nonzero(_member(masks[chunk, None], np.arange(n)))[1].reshape(-1, k)
+                idx = np.nonzero(_member_rows(masks[chunk], n).T)[1].reshape(-1, k)
                 try:
                     chol = np.linalg.cholesky(a[idx[:, :, None], idx[:, None, :]])
                 except np.linalg.LinAlgError:

@@ -4,6 +4,7 @@ import heapq
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,27 +13,38 @@ from subreco import (
     AdjacencyRule,
     AstarConfig,
     AstarResult,
+    GramMatrix,
     GroundSet,
+    NotPositiveDefiniteError,
     ProblemInstance,
     ReconfigSequence,
     SetFunctionOracle,
     Subset,
+    WeightedGraph,
     astar,
     cut_oracle,
     default_heuristic,
     greedy,
+    influence_oracle,
     interchangeable_greedy,
+    inverse_indegree_probabilities,
+    logdet_oracle,
     modular_oracle,
+    residual,
+    sample_rr_sets,
     sequence_value,
     swap_reconfigure,
     tjar_reconfigure,
     total_curvature,
     validate_sequence,
 )
-from subreco.algorithms import feasible_path, step_bound
+from subreco import algorithms, experiment
+from subreco.algorithms import GreedyTrace, feasible_path, step_bound
 from subreco.core import VALUE_SLACK, neighbor_masks
 
 from conftest import (
+    BATCH_KINDS,
+    batch_kind_oracle,
     bfs_shortest_feasible,
     random_graph,
     random_monotone_oracle,
@@ -244,6 +256,115 @@ class TestTjarReconfigure:
         assert validate_sequence(inst, seq)
         floor = min(f.evaluate(x), f.evaluate(y)) / n
         assert sequence_value(f, seq) >= floor - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one evaluate_many batch per greedy step
+
+
+def loop_best_extension(f, base_mask, candidates):
+    """The per-mask loop the batched greedy step replaced: one ``evaluate``
+    per candidate in ascending id order, a strictly larger value winning."""
+    best_e = -1
+    best_v = 0.0
+    m = candidates
+    while m:
+        low = m & -m
+        m ^= low
+        v = f.evaluate(base_mask | low)
+        if best_e < 0 or v > best_v:
+            best_e, best_v = low.bit_length() - 1, v
+    return best_e, best_v
+
+
+def loop_reference(run):
+    """``run()`` with every greedy step on :func:`loop_best_extension`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "_best_extension", loop_best_extension)
+        mp.setattr(experiment, "_best_extension", loop_best_extension)
+        return run()
+
+
+GREEDY_KINDS = (*BATCH_KINDS, "tied_modular", "rank_one_logdet", "influence", "residual")
+
+
+def greedy_kind_oracle(kind, seed, n):
+    """``(f, watched, allowed)``: an oracle, every oracle whose calls it
+    charges, and the mask of the elements its queries may hold."""
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    if kind == "tied_modular":  # repeated weights: ties go to the smallest id
+        f = modular_oracle([rng.choice([0.0, 1.0, 2.5]) for _ in range(n)])
+    elif kind == "rank_one_logdet":  # every set of two or more is singular: -inf
+        b = np.random.default_rng(seed).normal(size=(n, 1))
+        f = logdet_oracle(GramMatrix(b @ b.T))
+    elif kind == "influence":  # no batch form: evaluate_many runs the loop
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
+        g = inverse_indegree_probabilities(WeightedGraph.build(n, arcs, directed=True))
+        f = influence_oracle(sample_rr_sets(g, 200, seed))
+    elif kind == "residual":  # no batch form; it queries its base one mask at a time
+        base = batch_kind_oracle(rng.choice(BATCH_KINDS), seed, n)
+        r = rng.getrandbits(n) & rng.getrandbits(n)
+        return residual(base, Subset.from_mask(n, r)), (base,), full & ~r
+    else:
+        f = batch_kind_oracle(kind, seed, n)
+    return f, (f,), full
+
+
+def greedy_outcome(run, watched):
+    """What ``run()`` returned, or the error it raised, and the calls charged."""
+    try:
+        got = run()
+    except ValueError as exc:  # an indefinite log-det submatrix, a masked residual query
+        got = (type(exc), str(exc), getattr(exc, "subset", None))
+    if isinstance(got, GreedyTrace):
+        got = (got.elements, [v.hex() for v in got.prefix_values], got.oracle_calls)
+    return got, [o.calls for o in watched]
+
+
+class TestBatchedGreedyStep:
+    @given(kind=st.sampled_from(GREEDY_KINDS), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_picks_values_and_calls_as_the_loop(self, kind, seed, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        allowed = greedy_kind_oracle(kind, seed, n)[2]
+        ids = [e for e in range(n) if allowed >> e & 1]
+        if not ids:
+            return
+        ground = data.draw(st.lists(st.sampled_from(ids), unique=True), label="ground")
+        k = data.draw(st.integers(0, len(ground)), label="k")
+        x = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True), label="x")
+        y = data.draw(st.lists(st.sampled_from(ids), min_size=len(x), max_size=len(x),
+                               unique=True), label="y")
+        jobs = [
+            lambda f: greedy(f, Subset(n, ground), k),
+            lambda f: interchangeable_greedy(f, n // 2),
+            lambda f: tjar_reconfigure(f, Subset(n, x), Subset(n, y)),
+            lambda f: swap_reconfigure(f, Subset(n, x), Subset(n, y)),
+        ]
+        for job in jobs:
+            f, watched, _ = greedy_kind_oracle(kind, seed, n)
+            got = greedy_outcome(lambda: job(f), watched)
+            f, watched, _ = greedy_kind_oracle(kind, seed, n)
+            want = loop_reference(lambda: greedy_outcome(lambda: job(f), watched))
+            assert got == want
+
+    def test_indefinite_candidate_raises_as_the_loop_does(self):
+        # step 1 picks 1; step 2 evaluates {0,1}, then fails on {1,2}, whose
+        # eigenvalues are about 3.08 and -0.08; element 3's large diagonal
+        # only lets the matrix pass GramMatrix's semidefiniteness tolerance
+        a = np.diag([1.5, 2.0, 1.0, 1e7])
+        a[1, 2] = a[2, 1] = 1.5
+        ground = Subset(4, [0, 1, 2])
+        outcomes = []
+        runs = (lambda f: greedy(f, ground, 2), lambda f: loop_reference(lambda: greedy(f, ground, 2)))
+        for run in runs:
+            f = logdet_oracle(GramMatrix(a))
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                run(f)
+            outcomes.append((err.value.subset, str(err.value), f.calls))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == Subset(4, [1, 2]) and outcomes[0][2] == 4
 
 
 class TestDefaultHeuristic:

@@ -49,6 +49,12 @@ from conftest import BATCH_KINDS, batch_kind_oracle
 
 
 class TestModular:
+    def test_batch_form_equals_evaluate_with_signed_zeros_and_cancellation(self):
+        f = modular_oracle([-0.0, 1e300, -1e300, -2.5, 0.0, 1e-300])
+        masks = range(1 << 6)
+        got = f.evaluate_many(masks).tolist()
+        assert [v.hex() for v in got] == [f.evaluate(m).hex() for m in masks]
+
     def test_sums_in_element_order(self):
         # in order, 1.0 + 1e16 rounds back to 1e16 and so does adding the
         # second 1.0; a compensated sum (built-in sum() from Python 3.12)
@@ -258,11 +264,24 @@ def test_scalar_paths_equal_reference_loops(n, m, seed, data):
     g = WeightedGraph.build(n, edges)
     cut, inc, shifted = cut_oracle(g), incidence_oracle(g), shifted_incidence_oracle(g)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
-    for mask in masks + [rng.getrandbits(n)]:
-        s = Subset.from_mask(n, mask)
-        assert cut.evaluate(s) == reference_cut(g, mask)
-        assert inc.evaluate(s) == reference_incidence(g, mask)
-        assert shifted.evaluate(s) == reference_incidence(g, mask) + 0.5 * (n - len(s))
+    drawn = len(masks)
+    # a cut batch of fewer masks than edges runs the scalar function per
+    # mask, so the drawn masks alone mostly take that path, the full list
+    # the array one
+    masks += [rng.getrandbits(n) for _ in range(len(edges) + 1)]
+    checks = [
+        (cut, [reference_cut(g, mask).hex() for mask in masks]),
+        (inc, [reference_incidence(g, mask).hex() for mask in masks]),
+        (shifted, [
+            (reference_incidence(g, mask) + 0.5 * (n - mask.bit_count())).hex() for mask in masks
+        ]),
+    ]
+    for f, values in checks:
+        assert [f.evaluate(Subset.from_mask(n, mask)).hex() for mask in masks] == values
+        if n <= 62:  # the batch forms run up to 62 elements
+            for size in (drawn, len(masks)):
+                got = f.evaluate_many(masks[:size]).tolist()
+                assert [v.hex() for v in got] == values[:size]
 
 
 def reference_coverage(spec: CoverageSpec, mask: int) -> float:
@@ -463,7 +482,8 @@ def test_evaluate_many_equals_evaluate(kind, seed, data):
     batch, loop = batch_kind_oracle(kind, seed, n), batch_kind_oracle(kind, seed, n)
     got = batch.evaluate_many(masks)
     assert got.dtype == np.float64
-    assert np.array_equal(got, one_at_a_time(loop, masks))
+    # by float.hex, so a -0.0 for a 0.0 (modular's weights are signed) shows
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in one_at_a_time(loop, masks)]
     assert batch.calls == loop.calls == len(masks)
 
 
