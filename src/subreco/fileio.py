@@ -13,9 +13,13 @@ Formats:
   signed integers terminated by 0);
 * reverse-reachable collection: header ``n count seed``, then one vertex set
   per line;
-* instance: sections ``[oracle]`` (kind plus parameters or data-file
-  references; an ``edge`` line holds an edge-list row), ``[endpoints]``,
-  ``[rule]``, ``[theta]``.
+* instance: sections ``[oracle]``, ``[endpoints]``, ``[rule]``, ``[theta]``.
+  ``[oracle]`` holds a ``kind`` line and that kind's directives (``_KINDS``;
+  ``*`` may repeat): coverage ``n items divisor cover*``; modular ``weights*``;
+  cut, incidence and shifted-incidence ``n edge* graph-file``; nae ``n clause*
+  cnf-file``; logdet ``gram-file``; influence ``rr-file graph-file directed
+  probability rr-count seed``; gadget ``upsilon weights*``.  An ``edge`` line
+  holds an edge-list row.
 """
 
 from __future__ import annotations
@@ -389,139 +393,182 @@ def _section_map(path: Path) -> dict[str, list[tuple[int, list[str]]]]:
     return sections
 
 
-def _single(path, entries, key, convert=str, default=None):
-    for lineno, tokens in entries:
-        if tokens[0] == key:
-            if len(tokens) != 2:
-                raise InstanceParseError(path, lineno, f"'{key}' takes one value")
-            return _numbers(path, lineno, tokens[1:], convert)[0]
-    return default
+_MISSING = object()
 
 
-def _required(path, entries, key, convert=int):
-    value = _single(path, entries, key, convert)
-    if value is None:
-        raise InstanceParseError(path, 0, f"missing '{key}' in [oracle]")
-    return value
+class _OracleLines:
+    """An ``[oracle]`` section grouped by directive in one pass: ``groups[key]``
+    holds the ``(line number, values)`` of each ``key`` line in file order."""
+
+    def __init__(self, path: Path, entries: list):
+        self.path, self.groups = path, {}
+        for lineno, tokens in entries:
+            self.groups.setdefault(tokens[0], []).append((lineno, tokens[1:]))
+
+    def first(self, key: str, convert=int, default=_MISSING, one=True):
+        """The one value of the ``key`` line, or with ``one=False`` the numbers
+        of the first ``key`` line; ``default`` if there is no such line."""
+        if key not in self.groups:
+            if default is _MISSING:
+                raise InstanceParseError(self.path, 0, f"missing '{key}' in [oracle]")
+            return default
+        lineno, values = self.groups[key][0]
+        if one and len(values) != 1:
+            raise InstanceParseError(self.path, lineno, f"'{key}' takes one value")
+        numbers = _numbers(self.path, lineno, values, convert)
+        return numbers[0] if one else numbers
+
+    def file(self, key: str, needed: str = "") -> Optional[Path]:
+        """The file a ``key`` line names beside this one; if none, None or the error ``needed``."""
+        path = self.first(key, self.path.parent.joinpath, None)
+        if path is None and needed:
+            raise InstanceParseError(self.path, 0, needed)
+        return path
 
 
-def _weights(path, entries) -> list[float]:
-    """The first ``weights`` line of an [oracle] section."""
-    for lineno, tokens in entries:
-        if tokens[0] == "weights":
-            return _numbers(path, lineno, tokens[1:], float)
-    raise InstanceParseError(path, 0, "missing 'weights' in [oracle]")
+def _read_coverage(d: _OracleLines) -> SetFunctionOracle:
+    n, items, divisor = d.first("n"), d.first("items"), d.first("divisor", float, 1.0)
+    if divisor <= 0:
+        raise InstanceParseError(d.path, d.groups["divisor"][0][0], "divisor must be positive")
+    covers = []
+    for lineno, values in d.groups.get("cover", []):
+        ids = _numbers(d.path, lineno, values)
+        if not all(1 <= i <= items for i in ids):
+            raise InstanceParseError(d.path, lineno, f"cover items lie in 1..{items}")
+        covers.append(tuple(i - 1 for i in ids))
+    if len(covers) != n:
+        raise InstanceParseError(d.path, 0, f"expected {n} 'cover' lines, got {len(covers)}")
+    return coverage_oracle(CoverageSpec(items, tuple(covers), divisor))
 
 
-# the [oracle] directives each kind reads, besides 'kind'
-_ORACLE_DIRECTIVES = {
-    "coverage": "n items divisor cover",
-    "modular": "weights",
-    **dict.fromkeys(("cut", "incidence", "shifted-incidence"), "n edge graph-file"),
-    "nae": "n clause cnf-file",
-    "logdet": "gram-file",
-    "influence": "rr-file graph-file directed probability rr-count seed",
-    "gadget": "upsilon weights",
+def _write_coverage(path: Path, spec: CoverageSpec) -> list[str]:
+    covers = (("cover " + " ".join(str(i + 1) for i in v)).rstrip() for v in spec.covered)
+    return [f"n {spec.n}", f"items {spec.universe_size}", f"divisor {spec.divisor!r}", *covers]
+
+
+def _write_weights(path: Path, weights) -> list[str]:
+    return ["weights " + " ".join(repr(float(w)) for w in weights)]
+
+
+def _read_graph(d: _OracleLines) -> WeightedGraph:
+    """The graph a ``graph-file`` line names, else that of the ``n`` and ``edge`` lines."""
+    graph_file = d.file("graph-file")
+    if graph_file is not None:
+        return load_edge_list(graph_file)
+    n = d.first("n")
+    return WeightedGraph.build(n, [_edge_row(d.path, i, v, n) for i, v in d.groups.get("edge", [])])
+
+
+def _write_graph(path: Path, g: WeightedGraph) -> list[str]:
+    # the graph kinds read the weights only
+    return [f"n {g.n}", *("edge " + row for row in _edge_rows(replace(g, probabilities=None)))]
+
+
+def _read_nae(d: _OracleLines) -> SetFunctionOracle:
+    cnf_file = d.file("cnf-file")
+    if cnf_file is not None:
+        return nae_clause_oracle(load_cnf(cnf_file))
+    n = d.first("n")
+    clauses = []
+    for lineno, values in d.groups.get("clause", []):
+        ids = _numbers(d.path, lineno, values)
+        if not (len(ids) == len(set(ids)) == 3 and all(1 <= i <= n for i in ids)):
+            raise InstanceParseError(
+                d.path, lineno, f"clause holds three distinct variables in 1..{n}"
+            )
+        clauses.append(tuple(i - 1 for i in ids))
+    return nae_clause_oracle(CnfFormula.monotone3(n, clauses))
+
+
+def _write_nae(path: Path, phi: CnfFormula) -> list[str]:
+    clauses = (phi.clause_vars(j) for j in range(phi.m))
+    return [f"n {phi.n_vars}", *("clause " + " ".join(str(v + 1) for v in c) for c in clauses)]
+
+
+def _read_influence(d: _OracleLines) -> SetFunctionOracle:
+    rr_file = d.file("rr-file")
+    if rr_file is not None:
+        return influence_oracle(load_rr_collection(rr_file))
+    graph_file = d.file("graph-file", "influence oracle needs 'rr-file' or 'graph-file'")
+    directed = d.first("directed", str, "false").lower()
+    if directed not in ("true", "false"):
+        raise InstanceParseError(d.path, d.groups["directed"][0][0], "'directed' is true or false")
+    mode = d.first("probability", str, "inverse-in-degree")
+    rr_count, seed = d.first("rr-count"), d.first("seed")
+    graph = load_edge_list(graph_file, directed=directed == "true", probability_mode=mode)
+    return influence_oracle(sample_rr_sets(graph, rr_count, seed))
+
+
+def _sibling(directive: str, suffix: str, save):
+    """The writer that saves its payload beside the instance file, named as
+    that file with ``suffix``, and names it on a ``directive`` line."""
+
+    def write(path: Path, payload) -> list[str]:
+        save(path.with_suffix(suffix), payload)
+        return [f"{directive} {path.with_suffix(suffix).name}"]
+
+    return write
+
+
+def _read_gadget(d: _OracleLines) -> SetFunctionOracle:
+    upsilon = d.first("upsilon", float)
+    return inapprox_gadget(_KINDS["modular"][1](d), upsilon).oracle
+
+
+def _write_gadget(path: Path, payload) -> list[str]:
+    upsilon, inner = payload  # inner is the wrapped oracle's serial
+    kind = inner and inner[0]
+    if kind != "modular":
+        raise ValueError(f"a gadget is written only around a modular oracle, not {kind!r}")
+    return [f"upsilon {upsilon!r}", *_write_weights(path, inner[1])]
+
+
+_KINDS = {
+    "coverage": ("n items divisor cover", _read_coverage, _write_coverage),
+    "modular": ("weights", lambda d: modular_oracle(d.first("weights", float, one=False)),
+                _write_weights),
+    "cut": ("n edge graph-file", lambda d: cut_oracle(_read_graph(d)), _write_graph),
+    "incidence": ("n edge graph-file", lambda d: incidence_oracle(_read_graph(d)), _write_graph),
+    "shifted-incidence": ("n edge graph-file", lambda d: shifted_incidence_oracle(_read_graph(d)),
+                          _write_graph),
+    "nae": ("n clause cnf-file", _read_nae, _write_nae),
+    "logdet": (
+        "gram-file",
+        lambda d: logdet_oracle(load_gram(d.file("gram-file", "logdet oracle needs 'gram-file'"))),
+        _sibling("gram-file", ".gram", write_gram),
+    ),
+    "influence": ("rr-file graph-file directed probability rr-count seed", _read_influence,
+                  _sibling("rr-file", ".rr", save_rr_collection)),
+    "gadget": ("upsilon weights", _read_gadget, _write_gadget),
 }
+"""Each oracle kind's file syntax: kind -> (its ``[oracle]`` directives
+besides ``kind``, reader, writer).  A reader builds the oracle from the
+grouped lines; a writer takes the instance path and the payload of the
+oracle's ``serial = (kind, payload)``, and returns the lines after ``kind``."""
 # the directives that may appear more than once; the first 'weights' line wins
 _REPEATABLE = ("cover", "edge", "clause", "weights")
 
 
 def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
-    kind = _single(path, entries, "kind")
-    if kind is None:
-        raise InstanceParseError(path, 0, "missing 'kind' in [oracle]")
-    if kind not in _ORACLE_DIRECTIVES:
+    d = _OracleLines(path, entries)
+    kind = d.first("kind", str)
+    if kind not in _KINDS:
         raise InstanceParseError(path, 0, f"unknown oracle kind {kind!r}")
-    known = ["kind", *_ORACLE_DIRECTIVES[kind].split()]
-    seen = set()
-    for lineno, tokens in entries:
-        if tokens[0] not in known:
-            raise InstanceParseError(path, lineno, f"{kind} oracle has no directive {tokens[0]!r}")
-        if tokens[0] in seen and tokens[0] not in _REPEATABLE:
-            raise InstanceParseError(path, lineno, f"second '{tokens[0]}' line in [oracle]")
-        seen.add(tokens[0])
-    base = path.parent
-
-    if kind == "coverage":
-        n = _required(path, entries, "n")
-        items = _required(path, entries, "items")
-        divisor = _single(path, entries, "divisor", float, 1.0)
-        if divisor <= 0:
-            lineno = next(i for i, tokens in entries if tokens[0] == "divisor")
-            raise InstanceParseError(path, lineno, "divisor must be positive")
-        covers = []
-        for lineno, tokens in entries:
-            if tokens[0] == "cover":
-                ids = _numbers(path, lineno, tokens[1:])
-                if not all(1 <= i <= items for i in ids):
-                    raise InstanceParseError(path, lineno, f"cover items lie in 1..{items}")
-                covers.append(tuple(i - 1 for i in ids))
-        if len(covers) != n:
-            raise InstanceParseError(path, 0, f"expected {n} 'cover' lines, got {len(covers)}")
-        return coverage_oracle(CoverageSpec(items, tuple(covers), divisor))
-
-    if kind == "modular":
-        return modular_oracle(_weights(path, entries))
-
-    if kind in ("cut", "incidence", "shifted-incidence"):
-        graph_file = _single(path, entries, "graph-file")
-        if graph_file is not None:
-            graph = load_edge_list(base / graph_file, directed=False)
-        else:
-            n = _required(path, entries, "n")
-            rows = [
-                _edge_row(path, lineno, tokens[1:], n)
-                for lineno, tokens in entries
-                if tokens[0] == "edge"
-            ]
-            graph = WeightedGraph.build(n, rows)
-        maker = {
-            "cut": cut_oracle,
-            "incidence": incidence_oracle,
-            "shifted-incidence": shifted_incidence_oracle,
-        }[kind]
-        return maker(graph)
-
-    if kind == "nae":
-        cnf_file = _single(path, entries, "cnf-file")
-        if cnf_file is not None:
-            return nae_clause_oracle(load_cnf(base / cnf_file))
-        n = _required(path, entries, "n")
-        clauses = []
-        for lineno, tokens in entries:
-            if tokens[0] == "clause":
-                ids = _numbers(path, lineno, tokens[1:])
-                if not (len(ids) == len(set(ids)) == 3 and all(1 <= i <= n for i in ids)):
-                    raise InstanceParseError(
-                        path, lineno, f"clause holds three distinct variables in 1..{n}"
-                    )
-                clauses.append(tuple(i - 1 for i in ids))
-        return nae_clause_oracle(CnfFormula.monotone3(n, clauses))
-
-    if kind == "logdet":
-        gram_file = _single(path, entries, "gram-file")
-        if gram_file is None:
-            raise InstanceParseError(path, 0, "logdet oracle needs 'gram-file'")
-        return logdet_oracle(load_gram(base / gram_file))
-
-    if kind == "influence":
-        rr_file = _single(path, entries, "rr-file")
-        if rr_file is not None:
-            return influence_oracle(load_rr_collection(base / rr_file))
-        graph_file = _single(path, entries, "graph-file")
-        if graph_file is None:
-            raise InstanceParseError(path, 0, "influence oracle needs 'rr-file' or 'graph-file'")
-        directed = _single(path, entries, "directed", default="false").lower() == "true"
-        mode = _single(path, entries, "probability", default="inverse-in-degree")
-        rr_count = _required(path, entries, "rr-count")
-        seed = _required(path, entries, "seed")
-        graph = load_edge_list(base / graph_file, directed=directed, probability_mode=mode)
-        return influence_oracle(sample_rr_sets(graph, rr_count, seed))
-
-    # the one kind left is gadget
-    upsilon = _required(path, entries, "upsilon", float)
-    return inapprox_gadget(modular_oracle(_weights(path, entries)), upsilon).oracle
+    known = ("kind", *_KINDS[kind][0].split())
+    # the first line whose directive the kind does not read, or reads only once
+    bad = [(ls[0][0], f"{kind} oracle has no directive {k!r}") for k, ls in d.groups.items()
+           if k not in known]
+    bad += [(ls[1][0], f"second '{k}' line in [oracle]") for k, ls in d.groups.items()
+            if len(ls) > 1 and k not in _REPEATABLE]
+    if bad:
+        raise InstanceParseError(path, *min(bad))
+    try:
+        return _KINDS[kind][1](d)
+    except InstanceParseError:
+        raise  # one from a data file names that file
+    except ValueError as exc:
+        # a value the oracle refuses is named at the 'kind' line
+        raise InstanceParseError(path, d.groups["kind"][0][0], str(exc)) from None
 
 
 def load_instance(path: PathLike) -> InstanceFile:
@@ -570,51 +617,10 @@ def load_instance(path: PathLike) -> InstanceFile:
 
 
 def _oracle_lines(path: Path, oracle: SetFunctionOracle) -> list[str]:
-    if oracle.serial is None:
+    if oracle.serial is None or oracle.serial[0] not in _KINDS:
         raise ValueError(f"oracle {oracle.name!r} cannot be written to a file")
     kind, payload = oracle.serial
-    lines = [f"kind {kind}"]
-    if kind == "coverage":
-        spec: CoverageSpec = payload
-        lines.append(f"n {spec.n}")
-        lines.append(f"items {spec.universe_size}")
-        lines.append(f"divisor {spec.divisor!r}")
-        for v in spec.covered:
-            lines.append(("cover " + " ".join(str(i + 1) for i in v)).rstrip())
-        return lines
-    if kind == "modular":
-        lines.append("weights " + " ".join(repr(float(w)) for w in payload))
-        return lines
-    if kind in ("cut", "incidence", "shifted-incidence"):
-        g: WeightedGraph = payload
-        lines.append(f"n {g.n}")
-        # these oracles read the weights only
-        lines.extend("edge " + row for row in _edge_rows(replace(g, probabilities=None)))
-        return lines
-    if kind == "nae":
-        phi: CnfFormula = payload
-        lines.append(f"n {phi.n_vars}")
-        for j in range(phi.m):
-            lines.append("clause " + " ".join(str(v + 1) for v in phi.clause_vars(j)))
-        return lines
-    if kind == "influence":
-        rr: RrSetCollection = payload
-        rr_path = path.with_suffix(".rr")
-        save_rr_collection(rr_path, rr)
-        lines.append(f"rr-file {rr_path.name}")
-        return lines
-    if kind == "logdet":
-        gram: GramMatrix = payload
-        gram_path = path.with_suffix(".gram")
-        write_gram(gram_path, gram)
-        lines.append(f"gram-file {gram_path.name}")
-        return lines
-    if kind == "gadget":
-        upsilon, weights = payload
-        lines.append(f"upsilon {upsilon!r}")
-        lines.append("weights " + " ".join(repr(float(w)) for w in weights))
-        return lines
-    raise ValueError(f"unknown serializable kind {kind!r}")
+    return [f"kind {kind}", *_KINDS[kind][2](path, payload)]
 
 
 def write_instance(

@@ -224,7 +224,8 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> ProblemInstance:
     scores at most ``upsilon`` from the gadget, creating the value bands
     ``{0, upsilon, 2 * upsilon}``.  Choose ``upsilon`` above the maximum of
     ``f`` for the bands to order as intended.  The instance walks under TJAR
-    and carries no threshold.
+    and carries no threshold.  Its ``serial`` is ``("gadget", (upsilon,
+    f.serial))`` for any ``f``; the file writer decides which ``f`` it can hold.
     """
     if not 0 < upsilon < math.inf:
         raise ValueError(f"upsilon must be positive and finite, got {upsilon}")
@@ -242,10 +243,6 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> ProblemInstance:
         (n + 1, n + 3),
     )
 
-    # the instance format can name a gadget only around modular weights
-    inner_kind, weights = f.serial or (None, None)
-    serial = ("gadget", (upsilon, weights)) if inner_kind == "modular" else None
-
     def fn(mask: int) -> float:
         crossing = sum(
             1 for u, v in gadget_edges if (mask >> u & 1) != (mask >> v & 1)
@@ -259,7 +256,7 @@ def inapprox_gadget(f: SetFunctionOracle, upsilon: float) -> ProblemInstance:
         claims_submodular=True,
         claims_nonnegative=True,
         name=f"gadget({f.name or 'f'})",
-        serial=serial,
+        serial=("gadget", (upsilon, f.serial)),
     )
     x = Subset(total, (n, n + 1))
     y = Subset(total, (n + 2, n + 3))

@@ -1,14 +1,21 @@
 """On-disk formats: edge lists, gram matrices, CNF, samples, and instances."""
 
+import re
+import tempfile
 import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subreco import (
     AdjacencyRule,
     CnfFormula,
     CoverageSpec,
+    GramMatrix,
     InstanceParseError,
     ProblemInstance,
     ReconfigSequence,
@@ -42,6 +49,7 @@ from subreco import (
     write_instance,
     write_sequence_csv,
 )
+from subreco.fileio import _KINDS, _REPEATABLE
 
 
 def assert_same_values(f, g, masks=None):
@@ -497,6 +505,184 @@ class TestInstanceFiles:
             load_instance(p)
 
 
+    @pytest.mark.parametrize("word", ["true", "TRUE", "True", "false", "FALSE"])
+    def test_influence_directed_is_true_or_false_in_any_case(self, tmp_path, word):
+        g = WeightedGraph.build(2, [(0, 1)])
+        write_edge_list(tmp_path / "net.tsv", g)
+        (tmp_path / "case.instance").write_text(
+            f"[oracle]\nkind influence\ngraph-file net.tsv\ndirected {word}\n"
+            "rr-count 50\nseed 3\n\n[endpoints]\nx 1\ny 2\n\n[rule]\ntar\n"
+        )
+        directed = word.lower() == "true"
+        expected = influence_oracle(
+            sample_rr_sets(inverse_indegree_probabilities(replace(g, directed=directed)), 50, 3)
+        )
+        assert_same_values(expected, load_instance(tmp_path / "case.instance").oracle)
+
+    def test_gadget_around_a_coverage_oracle_is_refused(self, tmp_path):
+        inner = coverage_oracle(CoverageSpec(2, ((0,), (1,))))
+        gadget = inapprox_gadget(inner, 3.0)
+        assert gadget.oracle.serial == ("gadget", (3.0, inner.serial))
+        with pytest.raises(ValueError, match="only around a modular oracle, not 'coverage'"):
+            write_instance(
+                tmp_path / "case.instance", gadget.oracle, gadget.x, gadget.y, AdjacencyRule.TJAR
+            )
+        assert list(tmp_path.iterdir()) == []
+
+
+def _graphs(max_n, directed=False):
+    """Graphs on up to ``max_n`` vertices with unit or drawn weights and, so a
+    writer must drop them, drawn probabilities."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, max_n))
+        ids = st.integers(0, n - 1)
+        pair = st.tuples(ids, ids).filter(lambda e: e[0] != e[1])
+        pairs = draw(st.lists(pair, max_size=16))
+        size = dict(min_size=len(pairs), max_size=len(pairs))
+        weights = draw(st.lists(st.sampled_from([1.0, 0.0, 2.5]) | st.floats(0, 1e6), **size))
+        probabilities = draw(st.lists(st.floats(0, 1), **size))
+        edges = [(u, v, w) for (u, v), w in zip(pairs, weights)]
+        return WeightedGraph.build(n, edges, directed=directed, probabilities=probabilities)
+
+    return build()
+
+
+_REALS = st.floats(-1e6, 1e6, allow_nan=False)
+_COVERS = st.integers(0, 8).flatmap(
+    lambda items: st.builds(
+        CoverageSpec,
+        st.just(items),
+        st.lists(st.lists(st.integers(0, items - 1)) if items else st.just([]), max_size=12),
+        st.floats(0.01, 100),
+    )
+)
+_TRIPLES = st.integers(3, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)),
+    )
+)
+# one strategy per _KINDS row, each drawing oracles of at most 12 elements
+KIND_ORACLES = {
+    "coverage": _COVERS.map(coverage_oracle),
+    "modular": st.lists(_REALS, max_size=12).map(modular_oracle),
+    "cut": _graphs(12).map(cut_oracle),
+    "incidence": _graphs(12).map(incidence_oracle),
+    "shifted-incidence": _graphs(12).map(shifted_incidence_oracle),
+    "nae": _TRIPLES.map(lambda t: nae_clause_oracle(CnfFormula.monotone3(*t))),
+    "logdet": st.builds(make_synthetic_gram, st.integers(1, 8), seed=st.integers(0, 99)).map(
+        logdet_oracle
+    ),
+    "influence": st.builds(
+        sample_rr_sets, _graphs(12, directed=True), st.integers(1, 30), st.integers(-5, 2**70)
+    ).map(influence_oracle),
+    "gadget": st.builds(
+        inapprox_gadget,
+        st.lists(st.floats(0, 1e6), max_size=8).map(modular_oracle),
+        st.floats(1e-3, 1e9),
+    ).map(lambda inst: inst.oracle),
+}
+
+
+class TestEveryKindRoundTrips:
+    def test_every_kind_has_a_strategy(self):
+        assert set(KIND_ORACLES) == set(_KINDS)
+
+    def test_readme_lists_each_kinds_directives(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = {
+            kind: directives
+            for kinds, directives in re.findall(r"^  \| (`[a-z`, -]+`) \| (.+) \|$", readme, re.M)
+            for kind in re.findall(r"`([a-z-]+)`", kinds)
+        }
+        listed.pop("kind")  # the header row
+        assert listed == {
+            kind: ", ".join(f"`{d}`" + "*" * (d in _REPEATABLE) for d in row[0].split())
+            for kind, row in _KINDS.items()
+        }
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_write_load_write(self, kind):
+        """Write, load and write again: the same files byte for byte, the same
+        name, and the same value on every mask to the last bit."""
+
+        @settings(max_examples=15, deadline=None)
+        @given(KIND_ORACLES[kind])
+        def check(f):
+            n = f.universe.n
+            x, y = Subset(n, range(n)), Subset(n, [])
+            with tempfile.TemporaryDirectory() as tmp:
+                first, second = Path(tmp, "first"), Path(tmp, "second")
+                first.mkdir()
+                second.mkdir()
+                write_instance(first / "case.instance", f, x, y, AdjacencyRule.TAR)
+                back = load_instance(first / "case.instance").oracle
+                write_instance(second / "case.instance", back, x, y, AdjacencyRule.TAR)
+                texts = [
+                    {q.name: q.read_bytes() for q in d.iterdir()} for d in (first, second)
+                ]
+            assert texts[0] == texts[1]
+            assert back.serial[0] == kind and back.name == f.name
+            masks = np.arange(1 << n)
+            assert [v.hex() for v in back.evaluate_many(masks).tolist()] == [
+                v.hex() for v in f.evaluate_many(masks).tolist()
+            ]
+
+        check()
+
+
+# the [oracle] lines each kind's writer emitted before the kinds shared one
+# table; write_instance adds the tail below
+PINNED_ORACLE_LINES = {
+    "coverage": "kind coverage\nn 3\nitems 3\ndivisor 2.0\ncover 1 2\ncover\ncover 3\n",
+    "modular": "kind modular\nweights 1.5 -0.25 0.0\n",
+    "cut": "kind cut\nn 3\nedge 1 2\nedge 2 3 2.5\n",
+    "incidence": "kind incidence\nn 3\nedge 1 2\nedge 2 3 2.5\n",
+    "shifted-incidence": "kind shifted-incidence\nn 3\nedge 1 2\nedge 2 3 2.5\n",
+    "nae": "kind nae\nn 4\nclause 1 2 3\nclause 2 3 4\n",
+    "logdet": "kind logdet\ngram-file case.gram\n",
+    "influence": "kind influence\nrr-file case.rr\n",
+    "gadget": "kind gadget\nupsilon 6.0\nweights 0.5 1.25\n",
+}
+
+
+class TestFormatIsPinned:
+    GRAPH = WeightedGraph.build(3, [(0, 1), (1, 2, 2.5)], probabilities=[0.5, 0.25])
+    ORACLES = {
+        "coverage": lambda: coverage_oracle(CoverageSpec(3, ((0, 1), (), (2,)), divisor=2.0)),
+        "modular": lambda: modular_oracle([1.5, -0.25, 0.0]),
+        "cut": lambda: cut_oracle(TestFormatIsPinned.GRAPH),
+        "incidence": lambda: incidence_oracle(TestFormatIsPinned.GRAPH),
+        "shifted-incidence": lambda: shifted_incidence_oracle(TestFormatIsPinned.GRAPH),
+        "nae": lambda: nae_clause_oracle(CnfFormula.monotone3(4, [(0, 1, 2), (1, 2, 3)])),
+        "logdet": lambda: logdet_oracle(GramMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))),
+        "influence": lambda: influence_oracle(TestRrCollection().make()),
+        "gadget": lambda: inapprox_gadget(modular_oracle([0.5, 1.25]), 6.0).oracle,
+    }
+    SIBLINGS = {
+        "logdet": {"case.gram": "2\n2.0 0.5\n0.5 1.0\n"},
+        "influence": {"case.rr": textwrap.dedent(TestRrCollection.TEXT)},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_text_is_pinned(self, tmp_path, kind):
+        f = self.ORACLES[kind]()
+        n = f.universe.n
+        write_instance(
+            tmp_path / "case.inst", f, Subset(n, [0]), Subset(n, [n - 1]), AdjacencyRule.TJAR,
+            theta=0.5,
+        )
+        instance = (
+            f"[oracle]\n{PINNED_ORACLE_LINES[kind]}\n[endpoints]\nx 1\ny {n}\n\n"
+            "[rule]\ntjar\n\n[theta]\nvalue 0.5\n"
+        )
+        assert {q.name: q.read_text() for q in tmp_path.iterdir()} == {
+            "case.inst": instance, **self.SIBLINGS.get(kind, {})
+        }
+
+
 _TAIL = "\n[endpoints]\nx 1\ny 2\n\n[rule]\ntar\n"
 
 
@@ -644,6 +830,26 @@ class TestParseErrorsNameTheLine:
                 4,
             ),
             ("case.instance", "[oracle]\nkind gadget\nweights 1 2\n" + _TAIL, 0),
+            ("case.instance", "[oracle]\nkind cut\nn -1\n" + _TAIL, 2),
+            ("case.instance", "[oracle]\nkind nae\nn -3\n" + _TAIL, 2),
+            ("case.instance", "[oracle]\nkind gadget\nupsilon -1\nweights 1 2\n" + _TAIL, 2),
+            (
+                "case.instance",
+                "[oracle]\nkind influence\ngraph-file net.tsv\nrr-count 0\nseed 1\n" + _TAIL,
+                2,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind influence\ngraph-file net.tsv\nprobability bogus\n"
+                "rr-count 5\nseed 1\n" + _TAIL,
+                2,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind influence\ngraph-file net.tsv\ndirected yes\nrr-count 5\n"
+                "seed 1\n" + _TAIL,
+                4,
+            ),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
@@ -660,9 +866,13 @@ class TestParseErrorsNameTheLine:
             "second-theta", "coverage-directive", "modular-directive", "cut-directive",
             "section-rules", "section-typo", "second-divisor", "second-kind", "second-n",
             "second-upsilon", "second-rr-file", "upsilon-missing",
+            "cut-n-sign", "nae-n-sign", "upsilon-sign", "rr-count-zero", "probability-mode",
+            "directed-word",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
+        # the graph that influence instances name; the cases above it do not read it
+        (tmp_path / "net.tsv").write_text("1 2\n")
         p = tmp_path / name
         p.write_text(content)
         with pytest.raises(InstanceParseError) as exc:
