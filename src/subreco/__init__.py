@@ -82,7 +82,6 @@ from .reductions import (
     vc_to_msreco,
 )
 from .fileio import (
-    InstanceFile,
     InstanceParseError,
     format_ids_1indexed,
     load_cnf,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     ProblemInstance,
     check_monotone,
     check_submodular,
+    resolve_threshold,
     total_curvature,
     validate_sequence,
 )
@@ -106,10 +108,13 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    spec = load_instance(args.instance)
-    instance = spec.to_problem_instance(spec.resolve_theta(args.theta, args.theta_frac))
-    seq = load_sequence_csv(args.sequence, spec.oracle.universe.n)
-    verdict = validate_sequence(instance, seq)
+    instance = load_instance(args.instance)
+    f, x, y = instance.oracle, instance.x, instance.y
+    theta = resolve_threshold(
+        args.theta, args.theta_frac, instance.theta, lambda: min(f.evaluate(x), f.evaluate(y))
+    )
+    seq = load_sequence_csv(args.sequence, f.universe.n)
+    verdict = validate_sequence(replace(instance, theta=theta), seq)
     if verdict:
         print("ok")
         return OK
@@ -253,6 +258,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"inconclusive: {exc}")
         return INCONCLUSIVE
-    except (InstanceParseError, FileNotFoundError, ValueError) as exc:
+    except (InstanceParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -480,18 +480,18 @@ class ProblemInstance:
 def resolve_threshold(
     theta: Optional[float],
     theta_frac: Optional[float],
-    source: tuple[Optional[float], Optional[float]],
+    source: Optional[float],
     endpoint_min: Callable[[], float],
 ) -> Optional[float]:
-    """``theta`` if given, else ``theta_frac * min(f(X), f(Y))``, else the same
-    for the instance source's own ``(theta, theta_frac)``, else None.
+    """``theta`` if given, else ``theta_frac * min(f(X), f(Y))``, else the
+    instance source's own threshold ``source``, which may be None.
 
     ``endpoint_min`` returns ``min(f(X), f(Y))`` and is called only for the
     fractional form, so an absolute or absent threshold costs no oracle calls.
     A non-finite ``theta`` or ``theta_frac`` raises ``ValueError``.
     """
     if theta is None and theta_frac is None:
-        theta, theta_frac = source
+        theta = source
     if not all(t is None or math.isfinite(t) for t in (theta, theta_frac)):
         raise ValueError(f"threshold must be finite, got theta={theta} theta_frac={theta_frac}")
     if theta is not None:

@@ -153,10 +153,8 @@ class Report:
         )
 
 
-def _resolve_instance(
-    cfg: ExperimentConfig,
-) -> tuple[ProblemInstance, tuple[Optional[float], Optional[float]]]:
-    """The instance to run, and its source's own ``(theta, theta_frac)``."""
+def _resolve_instance(cfg: ExperimentConfig) -> ProblemInstance:
+    """The instance to run, with its source's own threshold as ``theta``."""
     if sum(s is not None for s in (cfg.instance, cfg.graph_path, cfg.gram_path)) != 1:
         raise ValueError("exactly one instance source must be set")
 
@@ -168,10 +166,9 @@ def _resolve_instance(
         raise ValueError("k applies only to --graph and --gram sources")
 
     if isinstance(cfg.instance, ProblemInstance):
-        return cfg.instance, (cfg.instance.theta, None)
+        return cfg.instance
     if cfg.instance is not None:
-        spec = load_instance(cfg.instance)
-        return spec.to_problem_instance(None), (spec.theta, spec.theta_frac)
+        return load_instance(cfg.instance)
 
     if cfg.k is None:
         raise ValueError("endpoint construction needs k")
@@ -188,8 +185,8 @@ def _resolve_instance(
 
     x, y = interchangeable_greedy(oracle, cfg.k)  # run_experiment applies cfg.rule
     if cfg.graph_path is not None:
-        return ProblemInstance(oracle, x, y, AdjacencyRule.TJ, None, cfg.k), (None, None)
-    return ProblemInstance(oracle, x, y, AdjacencyRule.TJAR), (None, None)
+        return ProblemInstance(oracle, x, y, AdjacencyRule.TJ, None, cfg.k)
+    return ProblemInstance(oracle, x, y, AdjacencyRule.TJAR)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -200,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     source = cfg.instance
     # an oracle built during the run starts from zero calls
     calls_start = source.oracle.calls if isinstance(source, ProblemInstance) else 0
-    instance, source_theta = _resolve_instance(cfg)
+    instance = _resolve_instance(cfg)
     if cfg.rule is not None and cfg.rule is not instance.rule:
         k = len(instance.x) if cfg.rule is AdjacencyRule.TJ else None
         instance = replace(instance, rule=cfg.rule, cardinality_k=k)
@@ -217,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     fx = f.evaluate(instance.x)
     fy = f.evaluate(instance.y)
-    theta = resolve_threshold(cfg.theta, cfg.theta_frac, source_theta, lambda: min(fx, fy))
+    theta = resolve_threshold(cfg.theta, cfg.theta_frac, instance.theta, lambda: min(fx, fy))
 
     c0 = f.calls
     status = "ok"

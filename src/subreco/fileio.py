@@ -13,7 +13,8 @@ Formats:
   signed integers terminated by 0);
 * reverse-reachable collection: header ``n count seed``, then one vertex set
   per line;
-* instance: sections ``[oracle]``, ``[endpoints]``, ``[rule]``, ``[theta]``.
+* instance: sections ``[oracle]``, ``[endpoints]``, ``[rule]``, ``[theta]``,
+  read as one ``ProblemInstance``; ``[theta]`` is ``value r`` or ``none``.
   ``[oracle]`` holds a ``kind`` line and that kind's directives (``_KINDS``;
   ``*`` may repeat): coverage ``n items divisor cover*``; modular ``weights*``;
   cut, incidence and shifted-incidence ``n edge* graph-file``; nae ``n clause*
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -39,7 +40,6 @@ from .core import (
     SetFunctionOracle,
     Subset,
     UniverseMismatchError,
-    resolve_threshold,
 )
 from .oracles import (
     CnfFormula,
@@ -345,38 +345,6 @@ def load_rr_collection(path: PathLike) -> RrSetCollection:
 # instance files
 
 
-@dataclass
-class InstanceFile:
-    """Parsed instance: oracle, endpoints, rule, and an unresolved threshold.
-
-    ``theta`` is the ``[theta]`` line's ``value r`` and ``theta_frac`` its
-    ``frac r``, a fraction of ``min(f(X), f(Y))`` resolved on demand at the
-    cost of two evaluations; ``none`` sets neither.
-    """
-
-    oracle: SetFunctionOracle
-    x: Subset
-    y: Subset
-    rule: AdjacencyRule
-    theta: Optional[float] = None
-    theta_frac: Optional[float] = None
-
-    def resolve_theta(
-        self, theta: Optional[float] = None, theta_frac: Optional[float] = None
-    ) -> Optional[float]:
-        """The given ``theta`` or ``theta_frac``, else the file's own threshold."""
-        return resolve_threshold(
-            theta,
-            theta_frac,
-            (self.theta, self.theta_frac),
-            lambda: min(self.oracle.evaluate(self.x), self.oracle.evaluate(self.y)),
-        )
-
-    def to_problem_instance(self, theta: Optional[float]) -> ProblemInstance:
-        k = len(self.x) if self.rule is AdjacencyRule.TJ else None
-        return ProblemInstance(self.oracle, self.x, self.y, self.rule, theta, k)
-
-
 def _section_map(path: Path) -> dict[str, list[tuple[int, list[str]]]]:
     sections: dict[str, list[tuple[int, list[str]]]] = {}
     current = None
@@ -419,10 +387,13 @@ class _OracleLines:
         return numbers[0] if one else numbers
 
     def file(self, key: str, needed: str = "") -> Optional[Path]:
-        """The file a ``key`` line names beside this one; if none, None or the error ``needed``."""
+        """The file a ``key`` line names beside this one; if none, None or the error ``needed``.
+        A name that is not a regular file is an error at the ``key`` line."""
         path = self.first(key, self.path.parent.joinpath, None)
         if path is None and needed:
             raise InstanceParseError(self.path, 0, needed)
+        if path is not None and not path.is_file():
+            raise InstanceParseError(self.path, self.groups[key][0][0], f"no file {str(path)!r}")
         return path
 
 
@@ -571,7 +542,11 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
         raise InstanceParseError(path, d.groups["kind"][0][0], str(exc)) from None
 
 
-def load_instance(path: PathLike) -> InstanceFile:
+def load_instance(path: PathLike) -> ProblemInstance:
+    """The task an instance file describes: ``theta`` is ``[theta]``'s
+    ``value r``, else None (a fraction of ``min(f(X), f(Y))`` is the run
+    option ``theta_frac``); under TJ ``cardinality_k`` is |X|, and endpoints
+    of two sizes are an error at the ``[rule]`` line."""
     path = Path(path)
     sections = _section_map(path)
     for required in ("oracle", "endpoints", "rule"):
@@ -600,20 +575,25 @@ def load_instance(path: PathLike) -> InstanceFile:
         rule = AdjacencyRule.parse(rule_entries[0][1][0])
     except ValueError as exc:
         raise InstanceParseError(path, rule_entries[0][0], str(exc)) from None
-    theta: dict[str, float] = {}  # 'value' or 'frac' -> its number
+    theta = None
     theta_lines = sections.get("theta", [])
     if len(theta_lines) > 1:
         raise InstanceParseError(path, theta_lines[1][0], "[theta] holds one directive")
     for lineno, tokens in theta_lines:
-        if tokens[0] in ("value", "frac"):
+        if tokens[0] == "value":
             if len(tokens) != 2:
-                raise InstanceParseError(path, lineno, f"'{tokens[0]}' takes one number")
-            theta[tokens[0]] = _numbers(path, lineno, tokens[1:], float)[0]
+                raise InstanceParseError(path, lineno, "'value' takes one number")
+            theta = _numbers(path, lineno, tokens[1:], float)[0]
+        elif tokens[0] == "frac":
+            raise InstanceParseError(path, lineno, "'frac' is the run option --theta-frac")
         elif tokens[0] != "none":
             raise InstanceParseError(path, lineno, f"unknown theta form {tokens[0]!r}")
-    return InstanceFile(
-        oracle, ends["x"], ends["y"], rule, theta.get("value"), theta.get("frac")
-    )
+    k = len(ends["x"]) if rule is AdjacencyRule.TJ else None
+    if k is not None and len(ends["y"]) != k:
+        raise InstanceParseError(
+            path, rule_entries[0][0], f"tj endpoints have one size, got {k} and {len(ends['y'])}"
+        )
+    return ProblemInstance(oracle, ends["x"], ends["y"], rule, theta, k)
 
 
 def _oracle_lines(path: Path, oracle: SetFunctionOracle) -> list[str]:
@@ -631,19 +611,10 @@ def write_instance(
     rule: AdjacencyRule,
     *,
     theta: Optional[float] = None,
-    theta_frac: Optional[float] = None,
 ) -> None:
-    """Write an instance file; ``theta`` becomes ``[theta]``'s ``value``
-    line, ``theta_frac`` its ``frac`` line, and neither ``none``.  Setting
-    both is a ``ValueError``."""
-    if theta is None and theta_frac is None:
-        threshold = "none"
-    elif theta_frac is None:
-        threshold = f"value {theta!r}"
-    elif theta is None:
-        threshold = f"frac {theta_frac!r}"
-    else:
-        raise ValueError("set theta or theta_frac, not both")
+    """Write an instance file that :func:`load_instance` reads back; a
+    ``theta`` becomes ``[theta]``'s ``value`` line, and None its ``none``."""
+    threshold = "none" if theta is None else f"value {theta!r}"
     path = Path(path)
     lines = [
         "[oracle]", *_oracle_lines(path, oracle), "",

@@ -111,7 +111,7 @@ class TestGen:
         assert code == 0
         spec = load_instance(path)
         assert spec.rule is AdjacencyRule.TJ
-        assert (spec.theta, spec.theta_frac) == (2.0, None)
+        assert spec.theta == 2.0
         # cover endpoints meet the all-edges threshold
         assert spec.oracle.evaluate(spec.x) == 2.0
         assert spec.oracle.evaluate(spec.y) == 2.0
@@ -127,7 +127,7 @@ class TestGen:
         spec = load_instance(path)
         assert spec.rule is AdjacencyRule.TJAR
         # 3 edges, size-2 covers of a 4-vertex path: 3 - 2/2 + 4/2 = 4
-        assert (spec.theta, spec.theta_frac) == (4.0, None)
+        assert spec.theta == 4.0
         assert spec.oracle.evaluate(spec.x) == 4.0
 
     def test_shifted_incidence_audit_verdicts(self, tmp_path, capsys):
@@ -153,7 +153,7 @@ class TestGen:
         assert code == 0
         spec = load_instance(path)
         assert spec.rule is AdjacencyRule.TAR
-        assert (spec.theta, spec.theta_frac) == (1.0, None)
+        assert spec.theta == 1.0
         assert spec.x == Subset(3, (0,))
         assert spec.y == Subset(3, (0, 1))
 
@@ -471,6 +471,47 @@ class TestInputErrors:
     def test_missing_instance_file(self, tmp_path, capsys):
         assert main(["solve", "swap", str(tmp_path / "nope.inst")]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "submodular", "{dir}"],
+            ["solve", "swap", "--graph", "{dir}", "--k", "1", "--seed", "1"],
+            ["validate", "{inst}", "{dir}"],
+            ["gen", "nae2tar", "--cnf", "{dir}", "--sx", "100", "--sy", "110", "--out", "{out}"],
+        ],
+        ids=["instance", "graph", "sequence", "cnf"],
+    )
+    def test_directory_is_an_input_error(self, tmp_path, capsys, argv):
+        inst = gen_instance(tmp_path, "obs52")
+        capsys.readouterr()
+        out = tmp_path / "g.inst"
+        assert main([a.format(dir=tmp_path, inst=inst, out=out) for a in argv]) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "submodular", "{inst}"], ["check", "monotone", "{inst}"],
+            ["curvature", "{inst}"], ["solve", "swap", "{inst}"],
+            ["solve", "astar", "{inst}", "--theta", "1"], ["exact", "{inst}"],
+            ["validate", "{inst}", "{seq}"],
+        ],
+        ids=["submodular", "monotone", "curvature", "swap", "astar", "exact", "validate"],
+    )
+    def test_tj_endpoints_of_two_sizes(self, tmp_path, capsys, argv):
+        path = tmp_path / "tj.inst"
+        path.write_text(
+            "[oracle]\nkind modular\nweights 1 2 3\n\n[endpoints]\nx 1\ny 2 3\n\n[rule]\ntj\n",
+            encoding="utf-8",
+        )
+        seq = tmp_path / "seq.csv"
+        seq.write_text('index,set,value\n0,"{1}",1.0\n', encoding="utf-8")
+        assert main([a.format(inst=path, seq=seq) for a in argv]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}:10: tj endpoints have one size, got 1 and 2\n"
+        )
 
     def test_malformed_instance(self, tmp_path, capsys):
         path = tmp_path / "bad.inst"

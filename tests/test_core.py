@@ -12,30 +12,37 @@ from subreco import (
     AdjacencyRule,
     BudgetExceededError,
     CheckVerdict,
+    CnfFormula,
     CoverageSpec,
     GroundSet,
     OracleDomainError,
     ProblemInstance,
     ReconfigSequence,
+    SatAssignment,
     SetFunctionOracle,
     Subset,
     UniverseMismatchError,
     WeightedGraph,
     astar,
+    build_value_table,
     check_monotone,
     check_submodular,
     coverage_oracle,
     cut_oracle,
+    incidence_oracle,
     influence_oracle,
     inverse_indegree_probabilities,
     is_adjacent,
     modular_oracle,
     modular_upper_bound,
+    nae3sat_to_usreco_tar,
     neighbors,
     optimal_sequence,
     residual,
     sample_rr_sets,
     sequence_value,
+    shifted_incidence_oracle,
+    swap_reconfigure,
     total_curvature,
     validate_sequence,
 )
@@ -711,3 +718,51 @@ class TestChecks:
         f = random_monotone_oracle(random.Random(seed), 6)
         assert check_submodular(f).ok
         assert check_monotone(f).ok
+
+
+# ---------------------------------------------------------------------------
+# argument checks
+
+
+def _modular3():
+    return modular_oracle([1.0, 2.0, 3.0])
+
+
+def _arc():
+    return WeightedGraph.build(2, [(0, 1)], directed=True)
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: swap_reconfigure(_modular3(), Subset(4, [0]), Subset(3, [1])),
+         ValueError, "endpoints over wrong universe"),
+        (lambda: Subset(3, [0]).add(3),
+         UniverseMismatchError, "element 3 outside universe of size 3"),
+        (lambda: residual(_modular3(), Subset(4, [0])),
+         UniverseMismatchError, "residual base set over wrong universe"),
+        (lambda: build_value_table(_modular3(), AdjacencyRule.TAR, restriction=Subset(4, [0])),
+         ValueError, "restriction over wrong universe"),
+        (lambda: WeightedGraph.build(2, [(0, 1)], probabilities=[0.5, 0.5]),
+         ValueError, "probabilities must align with edges"),
+        (lambda: incidence_oracle(_arc()),
+         ValueError, "incidence oracle expects an undirected graph"),
+        (lambda: shifted_incidence_oracle(_arc()),
+         ValueError, "shifted incidence oracle expects an undirected graph"),
+        (lambda: sample_rr_sets(WeightedGraph.build(0, [], directed=True, probabilities=[]), 5, 0),
+         ValueError, "cannot sample from an empty graph"),
+        (lambda: nae3sat_to_usreco_tar(
+            CnfFormula.monotone3(3, [(0, 1, 2)]),
+            SatAssignment.from_string("10"),
+            SatAssignment.from_string("100"),
+        ), ValueError, "assignment length differs from variable count"),
+    ],
+    ids=["swap-universe", "subset-add", "residual-universe", "value-table-restriction",
+         "graph-probabilities", "incidence-directed", "shifted-incidence-directed",
+         "rr-empty-graph", "nae-assignment-length"],
+)
+def test_argument_checks_raise(call, kind, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == message

@@ -124,9 +124,8 @@ class TestRunExperiment:
             Subset(3, [0]),
             Subset(3, [2]),
             AdjacencyRule.TJAR,
-            theta_frac=0.5,
         )
-        report = run_experiment(ExperimentConfig(algorithm="swap", instance=p))
+        report = run_experiment(ExperimentConfig(algorithm="swap", instance=p, theta_frac=0.5))
         assert report.theta == pytest.approx(1.0)
         assert report.calls_setup == 2  # f(X) and f(Y), taken once
 

@@ -207,7 +207,7 @@ class TestCnf:
 
     def test_dimacs_quirks(self, tmp_path):
         p = tmp_path / "f.cnf"
-        p.write_text("c comment\np cnf 3 2\n1 -2 0 3\n1 0\n")
+        p.write_text("c comment\np cnf 3 2\n1 -2 0 3\n1\n")
         phi = load_cnf(p)
         # clauses may span lines; the final clause may omit its terminator
         assert phi.clauses == (
@@ -336,7 +336,7 @@ class TestInstanceFiles:
         )
         assert inst.x == Subset(3, [0]) and inst.y == Subset(3, [2])
         assert inst.rule is AdjacencyRule.TJ
-        assert inst.resolve_theta() == 0.5
+        assert inst.theta == 0.5
         assert_same_values(f, inst.oracle)
 
     def test_modular(self, tmp_path):
@@ -344,7 +344,7 @@ class TestInstanceFiles:
         _, inst = self.roundtrip(
             tmp_path, f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TAR
         )
-        assert inst.resolve_theta() is None
+        assert inst.theta is None
         assert_same_values(f, inst.oracle)
 
     @pytest.mark.parametrize("maker", [cut_oracle, incidence_oracle, shifted_incidence_oracle])
@@ -404,6 +404,23 @@ class TestInstanceFiles:
         )
         assert_same_values(expected, inst.oracle, masks=range(16))
 
+    @pytest.mark.parametrize(
+        "maker", [cut_oracle, incidence_oracle, shifted_incidence_oracle, nae_clause_oracle]
+    )
+    def test_data_file_form_gives_the_inline_values(self, tmp_path, maker):
+        g = WeightedGraph.build(4, [(0, 1), (1, 2, 2.0), (2, 3), (0, 3, 0.5)])
+        phi = CnfFormula.monotone3(4, [(0, 1, 2), (1, 2, 3)])
+        write_edge_list(tmp_path / "net.tsv", g)
+        write_cnf(tmp_path / "f.cnf", phi)
+        nae = maker is nae_clause_oracle
+        f = maker(phi if nae else g)
+        _, inline = self.roundtrip(tmp_path, f, Subset(4, [0]), Subset(4, [3]), AdjacencyRule.TAR)
+        directive = "cnf-file f.cnf" if nae else "graph-file net.tsv"
+        p = tmp_path / "file.instance"
+        p.write_text(f"[oracle]\nkind {f.serial[0]}\n{directive}\n" + _TAIL)
+        # every one of the 16 masks
+        assert_same_values(inline.oracle, load_instance(p).oracle)
+
     def test_gadget(self, tmp_path):
         gadget = inapprox_gadget(modular_oracle([0.3, 0.2]), 1.5)
         _, inst = self.roundtrip(
@@ -427,37 +444,15 @@ class TestInstanceFiles:
         p.write_text(text.replace("\n\n[endpoints]", "\nweights 9.0 9.0\n\n[endpoints]", 1))
         assert_same_values(gadget.oracle, load_instance(p).oracle)
 
-    def test_frac_theta_resolves_against_endpoints(self, tmp_path):
+    def test_to_problem_instance_defaults(self, tmp_path):
         f = modular_oracle([3.0, 1.0, 2.0])
         _, inst = self.roundtrip(
             tmp_path, f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ,
-            theta_frac=0.5,
-        )
-        # min(f(X), f(Y)) = 2
-        assert inst.resolve_theta() == pytest.approx(1.0)
-
-    def test_to_problem_instance_defaults(self, tmp_path):
-        f = modular_oracle([3.0, 1.0, 2.0])
-        _, parsed = self.roundtrip(
-            tmp_path, f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ,
             theta=1.5,
         )
-        inst = parsed.to_problem_instance(parsed.resolve_theta())
+        assert isinstance(inst, ProblemInstance)
         assert inst.theta == 1.5
         assert inst.cardinality_k == 1  # implied by the exchange rule
-        override = parsed.to_problem_instance(theta=None)
-        assert parsed.resolve_theta(theta_frac=0.5) == pytest.approx(1.0)
-        assert parsed.resolve_theta(theta=0.25, theta_frac=0.5) == 0.25
-        assert override.theta is None
-
-    def test_theta_and_fraction_together_are_refused(self, tmp_path):
-        p = tmp_path / "case.instance"
-        with pytest.raises(ValueError):
-            write_instance(
-                p, modular_oracle([1.0, 2.0]), Subset(2, [0]), Subset(2, [1]),
-                AdjacencyRule.TAR, theta=1.0, theta_frac=0.5,
-            )
-        assert not p.exists()
 
     def test_write_problem_instance(self, tmp_path):
         inst = ProblemInstance(
@@ -469,10 +464,16 @@ class TestInstanceFiles:
         )
         p = tmp_path / "case.instance"
         write_instance(p, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
-        spec = load_instance(p)
-        back = spec.to_problem_instance(spec.resolve_theta())
-        assert back.theta == 0.75
+        back = load_instance(p)
+        assert back.theta == 0.75 and back.cardinality_k is None
         assert back.x == inst.x and back.y == inst.y and back.rule is inst.rule
+
+    def test_theta_fraction_is_a_run_option(self, tmp_path):
+        p = tmp_path / "case.instance"
+        p.write_text("[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nfrac 0.5\n")
+        with pytest.raises(InstanceParseError, match="--theta-frac") as exc:
+            load_instance(p)
+        assert exc.value.line == 13
 
     def test_unwritable_oracle(self, tmp_path):
         from subreco import GroundSet, SetFunctionOracle
@@ -850,6 +851,38 @@ class TestParseErrorsNameTheLine:
                 "seed 1\n" + _TAIL,
                 4,
             ),
+            ("case.instance", "[oracle]\nkind logdet\ngram-file missing.gram\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind cut\ngraph-file missing.tsv\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind nae\ncnf-file missing.cnf\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind influence\nrr-file missing.rr\n" + _TAIL, 3),
+            (
+                "case.instance",
+                "[oracle]\nkind influence\ngraph-file .\nrr-count 5\nseed 1\n" + _TAIL,
+                3,
+            ),
+            ("case.instance", "[oracle]\nkind coverage\nn 3 4\nitems 2\n" + _TAIL, 3),
+            ("case.instance", "[oracle]\nkind logdet\n" + _TAIL, 0),
+            ("case.instance", "[oracle]\nkind coverage\nn 2\nitems 2\ncover 1\n" + _TAIL, 0),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\n\n[rule]\ntar\n",
+                0,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\ny 2\n\n[rule]\ntar tj\n",
+                0,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nvalue\n",
+                13,
+            ),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\ny 1 2\n\n[rule]\ntj\n",
+                10,
+            ),
         ],
         ids=[
             "weights", "n", "divisor", "upsilon", "edge-id", "edge-weight", "clause",
@@ -867,7 +900,10 @@ class TestParseErrorsNameTheLine:
             "section-rules", "section-typo", "second-divisor", "second-kind", "second-n",
             "second-upsilon", "second-rr-file", "upsilon-missing",
             "cut-n-sign", "nae-n-sign", "upsilon-sign", "rr-count-zero", "probability-mode",
-            "directed-word",
+            "directed-word", "gram-file-missing", "graph-file-missing", "cnf-file-missing",
+            "rr-file-missing", "graph-file-directory", "coverage-n-arity", "gram-file-absent",
+            "cover-count", "endpoint-y-absent", "rule-arity", "theta-value-arity",
+            "tj-endpoint-sizes",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
