@@ -589,11 +589,10 @@ def load_instance(path: PathLike) -> ProblemInstance:
         elif tokens[0] != "none":
             raise InstanceParseError(path, lineno, f"unknown theta form {tokens[0]!r}")
     k = len(ends["x"]) if rule is AdjacencyRule.TJ else None
-    if k is not None and len(ends["y"]) != k:
-        raise InstanceParseError(
-            path, rule_entries[0][0], f"tj endpoints have one size, got {k} and {len(ends['y'])}"
-        )
-    return ProblemInstance(oracle, ends["x"], ends["y"], rule, theta, k)
+    try:
+        return ProblemInstance(oracle, ends["x"], ends["y"], rule, theta, k)
+    except ValueError as exc:
+        raise InstanceParseError(path, rule_entries[0][0], str(exc)) from None
 
 
 def _oracle_lines(path: Path, oracle: SetFunctionOracle) -> list[str]:

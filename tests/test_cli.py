@@ -492,6 +492,17 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "argv",
+        [["gen", "obs52", "--out", "{dir}"], ["solve", "swap", "{inst}", "--out", "{dir}"]],
+        ids=["gen", "solve"],
+    )
+    def test_output_that_cannot_be_written_exits_3(self, tmp_path, capsys, argv):
+        inst = gen_instance(tmp_path, "obs52")
+        capsys.readouterr()
+        assert main([a.format(dir=tmp_path, inst=inst) for a in argv]) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["check", "submodular", "{inst}"], ["check", "monotone", "{inst}"],
             ["curvature", "{inst}"], ["solve", "swap", "{inst}"],
@@ -510,7 +521,7 @@ class TestInputErrors:
         seq.write_text('index,set,value\n0,"{1}",1.0\n', encoding="utf-8")
         assert main([a.format(inst=path, seq=seq) for a in argv]) == 3
         assert capsys.readouterr().err == (
-            f"error: {path}:10: tj endpoints have one size, got 1 and 2\n"
+            f"error: {path}:10: endpoints must have size 1, got 1 and 2\n"
         )
 
     def test_malformed_instance(self, tmp_path, capsys):

@@ -129,6 +129,21 @@ class TestRunExperiment:
         assert report.theta == pytest.approx(1.0)
         assert report.calls_setup == 2  # f(X) and f(Y), taken once
 
+    def test_run_options_override_the_file_threshold(self, tmp_path):
+        p = tmp_path / "value.instance"
+        write_instance(
+            p,
+            modular_oracle([2.0, 1.0, 3.0]),
+            Subset(3, [0]),
+            Subset(3, [2]),
+            AdjacencyRule.TJAR,
+            theta=1.5,
+        )
+        run = lambda **kw: run_experiment(ExperimentConfig(algorithm="swap", instance=p, **kw))
+        assert run().theta == 1.5
+        assert run(theta_frac=0.5).theta == pytest.approx(1.0)
+        assert run(theta=0.25, theta_frac=0.5).theta == 0.25
+
     def test_rule_override_relaxes_the_instance(self):
         report = run_experiment(
             ExperimentConfig(

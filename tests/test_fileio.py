@@ -49,6 +49,7 @@ from subreco import (
     write_instance,
     write_sequence_csv,
 )
+from subreco.core import resolve_threshold
 from subreco.fileio import _KINDS, _REPEATABLE
 
 
@@ -453,6 +454,10 @@ class TestInstanceFiles:
         assert isinstance(inst, ProblemInstance)
         assert inst.theta == 1.5
         assert inst.cardinality_k == 1  # implied by the exchange rule
+        endpoint_min = lambda: min(inst.oracle.evaluate(inst.x), inst.oracle.evaluate(inst.y))
+        # a run-time fraction overrides the file's value; theta beats a fraction
+        assert resolve_threshold(None, 0.5, inst.theta, endpoint_min) == pytest.approx(1.0)
+        assert resolve_threshold(0.25, 0.5, inst.theta, endpoint_min) == 0.25
 
     def test_write_problem_instance(self, tmp_path):
         inst = ProblemInstance(
