@@ -41,7 +41,6 @@ from .oracles import (
     coverage_oracle,
     cut_oracle,
     directionalize,
-    exact_influence,
     incidence_oracle,
     influence_oracle,
     inverse_indegree_probabilities,

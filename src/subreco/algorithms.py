@@ -178,17 +178,19 @@ def default_heuristic(rule: AdjacencyRule, y: Subset) -> Callable[[Subset], floa
 
 def feasible_path(
     rule: AdjacencyRule,
-    n: int,
+    ground: int,
     x_mask: int,
     y_mask: int,
     feasible: Callable[[int], bool],
     budget: int,
 ) -> tuple[str, Optional[list[int]], int]:
-    """Shortest walk from X to Y through states passing ``feasible``, by A*.
+    """Shortest walk from X to Y through subsets of ``ground`` passing ``feasible``, by A*.
 
-    Returns ``(status, masks, expansions)``: ``found`` with the walk's masks
-    from X to Y, ``no_path``, or ``inconclusive`` when ``budget`` expansions
-    ran out first.  ``feasible`` is asked about X, then Y (either failing
+    ``ground`` is a mask holding X and Y, and the search never generates a
+    state outside it (:func:`~subreco.core.neighbor_masks`).  Returns
+    ``(status, masks, expansions)``: ``found`` with the walk's masks from X
+    to Y, ``no_path``, or ``inconclusive`` when ``budget`` expansions ran
+    out first.  ``feasible`` is asked about X, then Y (either failing
     settles ``no_path`` without searching), then about another state only
     when it is popped with its current step count ``g``; only passing pops
     count as expansions.  The open list is a monotone bucket queue: bucket
@@ -236,7 +238,7 @@ def feasible_path(
                 chain.append(parent[chain[-1]])
             return "found", chain[::-1], expansions
         g += 1
-        for t in neighbor_masks(rule, n, mask):
+        for t in neighbor_masks(rule, ground, mask):
             if g < g_score.get(t, math.inf):
                 g_score[t] = g
                 tb = 2 * g + a * (t ^ y_mask).bit_count()
@@ -275,8 +277,9 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
     Runs :func:`feasible_path` with feasibility ``f(S) >= instance.theta -
     VALUE_SLACK``.  There is no memo: the oracle calls are one per distinct
     endpoint plus one per other state popped with its current step count,
-    and no subset is evaluated twice.  A budget of 0 expansions is always
-    inconclusive; a negative budget raises ``ValueError``.
+    and no subset is evaluated twice.  A budget of 0 expansions is
+    inconclusive unless X or Y fails the threshold, which settles
+    ``no_path`` without an expansion; a negative budget raises ``ValueError``.
     """
     if instance.theta is None:
         raise ValueError("astar needs a threshold")
@@ -293,7 +296,7 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
         return f.evaluate(mask) >= bound
 
     status, masks, expansions = feasible_path(
-        instance.rule, n, instance.x.mask, instance.y.mask, feasible, budget
+        instance.rule, (1 << n) - 1, instance.x.mask, instance.y.mask, feasible, budget
     )
     seq = None
     if masks is not None:

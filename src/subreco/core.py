@@ -512,15 +512,17 @@ def is_adjacent(rule: AdjacencyRule, s: Subset, t: Subset) -> bool:
     return diff == 1 or (diff == 2 and len(s) == len(t))
 
 
-def neighbor_masks(rule: AdjacencyRule, n: int, mask: int) -> list[int]:
-    """Masks of all subsets of ``n`` elements adjacent to ``mask``, in a fixed order.
+def neighbor_masks(rule: AdjacencyRule, ground: int, mask: int) -> list[int]:
+    """Masks of all subsets of ``ground`` adjacent to ``mask``, in a fixed order.
 
-    Removals come first (ascending removed id), then additions (ascending
-    added id), then exchanges ordered by (removed id, added id).  A fixed
-    order keeps searches that break ties by insertion bit-reproducible.
+    Removals (of the bits of ``mask``) come first, then additions (of the
+    bits of ``ground & ~mask``), each by ascending id, then exchanges by
+    (removed id, added id).  A fixed order keeps searches that break ties by
+    insertion bit-reproducible.  ``mask`` must be a subset of ``ground``.
     """
-    inside = [1 << e for e in range(n) if mask >> e & 1]
-    outside = [1 << e for e in range(n) if not mask >> e & 1]
+    free = ground & ~mask
+    inside = [1 << e for e in range(mask.bit_length()) if mask >> e & 1]
+    outside = [1 << e for e in range(free.bit_length()) if free >> e & 1]
     out: list[int] = []
     if rule is not AdjacencyRule.TJ:
         out += [mask ^ bit for bit in inside]
@@ -535,7 +537,7 @@ def neighbor_masks(rule: AdjacencyRule, n: int, mask: int) -> list[int]:
 def neighbors(rule: AdjacencyRule, s: Subset) -> list[Subset]:
     """All subsets adjacent to S, in the order of :func:`neighbor_masks`."""
     n = s.n
-    return [Subset.from_mask(n, m) for m in neighbor_masks(rule, n, s.mask)]
+    return [Subset.from_mask(n, m) for m in neighbor_masks(rule, (1 << n) - 1, s.mask)]
 
 
 @dataclass(frozen=True)

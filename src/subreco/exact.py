@@ -7,11 +7,12 @@ The optimum is the largest threshold whose decision answer is yes, found by
 threshold ascent over the same search (:func:`~subreco.algorithms.feasible_path`),
 as in Gabow and Tarjan's reduction of bottleneck problems to threshold
 decisions.  Starting at ``v = -inf``, each round asks for a walk from X to Y
-through states of the restriction with ``f > v``; a walk found raises ``v``
-to its smallest value, and a round without one proves ``v`` optimal.  Under
-the exchange rule (TJ) every state keeps ``|X|`` elements.  One ``mask ->
-value`` memo spans all rounds, so no state costs more than one oracle call,
-and one expansion budget spans all rounds and the sequence pass.
+through states with ``f > v``, searching only the restriction's subsets; a
+walk found raises ``v`` to its smallest value, and a round without one
+proves ``v`` optimal.  Under the exchange rule (TJ) every state keeps
+``|X|`` elements.  One ``mask -> value`` memo spans all rounds, so no state
+costs more than one oracle call, and one expansion budget spans all rounds
+and the sequence pass.
 
 :func:`build_value_table` tabulates a whole lattice or TJ slice with a size
 guard; no solver uses it, and it stays for tests and the benchmark probe.
@@ -107,8 +108,9 @@ def _optimum(
     """The optimal threshold, and with ``walk`` the masks of a walk attaining it.
 
     The states are the subsets of the restriction (all ``n`` elements by
-    default), which must hold X and Y; under TJ X and Y must have equal size
-    (``ValueError`` otherwise).  X == Y costs one evaluation and no search.
+    default), which must hold X and Y, and each round's search generates no
+    other; under TJ X and Y must have equal size (``ValueError`` otherwise).
+    X == Y costs one evaluation and no search.
     """
     n = oracle.universe.n
     if restriction is None:
@@ -122,7 +124,6 @@ def _optimum(
     if x == y:
         return oracle.evaluate(x), [x.mask]
     memo: dict[int, float] = {}
-    outside = ~restriction.mask
     spent = 0
 
     def value(mask: int) -> float:
@@ -130,11 +131,11 @@ def _optimum(
             memo[mask] = oracle.evaluate(mask)
         return memo[mask]
 
-    def search(passes) -> Optional[list[int]]:
+    def search(feasible) -> Optional[list[int]]:
         nonlocal spent
         left = 1 << min(n, 24) if budget is None else budget - spent
         status, chain, expansions = feasible_path(
-            rule, n, x.mask, y.mask, lambda m: not m & outside and passes(value(m)), left
+            rule, restriction.mask, x.mask, y.mask, feasible, left
         )
         spent += expansions
         if status == "inconclusive":
@@ -143,11 +144,11 @@ def _optimum(
 
     v = -math.inf
     while v < min(value(x.mask), value(y.mask)):
-        chain = search(lambda t: t > v)
+        chain = search(lambda m: value(m) > v)
         if chain is None:
             break
         v = min(memo[m] for m in chain)
-    return v, search(lambda t: t >= v) if walk else None
+    return v, search(lambda m: value(m) >= v) if walk else None
 
 
 def optimal_value(

@@ -16,6 +16,7 @@ import pytest
 
 from subreco import (
     AdjacencyRule,
+    BudgetExceededError,
     CnfFormula,
     CoverageSpec,
     GramMatrix,
@@ -139,6 +140,43 @@ def batch_kind_oracle(kind: str, seed: int, n: int) -> SetFunctionOracle:
 
 # ---------------------------------------------------------------------------
 # independent references
+
+
+def exact_influence(g: WeightedGraph, s: Subset) -> float:
+    """Expected spread of S by enumerating all arc subsets (guarded at 20 arcs)."""
+    if not g.directed or g.probabilities is None:
+        raise ValueError("exact influence needs a directed graph with probabilities")
+    if s.n != g.n:
+        raise ValueError("seed set over wrong universe")
+    m = len(g.edges)
+    if m > 20:
+        raise BudgetExceededError(f"exact influence refused for {m} > 20 arcs")
+    total = 0.0
+    seeds = list(s)
+    for arc_mask in range(1 << m):
+        prob = 1.0
+        for i in range(m):
+            p = g.probabilities[i]
+            prob *= p if arc_mask >> i & 1 else 1.0 - p
+        if prob == 0.0:
+            continue
+        adj: list[list[int]] = [[] for _ in range(g.n)]
+        for i in range(m):
+            if arc_mask >> i & 1:
+                u, v = g.edges[i]
+                adj[u].append(v)
+        visited = set(seeds)
+        queue = list(seeds)
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for v in adj[u]:
+                if v not in visited:
+                    visited.add(v)
+                    queue.append(v)
+        total += prob * len(visited)
+    return total
 
 
 def bfs_shortest_feasible(

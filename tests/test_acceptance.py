@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     bfs_shortest_feasible,
+    exact_influence,
     random_monotone_oracle,
     random_nonnegative_oracle,
     random_subset,
@@ -33,7 +34,6 @@ from subreco import (
     astar,
     check_monotone,
     check_submodular,
-    exact_influence,
     inapprox_gadget,
     influence_oracle,
     interchangeable_greedy,

@@ -53,7 +53,7 @@ from conftest import (
 )
 
 
-def eager_feasible_path(rule, n, x_mask, y_mask, feasible, budget):
+def eager_feasible_path(rule, ground, x_mask, y_mask, feasible, budget):
     """Reference A* that asks ``feasible`` about each neighbour on relax.
 
     The open list is a heap keyed by ``(g + step_bound, -push_count)``, so
@@ -78,7 +78,7 @@ def eager_feasible_path(rule, n, x_mask, y_mask, feasible, budget):
             while chain[-1] != x_mask:
                 chain.append(parent[chain[-1]])
             return "found", chain[::-1], expansions
-        for t in neighbor_masks(rule, n, mask):
+        for t in neighbor_masks(rule, ground, mask):
             if g + 1 < g_score.get(t, math.inf) and feasible(t):
                 g_score[t] = g + 1
                 parent[t] = mask
@@ -461,6 +461,11 @@ class TestAstar:
         full = astar(inst)
         assert full.status == "found"
 
+    def test_budget_zero_still_settles_a_failing_endpoint(self):
+        inst = self.make_instance([1.0, 2.0, 3.0], [0], [2], AdjacencyRule.TJ, 5.0)
+        result = astar(inst, AstarConfig(budget=0))
+        assert (result.status, result.expansions, result.oracle_calls) == ("no_path", 0, 1)
+
     def test_negative_budget_is_an_error(self):
         inst = self.make_instance([1.0, 1.0], [0], [1], AdjacencyRule.TAR, 0.5)
         with pytest.raises(ValueError, match="budget"):
@@ -509,9 +514,42 @@ class TestAstar:
             lazy_calls.append(mask)
             return value_passes(mask)
 
-        expected = eager_feasible_path(rule, n, x.mask, y.mask, eager, budget)
-        assert feasible_path(rule, n, x.mask, y.mask, lazy, budget) == expected
+        full = (1 << n) - 1
+        expected = eager_feasible_path(rule, full, x.mask, y.mask, eager, budget)
+        assert feasible_path(rule, full, x.mask, y.mask, lazy, budget) == expected
         assert len(lazy_calls) <= len(memo)
+
+    @given(st.integers(0, 9999), st.integers(2, 8), st.sampled_from(list(AdjacencyRule)),
+           st.floats(0.0, 0.6), st.one_of(st.none(), st.integers(0, 6)))
+    @settings(max_examples=200, deadline=None)
+    def test_restricted_search_matches_filter_at_pop(self, seed, n, rule, density, budget):
+        """A search over the subsets of R equals one over the whole universe
+        whose ``feasible`` rejects each state outside R when it is popped.
+
+        Sparse random passing sets force detours and exhausted searches, so
+        states next to R's subsets are pushed and popped, not only direct
+        walks."""
+        rng = random.Random(seed)
+        x = random_subset(rng, n, rng.randint(0, n // 2))
+        y = random_subset(rng, n, len(x) if rule is AdjacencyRule.TJ else rng.randint(0, n // 2))
+        ground = x.mask | y.mask | rng.getrandbits(n) & rng.getrandbits(n)
+        passing = {m for m in range(1 << n) if rng.random() < density} | {x.mask, y.mask}
+        if budget is None:
+            budget = 1 << n
+        asked, reference_asked = [], []
+
+        def restricted(mask):
+            asked.append(mask)
+            return mask in passing
+
+        def filter_at_pop(mask):
+            reference_asked.append(mask)
+            return not mask & ~ground and mask in passing
+
+        full = (1 << n) - 1
+        expected = feasible_path(rule, full, x.mask, y.mask, filter_at_pop, budget)
+        assert feasible_path(rule, ground, x.mask, y.mask, restricted, budget) == expected
+        assert asked == [m for m in reference_asked if not m & ~ground]
 
     def test_deterministic_across_runs(self):
         inst = self.make_instance(

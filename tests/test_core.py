@@ -46,7 +46,7 @@ from subreco import (
     total_curvature,
     validate_sequence,
 )
-from subreco.core import CHECK_TOL
+from subreco.core import CHECK_TOL, neighbor_masks
 
 from conftest import (
     BATCH_KINDS,
@@ -422,6 +422,19 @@ class TestAdjacency:
             if is_adjacent(rule, s, Subset.from_mask(n, t))
         }
         assert set(listed) == expected
+
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1),
+                            st.integers(0, 2**n - 1))),
+        st.sampled_from(list(AdjacencyRule)))
+    def test_neighbor_masks_stay_inside_ground(self, args, rule):
+        """Over a ground mask, the neighbours are the full universe's that lie
+        inside it, in the same order."""
+        n, mask, extra = args
+        ground = mask | extra
+        assert neighbor_masks(rule, ground, mask) == [
+            t for t in neighbor_masks(rule, (1 << n) - 1, mask) if not t & ~ground
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from subreco import (
     astar,
     build_value_table,
     cut_oracle,
+    interchangeable_greedy,
+    load_gram,
+    logdet_oracle,
     modular_oracle,
     obs52_instance,
     obs54_instance,
@@ -268,6 +271,21 @@ class TestOptimalSequence:
         assert v == 1.0
         steps = ([0, 1], [0, 4], [3, 4], [2, 3])
         assert seq == ReconfigSequence([Subset(5, s) for s in steps])
+
+    def test_gram24_lattice_walk_is_pinned(self, data_dir):
+        # greedy endpoints at k = 6 under TJAR, searched inside X | Y only
+        f = logdet_oracle(load_gram(data_dir / "gram24.txt"))
+        x, y = interchangeable_greedy(f, 6)
+        calls = f.calls
+        v, seq = optimal_sequence(f, x, y, AdjacencyRule.TJAR, restriction=x | y)
+        assert f.calls - calls == 7
+        assert v == pytest.approx(4.811933749758116, rel=1e-12)
+        steps = (
+            [0, 6, 7, 13, 18, 21], [0, 6, 7, 13, 18, 23], [0, 6, 7, 13, 22, 23],
+            [0, 6, 7, 12, 22, 23], [0, 6, 9, 12, 22, 23], [0, 4, 9, 12, 22, 23],
+            [3, 4, 9, 12, 22, 23],
+        )
+        assert seq == ReconfigSequence([Subset(24, s) for s in steps])
 
     def test_identical_endpoints(self):
         f = modular_oracle([1.0, 1.0])

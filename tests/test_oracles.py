@@ -27,7 +27,6 @@ from subreco import (
     coverage_oracle,
     cut_oracle,
     directionalize,
-    exact_influence,
     incidence_oracle,
     influence_oracle,
     inverse_indegree_probabilities,
@@ -41,7 +40,7 @@ from subreco import (
 )
 from subreco import oracles
 
-from conftest import BATCH_KINDS, batch_kind_oracle
+from conftest import BATCH_KINDS, batch_kind_oracle, exact_influence
 
 
 # ---------------------------------------------------------------------------
