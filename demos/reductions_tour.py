@@ -15,13 +15,13 @@ from subreco import (
     Subset,
     VcReconfigInstance,
     WeightedGraph,
+    astar,
     format_ids_1indexed,
     inapprox_gadget,
     minvc_to_usreco_tjar,
     modular_oracle,
     nae3sat_to_usreco_tar,
     optimal_sequence,
-    reachable,
     vc_to_msreco,
 )
 
@@ -34,7 +34,7 @@ path = WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3)])
 covers = VcReconfigInstance(path, Subset(4, (1, 2)), Subset(4, (0, 2)))
 inst = vc_to_msreco(covers)
 print(f"fixed-size cover instance: threshold {inst.theta}, "
-      f"reachable: {reachable(inst)}")
+      f"search: {astar(inst).status}")
 value, seq = optimal_sequence(inst.oracle, inst.x, inst.y, inst.rule)
 print("  walk: " + " -> ".join(format_ids_1indexed(s) for s in seq))
 
@@ -58,7 +58,7 @@ phi = CnfFormula.monotone3(4, [(0, 1, 2), (1, 2, 3)])
 nae = nae3sat_to_usreco_tar(
     phi, SatAssignment.from_string("1100"), SatAssignment.from_string("0110")
 )
-print(f"\nclause instance: threshold {nae.theta}, reachable: {reachable(nae)}")
+print(f"\nclause instance: threshold {nae.theta}, search: {astar(nae).status}")
 
 # -- value bands from a scaled 4-cycle --------------------------------------
 # Wrapping an oracle with a bipartite cut whose weight dwarfs it creates

@@ -66,7 +66,6 @@ from .exact import (
     build_value_table,
     optimal_sequence,
     optimal_value,
-    reachable,
 )
 from .reductions import (
     SatAssignment,

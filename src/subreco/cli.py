@@ -66,7 +66,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float)
     p.add_argument("--theta-frac", type=float)
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--budget", type=int, help="A* expansion budget (exact: over all searches)")
+    p.add_argument("--budget", type=int, help="A* expansion budget (exact: summed over its rounds)")
 
 
 def _run_solver(args, algorithm: str, restriction=None) -> int:

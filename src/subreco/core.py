@@ -571,16 +571,13 @@ _OK = SequenceVerdict(True)
 def validate_sequence(
     instance: ProblemInstance,
     seq: ReconfigSequence,
-    *,
-    value_slack: float = VALUE_SLACK,
 ) -> SequenceVerdict:
     """Check endpoints, adjacency, and threshold feasibility.
 
     Violations are reported as verdicts (never raised) and pinpoint the first
     offending step index.  A fixed cardinality needs no check of its own: X
     has size ``cardinality_k`` and every TJ step keeps the size.  Threshold
-    comparisons allow ``value_slack`` of floating-point leeway; pass 0 for
-    exact-valued oracles.
+    comparisons allow ``VALUE_SLACK`` of floating-point leeway.
     """
     steps = seq.steps
     if steps[0].n != instance.oracle.universe.n:
@@ -598,7 +595,7 @@ def validate_sequence(
                 steps[i - 1 : i + 1],
             )
     if instance.theta is not None:
-        bound = instance.theta - value_slack
+        bound = instance.theta - VALUE_SLACK
         for i, s in enumerate(steps):
             if instance.oracle.evaluate(s) < bound:
                 return SequenceVerdict(

@@ -1,42 +1,36 @@
-"""Exact solvers: reachability and the bottleneck optimum, both by A*.
-
-:func:`reachable` answers the decision form for one threshold with A*, so it
-evaluates only the states the search pops and tabulates nothing.
+"""The bottleneck optimum by threshold ascent over A*.
 
 The optimum is the largest threshold whose decision answer is yes, found by
-threshold ascent over the same search (:func:`~subreco.algorithms.feasible_path`),
-as in Gabow and Tarjan's reduction of bottleneck problems to threshold
-decisions.  Starting at ``v = -inf``, each round asks for a walk from X to Y
-through states with ``f > v``, searching only the restriction's subsets; a
-walk found raises ``v`` to its smallest value, and a round without one
-proves ``v`` optimal.  Under the exchange rule (TJ) every state keeps
-``|X|`` elements.  One ``mask -> value`` memo spans all rounds, so no state
-costs more than one oracle call, and one expansion budget spans all rounds
-and the sequence pass.
+threshold ascent over :func:`~subreco.algorithms.feasible_path`, as in Gabow
+and Tarjan's reduction of bottleneck problems to threshold decisions.
+Starting at ``v = -inf``, each round asks for a walk from X to Y through
+states with ``f > v``, searching only the restriction's subsets; a walk found
+raises ``v`` to its smallest value, and a round without one proves ``v``
+optimal, with the last walk found a shortest one at that optimum.  Under the
+exchange rule (TJ) every state keeps ``|X|`` elements.  One ``mask -> value``
+memo and one expansion budget span all rounds, so no state costs more than
+one oracle call.
 
-:func:`build_value_table` tabulates a whole lattice or TJ slice with a size
-guard; no solver uses it, and it stays for tests and the benchmark probe.
+:func:`build_value_table` tabulates a restricted lattice with a size guard;
+no solver uses it, and it stays for tests and the benchmark probe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .core import (
     AdjacencyRule,
     BudgetExceededError,
-    ProblemInstance,
     ReconfigSequence,
     SetFunctionOracle,
     Subset,
 )
-from .algorithms import astar, feasible_path
+from .algorithms import feasible_path
 
 FULL_LATTICE_LIMIT = 20
-SLICE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class StateGraphSummary:
 
     restriction: Subset
     rule: AdjacencyRule
-    cardinality_k: Optional[int]
     states: int
 
 
@@ -53,47 +46,24 @@ def build_value_table(
     oracle: SetFunctionOracle,
     rule: AdjacencyRule,
     *,
-    cardinality_k: Optional[int] = None,
     restriction: Optional[Subset] = None,
 ) -> tuple[dict[int, float], StateGraphSummary]:
-    """Evaluate the oracle on every state through
+    """Evaluate the oracle on every subset of the restriction through
     :meth:`~subreco.core.SetFunctionOracle.evaluate_many`; one call per state."""
     n = oracle.universe.n
     if restriction is None:
         restriction = Subset.full(n)
     if restriction.n != n:
         raise ValueError("restriction over wrong universe")
-    elements = restriction.members()
-    if cardinality_k is None:
-        if len(elements) > FULL_LATTICE_LIMIT:
-            raise BudgetExceededError(
-                f"full lattice over {len(elements)} elements exceeds the guard"
-            )
-        masks = [restriction.mask]
-        while masks[-1]:
-            masks.append((masks[-1] - 1) & restriction.mask)
-    else:
-        if not 0 <= cardinality_k <= len(elements):
-            raise ValueError("cardinality outside the restricted ground set")
-        if math.comb(len(elements), cardinality_k) > SLICE_LIMIT:
-            raise BudgetExceededError("fixed-size state count exceeds the guard")
-        masks = [sum(1 << e for e in c) for c in combinations(elements, cardinality_k)]
+    if len(restriction) > FULL_LATTICE_LIMIT:
+        raise BudgetExceededError(
+            f"full lattice over {len(restriction)} elements exceeds the guard"
+        )
+    masks = [restriction.mask]
+    while masks[-1]:
+        masks.append((masks[-1] - 1) & restriction.mask)
     table = dict(zip(masks, oracle.evaluate_many(masks).tolist()))
-    return table, StateGraphSummary(restriction, rule, cardinality_k, len(table))
-
-
-def reachable(instance: ProblemInstance) -> bool:
-    """Is there a sequence whose every step satisfies ``f >= theta - VALUE_SLACK``?
-
-    This is :func:`~subreco.algorithms.astar` with its default budget: it
-    evaluates only the states the search pops, so there is no size guard.
-    Raises ``BudgetExceededError`` when the budget runs out before an answer.
-    Needs ``instance.theta``.
-    """
-    result = astar(instance)
-    if result.status == "inconclusive":
-        raise BudgetExceededError(f"search gave up after {result.expansions} expansions")
-    return result.status == "found"
+    return table, StateGraphSummary(restriction, rule, len(table))
 
 
 def _optimum(
@@ -105,12 +75,15 @@ def _optimum(
     budget: Optional[int],
     walk: bool,
 ) -> tuple[float, Optional[list[int]]]:
-    """The optimal threshold, and with ``walk`` the masks of a walk attaining it.
+    """The optimal threshold, and the masks of a shortest walk attaining it.
 
     The states are the subsets of the restriction (all ``n`` elements by
     default), which must hold X and Y, and each round's search generates no
     other; under TJ X and Y must have equal size (``ValueError`` otherwise).
-    X == Y costs one evaluation and no search.
+    X == Y costs one evaluation and no search.  The last walk found is a
+    shortest one through the states above the previous ``v``, which hold it
+    and every walk at the optimum, so it is shortest there too.  With
+    ``walk``, an optimum of ``-inf`` costs one more search, for any walk.
     """
     n = oracle.universe.n
     if restriction is None:
@@ -142,13 +115,15 @@ def _optimum(
             raise BudgetExceededError(f"search gave up after {spent} expansions")
         return chain
 
-    v = -math.inf
+    v, chain = -math.inf, None
     while v < min(value(x.mask), value(y.mask)):
-        chain = search(lambda m: value(m) > v)
-        if chain is None:
+        found = search(lambda m: value(m) > v)
+        if found is None:
             break
-        v = min(memo[m] for m in chain)
-    return v, search(lambda m: value(m) >= v) if walk else None
+        chain, v = found, min(memo[m] for m in found)
+    if chain is None and walk:
+        chain = search(lambda m: value(m) >= v)
+    return v, chain
 
 
 def optimal_value(
@@ -186,11 +161,9 @@ def optimal_sequence(
 ) -> tuple[float, ReconfigSequence]:
     """Optimal threshold plus a shortest sequence attaining it.
 
-    After the ascent of :func:`optimal_value`, one more A* pass
-    (:func:`~subreco.algorithms.feasible_path`, with its tie order) finds the
-    shortest walk through the states whose value reaches the optimum,
-    compared exactly: the optimum is itself a state's value.  The pass reads
-    the ascent's memo and spends from the same ``budget``.
+    The sequence is the last walk the ascent of :func:`optimal_value` found,
+    at the same oracle calls and expansions.  When the optimum is ``-inf``
+    one more search, spending from the same ``budget``, finds a shortest walk.
     """
     best, chain = _optimum(oracle, x, y, rule, restriction, budget, walk=True)
     if chain is None:

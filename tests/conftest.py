@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -186,16 +187,20 @@ def bfs_shortest_feasible(
     rule: AdjacencyRule,
     theta: float,
     slack: float = 1e-9,
+    ground: Optional[Subset] = None,
 ):
     """Shortest feasible path length by plain breadth-first search, or None.
 
     Enumerates the whole lattice up front; independent of the package's
     search code (adjacency is re-derived from symmetric-difference counts).
+    With ``ground``, states outside it count as infeasible.
     """
     n = x.n
     bound = theta - slack
+    outside = 0 if ground is None else ~ground.mask
     feasible = [
-        oracle.evaluate(Subset.from_mask(n, m)) >= bound for m in range(1 << n)
+        not m & outside and oracle.evaluate(Subset.from_mask(n, m)) >= bound
+        for m in range(1 << n)
     ]
     if not feasible[x.mask] or not feasible[y.mask]:
         return None
@@ -228,7 +233,7 @@ def widest_path_value(
 ) -> float:
     """Max-min path value by a Dijkstra-style dynamic program.
 
-    Independent reference for the union-find bottleneck solver.
+    Independent reference for the threshold ascent of :mod:`subreco.exact`.
     """
     best = {x_mask: values[x_mask]}
     heap = [(-values[x_mask], x_mask)]

@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -89,16 +90,28 @@ def eager_feasible_path(rule, ground, x_mask, y_mask, feasible, budget):
 
 
 def random_query(seed, n, rule, frac):
-    """A nonnegative oracle, endpoints fit for ``rule``, and a threshold of
-    ``frac`` times the larger endpoint value."""
+    """An oracle, endpoints fit for ``rule``, and a threshold of ``frac``
+    times the larger endpoint value.
+
+    A quarter of the oracles are nonnegative mixtures.  The rest are 0/1
+    tables whose endpoints are 1 and whose other states are 1 with
+    probability ``p ~ U(0.3, 0.9)``, so the search detours around failing
+    states or exhausts.
+    """
     rng = random.Random(seed)
-    f = random_nonnegative_oracle(rng, n)
     if rule is AdjacencyRule.TJ:
         k = rng.randint(1, n)
         x, y = random_subset(rng, n, k), random_subset(rng, n, k)
     else:
         x = random_subset(rng, n, rng.randint(0, n))
         y = random_subset(rng, n, rng.randint(0, n))
+    if rng.random() < 0.25:
+        f = random_nonnegative_oracle(rng, n)
+    else:
+        p = rng.uniform(0.3, 0.9)
+        values = [float(rng.random() < p) for _ in range(1 << n)]
+        values[x.mask] = values[y.mask] = 1.0
+        f = SetFunctionOracle(lambda mask: values[mask], GroundSet(n))
     theta = frac * max(f.evaluate(x), f.evaluate(y))
     return f, x, y, theta
 
@@ -518,6 +531,26 @@ class TestAstar:
         expected = eager_feasible_path(rule, full, x.mask, y.mask, eager, budget)
         assert feasible_path(rule, full, x.mask, y.mask, lazy, budget) == expected
         assert len(lazy_calls) <= len(memo)
+
+    def test_random_queries_reach_every_outcome(self):
+        # the draws of the randomized tests above fail at an endpoint, walk
+        # straight to Y, detour, and exhaust a search, each many times
+        seen = Counter()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            n, rule = rng.randint(2, 7), rng.choice(list(AdjacencyRule))
+            f, x, y, theta = random_query(seed, n, rule, rng.uniform(0.0, 1.05))
+            status, masks, expansions = feasible_path(
+                rule, (1 << n) - 1, x.mask, y.mask,
+                lambda m: f.evaluate(m) >= theta - VALUE_SLACK, 1 << n,
+            )
+            if status == "found":
+                direct = len(masks) - 1 == step_bound(rule, x.mask, y.mask)
+                seen["direct" if direct else "detour"] += 1
+            else:
+                seen["searched" if expansions else "endpoint"] += 1
+        assert seen["endpoint"] >= 150 and seen["direct"] >= 800, seen
+        assert seen["detour"] >= 20 and seen["searched"] >= 30, seen
 
     @given(st.integers(0, 9999), st.integers(2, 8), st.sampled_from(list(AdjacencyRule)),
            st.floats(0.0, 0.6), st.one_of(st.none(), st.integers(0, 6)))

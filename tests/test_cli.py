@@ -328,9 +328,9 @@ class TestExact:
     def test_budget_run_out_is_inconclusive(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs54", "--n", "24")
         capsys.readouterr()
-        assert main(["exact", str(path), "--budget", "20"]) == 2
+        assert main(["exact", str(path), "--budget", "12"]) == 2
         out = capsys.readouterr().out
-        assert out == "inconclusive: search gave up after 20 expansions\n"
+        assert out == "inconclusive: search gave up after 12 expansions\n"
 
     def test_negative_budget_is_an_input_error(self, tmp_path, capsys):
         path = gen_instance(tmp_path, "obs52")

@@ -542,10 +542,6 @@ class TestValidateSequence:
         # minimum along the path is 4; a threshold within slack still passes
         assert validate_sequence(self.make(theta=4.0 + 5e-10), self.good_seq())
         assert not validate_sequence(self.make(theta=4.0 + 1e-6), self.good_seq())
-        strict = validate_sequence(
-            self.make(theta=4.0 + 5e-10), self.good_seq(), value_slack=0.0
-        )
-        assert not strict
 
     def test_universe_mismatch_is_a_verdict(self):
         inst = self.make()

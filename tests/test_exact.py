@@ -2,16 +2,15 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import subreco.exact
 from subreco import (
     AdjacencyRule,
-    AstarConfig,
     BudgetExceededError,
     GroundSet,
     ProblemInstance,
@@ -29,7 +28,6 @@ from subreco import (
     obs54_instance,
     optimal_sequence,
     optimal_value,
-    reachable,
     sequence_value,
     validate_sequence,
     WeightedGraph,
@@ -51,12 +49,6 @@ class TestBuildValueTable:
         assert summary.states == 4
         assert f.calls == 4  # one evaluation per state
 
-    def test_fixed_size_slice(self):
-        f = modular_oracle([1.0, 2.0, 4.0])
-        table, summary = build_value_table(f, AdjacencyRule.TJ, cardinality_k=1)
-        assert table == {1: 1.0, 2: 2.0, 4: 4.0}
-        assert summary.cardinality_k == 1
-
     def test_restriction(self):
         f = modular_oracle([1.0, 2.0, 4.0])
         table, summary = build_value_table(
@@ -66,27 +58,16 @@ class TestBuildValueTable:
         assert summary.restriction == Subset(3, [0, 2])
 
     def test_evaluation_order(self):
-        # descending submasks of the restriction; a slice in combinations order
+        # descending submasks of the restriction
         seen = []
         f = SetFunctionOracle(lambda mask: seen.append(mask) or 0.0, GroundSet(3))
         build_value_table(f, AdjacencyRule.TAR, restriction=Subset(3, [0, 2]))
-        build_value_table(f, AdjacencyRule.TJ, cardinality_k=2)
-        assert seen == [0b101, 0b100, 0b001, 0, 0b011, 0b101, 0b110]
+        assert seen == [0b101, 0b100, 0b001, 0]
 
     def test_full_lattice_guard(self):
         f = modular_oracle([1.0] * 21)
         with pytest.raises(BudgetExceededError):
             build_value_table(f, AdjacencyRule.TAR)
-
-    def test_slice_guard(self):
-        f = modular_oracle([1.0] * 30)
-        with pytest.raises(BudgetExceededError):
-            build_value_table(f, AdjacencyRule.TJ, cardinality_k=15)
-
-    def test_cardinality_bounds_checked(self):
-        f = modular_oracle([1.0, 1.0])
-        with pytest.raises(ValueError):
-            build_value_table(f, AdjacencyRule.TJ, cardinality_k=3)
 
 
 K2_CUT = cut_oracle(WeightedGraph.build(2, [(0, 1)]))
@@ -95,16 +76,12 @@ K2_CUT = cut_oracle(WeightedGraph.build(2, [(0, 1)]))
 def random_ascent_case(rng: random.Random, max_n: int):
     """An oracle, endpoints, a rule and maybe a restriction, for the ascent.
 
-    Half the oracles are tables drawing from a few repeated values and
-    ``-inf``, so ties and a ``-inf`` optimum both occur.
+    Half the oracles are tables drawing from a few repeated values, so ties
+    occur, with each state ``-inf`` with probability ``p ~ U(0, 0.9)``.  Most
+    tables give the endpoints finite values, so the optimum is ``-inf`` both
+    at an endpoint and where walls of ``-inf`` states cut every walk.
     """
     n = rng.randint(2, max_n)
-    if rng.random() < 0.5:
-        f = random_nonnegative_oracle(rng, n)
-    else:
-        pool = [-math.inf, 0.0, 1.0, 2.0, rng.uniform(0.0, 3.0)]
-        values = [rng.choice(pool) for _ in range(1 << n)]
-        f = SetFunctionOracle(lambda mask: values[mask], GroundSet(n))
     restriction = None
     ground = list(range(n))
     if rng.random() < 0.3:
@@ -116,6 +93,14 @@ def random_ascent_case(rng: random.Random, max_n: int):
     if rule is not AdjacencyRule.TJ:
         k = rng.randint(0, len(ground))
     y = Subset(n, rng.sample(ground, k))
+    if rng.random() < 0.5:
+        return random_nonnegative_oracle(rng, n), x, y, rule, restriction
+    p = rng.uniform(0.0, 0.9)
+    pool = [0.0, 1.0, 2.0, rng.uniform(0.0, 3.0)]
+    values = [-math.inf if rng.random() < p else rng.choice(pool) for _ in range(1 << n)]
+    if rng.random() < 0.7:
+        values[x.mask], values[y.mask] = rng.choice(pool), rng.choice(pool)
+    f = SetFunctionOracle(lambda mask: values[mask], GroundSet(n))
     return f, x, y, rule, restriction
 
 
@@ -183,12 +168,7 @@ class TestOptimalValue:
     def test_matches_widest_path_reference(self, seed):
         rng = random.Random(seed)
         f, x, y, rule, restriction = random_ascent_case(rng, 8)
-        table, _ = build_value_table(
-            f,
-            rule,
-            cardinality_k=len(x) if rule is AdjacencyRule.TJ else None,
-            restriction=restriction,
-        )
+        table, _ = build_value_table(f, rule, restriction=restriction)
         expected = widest_path_value(table, rule, f.universe.n, x.mask, y.mask)
         assert optimal_value(f, x, y, rule, restriction=restriction) == expected
 
@@ -202,15 +182,11 @@ class TestOptimalValue:
             lambda mask: seen.append(mask) or f.evaluate(mask), f.universe
         )
         optimal_sequence(recording, x, y, rule, restriction=restriction)
-        # one memo across all rounds and the sequence pass
+        # one memo across all rounds
         assert len(seen) == len(set(seen)) == recording.calls
-        _, summary = build_value_table(
-            f,
-            rule,
-            cardinality_k=len(x) if rule is AdjacencyRule.TJ else None,
-            restriction=restriction,
-        )
-        assert recording.calls <= summary.states
+        r = f.universe.n if restriction is None else len(restriction)
+        states = math.comb(r, len(x)) if rule is AdjacencyRule.TJ else 1 << r
+        assert recording.calls <= states
 
     def test_pinned_calls_above_the_old_lattice_guard(self):
         # 2^24 and 2^40 states; the ascent evaluates what its searches pop
@@ -292,6 +268,29 @@ class TestOptimalSequence:
         v, seq = optimal_sequence(f, Subset(2, [0]), Subset(2, [0]), AdjacencyRule.TAR)
         assert v == 1.0 and seq.length == 0
 
+    def test_last_walk_matches_breadth_first_reference(self):
+        # the ascent's last walk is as short as any walk at the optimum, under
+        # every rule, with and without a restriction, and at an optimum of -inf
+        # from an endpoint or from walls of -inf states
+        seen = Counter()
+        for seed in range(1000):
+            f, x, y, rule, restriction = random_ascent_case(random.Random(seed), 6)
+            v, seq = optimal_sequence(f, x, y, rule, restriction=restriction)
+            assert seq.length == bfs_shortest_feasible(
+                f, x, y, rule, v, slack=0.0, ground=restriction
+            )
+            assert sequence_value(f, seq) == v
+            if restriction is not None:
+                assert all(s.issubset(restriction) for s in seq)
+            seen[rule, restriction is not None] += 1
+            if v == -math.inf:
+                ends = min(f.evaluate(x), f.evaluate(y))
+                seen["endpoint" if ends == -math.inf else "walled"] += 1
+            elif x != y:
+                seen["finite"] += 1
+        assert min(seen[rule, r] for rule in AdjacencyRule for r in (False, True)) >= 40
+        assert seen["finite"] >= 300 and seen["endpoint"] >= 35 and seen["walled"] >= 12
+
     @given(st.integers(0, 9999))
     @settings(max_examples=50, deadline=None)
     def test_sequence_validates_and_attains(self, seed):
@@ -324,37 +323,41 @@ class TestBudget:
         assert f.calls == 1
 
     def test_budget_spans_rounds_and_the_sequence_pass(self):
+        # two rounds of 3 and 4 expansions; the walk is the last round's, so
+        # the sequence costs no expansion of its own
         inst = obs52_instance()
         args = (inst.oracle, inst.x, inst.y, inst.rule)
+        for solve in (optimal_value, optimal_sequence):
+            with pytest.raises(BudgetExceededError, match="^search gave up after 6 expansions$"):
+                solve(*args, budget=6)
         assert optimal_value(*args, budget=7) == 1.0
-        with pytest.raises(BudgetExceededError, match="^search gave up after 6 expansions$"):
-            optimal_value(*args, budget=6)
-        assert optimal_sequence(*args, budget=11)[0] == 1.0
-        with pytest.raises(BudgetExceededError, match="^search gave up after 10 expansions$"):
-            optimal_sequence(*args, budget=10)
+        assert optimal_sequence(*args, budget=7)[0] == 1.0
 
     def test_default_budget_is_per_search(self):
-        # the three searches expand 7 states of a 4-state lattice in total
-        x, y = Subset(2, [0]), Subset(2, [1])
-        with pytest.raises(BudgetExceededError):
-            optimal_sequence(K2_CUT, x, y, AdjacencyRule.TAR, budget=6)
-        v, seq = optimal_sequence(K2_CUT, x, y, AdjacencyRule.TAR)
-        assert v == 0.0 and seq.length == 2
+        # the three rounds expand 9 states of an 8-state lattice in total
+        f = cut_oracle(WeightedGraph.build(3, [(0, 1), (1, 2)]))
+        x, y = Subset(3, [1]), Subset(3, [0, 2])
+        with pytest.raises(BudgetExceededError, match="^search gave up after 8 expansions$"):
+            optimal_sequence(f, x, y, AdjacencyRule.TAR, budget=8)
+        v, seq = optimal_sequence(f, x, y, AdjacencyRule.TAR)
+        assert v == 1.0 and seq.length == 3
 
 
 class TestReachable:
+    """The decision form for one threshold, read off :func:`astar`'s status."""
+
     def test_threshold_cases(self):
         x, y = Subset(2, [0]), Subset(2, [1])
         base = dict(oracle=K2_CUT, x=x, y=y, rule=AdjacencyRule.TAR)
-        assert reachable(ProblemInstance(theta=0.0, **base))
-        assert not reachable(ProblemInstance(theta=0.5, **base))
+        assert astar(ProblemInstance(theta=0.0, **base)).status == "found"
+        assert astar(ProblemInstance(theta=0.5, **base)).status == "no_path"
 
     def test_requires_threshold(self):
         inst = ProblemInstance(
             K2_CUT, Subset(2, [0]), Subset(2, [1]), AdjacencyRule.TAR
         )
         with pytest.raises(ValueError):
-            reachable(inst)
+            astar(inst)
 
     def test_slack_admits_boundary(self):
         inst = ProblemInstance(
@@ -364,18 +367,18 @@ class TestReachable:
             AdjacencyRule.TAR,
             theta=5e-10,
         )
-        assert reachable(inst)
+        assert astar(inst).status == "found"
 
     def test_answers_above_the_lattice_guard(self):
         # 24 elements: the lattice guard refuses to tabulate this instance
         inst = replace(obs54_instance(24), theta=1.0)
-        assert reachable(inst)
+        assert astar(inst).status == "found"
         assert inst.oracle.calls < 2000
 
     def test_pinned_calls_above_the_lattice_guard(self):
         # the search evaluates only the states it pops
         inst = replace(obs54_instance(24), theta=1.0)
-        assert reachable(inst)
+        assert astar(inst).status == "found"
         assert inst.oracle.calls == 13
 
     def test_evaluates_only_touched_states(self):
@@ -383,18 +386,8 @@ class TestReachable:
         inst = ProblemInstance(
             f, Subset(16, range(8)), Subset(16, range(8, 16)), AdjacencyRule.TJAR, 8.0
         )
-        assert reachable(inst)
+        assert astar(inst).status == "found"
         assert f.calls == 9  # 2 endpoints and 7 popped states, not 2^16
-
-    def test_inconclusive_search_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            subreco.exact, "astar", lambda inst: astar(inst, AstarConfig(budget=0))
-        )
-        inst = ProblemInstance(
-            K2_CUT, Subset(2, [0]), Subset(2, [1]), AdjacencyRule.TAR, theta=0.0
-        )
-        with pytest.raises(BudgetExceededError):
-            reachable(inst)
 
     @given(st.integers(0, 9999))
     @settings(max_examples=50, deadline=None)
@@ -415,4 +408,4 @@ class TestReachable:
         best = optimal_value(f, x, y, rule)
         theta = rng.uniform(0.0, best + 1.0)
         inst = ProblemInstance(f, x, y, rule, theta=theta, **kwargs)
-        assert reachable(inst) == (best >= theta - 1e-9)
+        assert (astar(inst).status == "found") == (best >= theta - 1e-9)
