@@ -12,15 +12,14 @@ hardness reductions.
 from .core import (
     AdjacencyRule,
     BudgetExceededError,
-    CheckVerdict,
     GroundSet,
     OracleDomainError,
     ProblemInstance,
     ReconfigSequence,
-    SequenceVerdict,
     SetFunctionOracle,
     Subset,
     UniverseMismatchError,
+    Verdict,
     check_monotone,
     check_submodular,
     is_adjacent,
@@ -58,6 +57,7 @@ from .algorithms import (
     astar,
     default_heuristic,
     greedy,
+    interchangeable_greedy,
     swap_reconfigure,
     tjar_reconfigure,
 )
@@ -99,7 +99,6 @@ from .fileio import (
 from .experiment import (
     ExperimentConfig,
     Report,
-    interchangeable_greedy,
     make_synthetic_gram,
     run_experiment,
 )

@@ -86,6 +86,27 @@ def greedy(f: SetFunctionOracle, ground: Subset, k: int) -> GreedyTrace:
     return GreedyTrace(tuple(elements), tuple(values), f.calls - calls_before)
 
 
+def interchangeable_greedy(f: SetFunctionOracle, k: int) -> tuple[Subset, Subset]:
+    """Grow two disjoint size-k sets by alternating greedy picks.
+
+    Round ``i`` first extends X with the best element outside both partial
+    sets, then extends Y with the best element outside both (including X's
+    fresh pick).  Ties go to the smallest id.  Needs ``2k <= n``.
+    """
+    n = f.universe.n
+    if not 0 <= k or 2 * k > n:
+        raise ValueError(f"need 2k <= n to build disjoint endpoints, got k={k}, n={n}")
+    everything = (1 << n) - 1
+    x_mask = 0
+    y_mask = 0
+    for _ in range(k):
+        e, _ = _best_extension(f, x_mask, everything & ~(x_mask | y_mask))
+        x_mask |= 1 << e
+        e, _ = _best_extension(f, y_mask, everything & ~(x_mask | y_mask))
+        y_mask |= 1 << e
+    return Subset.from_mask(n, x_mask), Subset.from_mask(n, y_mask)
+
+
 def swap_reconfigure(
     f: SetFunctionOracle, x: Subset, y: Subset
 ) -> ReconfigSequence:

@@ -17,6 +17,7 @@ from .core import (
     AdjacencyRule,
     BudgetExceededError,
     ProblemInstance,
+    Verdict,
     check_monotone,
     check_submodular,
     resolve_threshold,
@@ -35,7 +36,7 @@ from .fileio import (
     parse_ids_1indexed,
     write_instance,
 )
-from .oracles import CnfFormula, modular_oracle
+from .oracles import CnfFormula, is_vertex_cover, modular_oracle
 from .reductions import (
     SatAssignment,
     VcReconfigInstance,
@@ -107,6 +108,15 @@ def _cmd_exact(args) -> int:
     return _run_solver(args, "exact", restriction)
 
 
+def _print_verdict(verdict: Verdict, label: str) -> int:
+    """Print ``ok``, or ``label`` and the failure with 1-indexed ids."""
+    if verdict:
+        print("ok")
+        return OK
+    print(f"{label}: {verdict.describe(format_ids_1indexed)}")
+    return INFEASIBLE
+
+
 def _cmd_validate(args) -> int:
     instance = load_instance(args.instance)
     f, x, y = instance.oracle, instance.x, instance.y
@@ -115,11 +125,7 @@ def _cmd_validate(args) -> int:
     )
     seq = load_sequence_csv(args.sequence, f.universe.n)
     verdict = validate_sequence(replace(instance, theta=theta), seq)
-    if verdict:
-        print("ok")
-        return OK
-    print(f"invalid at step {verdict.index}: {verdict.describe(format_ids_1indexed)}")
-    return INFEASIBLE
+    return _print_verdict(verdict, f"invalid at step {verdict.index}")
 
 
 def _require(args, *flags: str) -> None:
@@ -130,9 +136,11 @@ def _require(args, *flags: str) -> None:
 def _cover_pair(args) -> VcReconfigInstance:
     _require(args, "graph", "x", "y")
     graph = load_edge_list(args.graph)
-    return VcReconfigInstance(
-        graph, parse_ids_1indexed(args.x, graph.n), parse_ids_1indexed(args.y, graph.n)
-    )
+    x, y = (parse_ids_1indexed(ids, graph.n) for ids in (args.x, args.y))
+    for cover in (x, y):  # named as typed: VcReconfigInstance would name it 0-indexed
+        if not is_vertex_cover(graph, cover):
+            raise ValueError(f"{format_ids_1indexed(cover)} is not a vertex cover")
+    return VcReconfigInstance(graph, x, y)
 
 
 def _assignment_pair(args) -> tuple[CnfFormula, SatAssignment, SatAssignment]:
@@ -188,13 +196,7 @@ def _cmd_check(args) -> int:
         raise ValueError("--samples and --seed apply only to --mode sampled")
     spec = load_instance(args.instance)
     checker = check_submodular if args.property == "submodular" else check_monotone
-    verdict = checker(spec.oracle, mode=args.mode, **sampling)
-    if verdict:
-        print("ok")
-        return OK
-    witness = ", ".join(str(w) for w in verdict.witness)
-    print(f"counterexample: {witness} ({verdict.detail})")
-    return INFEASIBLE
+    return _print_verdict(checker(spec.oracle, mode=args.mode, **sampling), "counterexample")
 
 
 def build_parser() -> argparse.ArgumentParser:

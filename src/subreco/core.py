@@ -9,7 +9,9 @@ The value of a sequence is the minimum function value among its entries.
 Subsets are immutable bit-vector values so that search frontiers can hash and
 compare millions of them cheaply.  ``str(Subset)`` is ``{i1,i2,...}`` with
 ascending 0-indexed ids; ``fileio`` reads and writes the 1-indexed forms that
-files and the command line use.
+files and the command line use.  A sequence validation or a structural check
+answers with a :class:`Verdict`, which names its counterexample by subsets
+alone, so one subset format prints every id in it.
 """
 
 from __future__ import annotations
@@ -541,12 +543,13 @@ def neighbors(rule: AdjacencyRule, s: Subset) -> list[Subset]:
 
 
 @dataclass(frozen=True)
-class SequenceVerdict:
-    """Outcome of validating a sequence; falsy iff some check failed.
+class Verdict:
+    """Outcome of a sequence validation or a structural check; falsy iff it failed.
 
-    ``template`` states the failure with one ``{}`` per entry of ``subsets``.
-    ``reason`` fills them in with ``str`` (0-indexed ids), and
-    :meth:`describe` with any other subset format.
+    ``template`` states the failure with one ``{}`` per entry of ``subsets``;
+    an element appears as the subset holding it alone.  ``reason`` fills them
+    in with ``str`` (0-indexed ids), and :meth:`describe` with any other
+    subset format.  ``index`` is a failed validation's step, None for a check.
     """
 
     ok: bool
@@ -565,55 +568,38 @@ class SequenceVerdict:
         return self.template.format(*map(fmt, self.subsets))
 
 
-_OK = SequenceVerdict(True)
+_OK = Verdict(True)
 
 
 def validate_sequence(
     instance: ProblemInstance,
     seq: ReconfigSequence,
-) -> SequenceVerdict:
+) -> Verdict:
     """Check endpoints, adjacency, and threshold feasibility.
 
-    Violations are reported as verdicts (never raised) and pinpoint the first
-    offending step index.  A fixed cardinality needs no check of its own: X
-    has size ``cardinality_k`` and every TJ step keeps the size.  Threshold
-    comparisons allow ``VALUE_SLACK`` of floating-point leeway.
+    Violations are reported as verdicts (never raised) whose ``index`` is the
+    first offending step and whose ``subsets`` are the steps at fault.  A
+    fixed cardinality needs no check of its own: X has size ``cardinality_k``
+    and every TJ step keeps the size.  Threshold comparisons allow
+    ``VALUE_SLACK`` of floating-point leeway.
     """
     steps = seq.steps
     if steps[0].n != instance.oracle.universe.n:
-        return SequenceVerdict(False, 0, "sequence universe differs from instance")
+        return Verdict(False, 0, "sequence universe differs from instance")
     if steps[0] != instance.x:
-        return SequenceVerdict(False, 0, "first step {} is not X", (steps[0],))
+        return Verdict(False, 0, "first step {} is not X", (steps[0],))
     if steps[-1] != instance.y:
-        return SequenceVerdict(False, len(steps) - 1, "last step {} is not Y", (steps[-1],))
+        return Verdict(False, len(steps) - 1, "last step {} is not Y", (steps[-1],))
     for i in range(1, len(steps)):
         if not is_adjacent(instance.rule, steps[i - 1], steps[i]):
-            return SequenceVerdict(
-                False,
-                i,
-                f"steps {{}} and {{}} are not adjacent under {instance.rule.token}",
-                steps[i - 1 : i + 1],
-            )
+            template = f"steps {{}} and {{}} are not adjacent under {instance.rule.token}"
+            return Verdict(False, i, template, steps[i - 1 : i + 1])
     if instance.theta is not None:
         bound = instance.theta - VALUE_SLACK
         for i, s in enumerate(steps):
             if instance.oracle.evaluate(s) < bound:
-                return SequenceVerdict(
-                    False, i, f"step {{}} falls below threshold {instance.theta}", (s,)
-                )
+                return Verdict(False, i, f"step {{}} falls below threshold {instance.theta}", (s,))
     return _OK
-
-
-@dataclass(frozen=True)
-class CheckVerdict:
-    """Outcome of a structural oracle check; carries a counterexample if any."""
-
-    ok: bool
-    witness: tuple = ()
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _lattice(oracle: SetFunctionOracle, check: str) -> tuple[np.ndarray, np.ndarray]:
@@ -648,6 +634,14 @@ def _first_mask(masks: np.ndarray, bad: np.ndarray) -> Optional[int]:
     return int(masks.flat[i]) if bad.flat[i] else None
 
 
+_DECREASE = "{}, {}: adding {} decreases the value"
+
+
+def _counterexample(n: int, template: str, *masks: int) -> Verdict:
+    """A failed check stating ``template`` over the subsets with these masks."""
+    return Verdict(False, None, template, tuple(Subset.from_mask(n, m) for m in masks))
+
+
 def _require_sampled(mode: str, sample_count: int) -> None:
     if mode != "sampled":
         raise ValueError(f"unknown check mode {mode!r}")
@@ -660,7 +654,7 @@ def check_submodular(
     mode: str = "exhaustive",
     sample_count: int = 1000,
     seed: int = 0,
-) -> CheckVerdict:
+) -> Verdict:
     """Test the diminishing-returns inequality, exhaustively or by sampling.
 
     The exhaustive mode tabulates the whole lattice (guarded at n <= 16) with
@@ -669,8 +663,9 @@ def check_submodular(
     ``f(S+e) - f(S) >= f(S+g+e) - f(S+g)``.  Chaining these immediate-cover
     inequalities is equivalent to diminishing returns for arbitrary S <= T.
     The scan runs in numpy, one pair (e, g) at a time, and reports the first
-    violation in the order S ascending, then e, then g.  Sampled mode draws
-    random (S <= T, e) triples instead.
+    violation in the order S ascending, then e, then g, as the subsets S,
+    S + g, {e} and {g}.  Sampled mode draws random (S <= T, e) triples
+    instead and reports S, T and {e}.
     """
     n = oracle.universe.n
     if mode == "exhaustive":
@@ -687,13 +682,10 @@ def check_submodular(
                     if s is not None:
                         found.append((s, e, g))
         if not found:
-            return CheckVerdict(True)
+            return _OK
         s, e, g = min(found)
-        return CheckVerdict(
-            False,
-            (Subset.from_mask(n, s), Subset.from_mask(n, s | 1 << g), e),
-            f"gain of {e} grows when {g} is added",
-        )
+        template = "{}, {}: gain of {} grows when {} is added"
+        return _counterexample(n, template, s, s | 1 << g, 1 << e, 1 << g)
     _require_sampled(mode, sample_count)
     rng = random.Random(seed)
     mask_all = (1 << n) - 1
@@ -707,12 +699,9 @@ def check_submodular(
         gain_small = oracle.evaluate(s_mask | 1 << e) - oracle.evaluate(s_mask)
         gain_large = oracle.evaluate(t_mask | 1 << e) - oracle.evaluate(t_mask)
         if gain_small - gain_large < -CHECK_TOL:
-            return CheckVerdict(
-                False,
-                (Subset.from_mask(n, s_mask), Subset.from_mask(n, t_mask), e),
-                f"gain of {e} grows from S to T",
-            )
-    return CheckVerdict(True)
+            template = "{}, {}: gain of {} grows from S to T"
+            return _counterexample(n, template, s_mask, t_mask, 1 << e)
+    return _OK
 
 
 def check_monotone(
@@ -720,13 +709,14 @@ def check_monotone(
     mode: str = "exhaustive",
     sample_count: int = 1000,
     seed: int = 0,
-) -> CheckVerdict:
+) -> Verdict:
     """Test ``f(S) <= f(S + e)`` for all (S, e), exhaustively or by sampling.
 
     The exhaustive mode tabulates the whole lattice (guarded at n <= 16) with
     one :meth:`~SetFunctionOracle.evaluate_many`, so it costs ``2**n`` calls,
     then scans it in numpy one e at a time and reports the first violation
-    in the order S ascending, then e.
+    in the order S ascending, then e.  Either mode reports the subsets S,
+    S + e and {e}.
     """
     n = oracle.universe.n
     if mode == "exhaustive":
@@ -738,13 +728,9 @@ def check_monotone(
             if s is not None:
                 found.append((s, e))
         if not found:
-            return CheckVerdict(True)
+            return _OK
         s, e = min(found)
-        return CheckVerdict(
-            False,
-            (Subset.from_mask(n, s), Subset.from_mask(n, s | 1 << e)),
-            f"adding {e} decreases the value",
-        )
+        return _counterexample(n, _DECREASE, s, s | 1 << e, 1 << e)
     _require_sampled(mode, sample_count)
     rng = random.Random(seed)
     for _ in range(sample_count):
@@ -754,9 +740,5 @@ def check_monotone(
             continue
         e = rng.choice(free)
         if oracle.evaluate(s_mask | 1 << e) < oracle.evaluate(s_mask) - CHECK_TOL:
-            return CheckVerdict(
-                False,
-                (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << e)),
-                f"adding {e} decreases the value",
-            )
-    return CheckVerdict(True)
+            return _counterexample(n, _DECREASE, s_mask, s_mask | 1 << e, 1 << e)
+    return _OK

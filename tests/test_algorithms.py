@@ -39,7 +39,7 @@ from subreco import (
     total_curvature,
     validate_sequence,
 )
-from subreco import algorithms, experiment
+from subreco import algorithms
 from subreco.algorithms import GreedyTrace, feasible_path, step_bound
 from subreco.core import VALUE_SLACK, neighbor_masks
 
@@ -294,7 +294,6 @@ def loop_reference(run):
     """``run()`` with every greedy step on :func:`loop_best_extension`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "_best_extension", loop_best_extension)
-        mp.setattr(experiment, "_best_extension", loop_best_extension)
         return run()
 
 
@@ -583,6 +582,42 @@ class TestAstar:
         expected = feasible_path(rule, full, x.mask, y.mask, filter_at_pop, budget)
         assert feasible_path(rule, ground, x.mask, y.mask, restricted, budget) == expected
         assert asked == [m for m in reference_asked if not m & ~ground]
+
+    @pytest.mark.parametrize(
+        "rule, n, x, y, passing, status",
+        [
+            (AdjacencyRule.TAR, 4, 0b0100, 0b0011, 0x1319, "no_path"),
+            (AdjacencyRule.TAR, 4, 0b0111, 0b1001, 0x02CD, "no_path"),
+            (AdjacencyRule.TJAR, 4, 0b1001, 0b0111, 0x0784, "no_path"),
+            (AdjacencyRule.TJAR, 4, 0b0000, 0b1111, 0xB40F, "found"),
+            (AdjacencyRule.TAR, 5, 0b00101, 0b11111, 0xC61E4BBE, "found"),
+            (AdjacencyRule.TJAR, 5, 0b11111, 0b00010, 0xF623A844, "found"),
+        ],
+    )
+    def test_stale_entries_are_skipped(self, monkeypatch, rule, n, x, y, passing, status):
+        """Searches that push a state again, by a shorter path, before its
+        first entry pops (found by enumerating 4- and 5-element tables whose
+        states pass when their bit of ``passing`` is set).  The stale entry
+        asks ``feasible`` nothing and expands nothing."""
+        asked, expanded = [], []
+
+        def feasible(mask):
+            asked.append(mask)
+            return bool(passing >> mask & 1)
+
+        def recorded_neighbors(rule, ground, mask):
+            expanded.append(mask)
+            return neighbor_masks(rule, ground, mask)
+
+        monkeypatch.setattr(algorithms, "neighbor_masks", recorded_neighbors)
+        full = (1 << n) - 1
+        got = feasible_path(rule, full, x, y, feasible, 1 << n)
+        assert len(asked) == len(set(asked))
+        assert len(expanded) == len(set(expanded))
+        # Y, the last expansion of a found walk, generates no neighbours
+        assert got[2] == len(expanded) + (got[0] == "found")
+        assert got[0] == status
+        assert got == eager_feasible_path(rule, full, x, y, lambda m: passing >> m & 1, 1 << n)
 
     def test_deterministic_across_runs(self):
         inst = self.make_instance(

@@ -11,28 +11,44 @@ where the script is not on the path.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subreco
 from subreco import (
     AdjacencyRule,
     CoverageSpec,
     Subset,
+    check_monotone,
+    check_submodular,
     coverage_oracle,
+    cut_oracle,
     inapprox_gadget,
     load_instance,
     load_sequence_csv,
     modular_oracle,
     optimal_value,
+    parse_ids_1indexed,
+    shifted_incidence_oracle,
     write_instance,
 )
 from subreco.cli import main
+from subreco.core import CHECK_TOL
+
+from conftest import random_coverage_spec, random_graph
 
 
 def gen_instance(tmp_path, name, *extra):
@@ -58,6 +74,19 @@ def write_single_clause_cnf(tmp_path):
     path = tmp_path / "one.cnf"
     path.write_text("p cnf 3 1\n1 2 3 0\n", encoding="utf-8")
     return path
+
+
+def writable_oracle(rng: random.Random, n: int):
+    """A small oracle that instance files hold.  Cuts and shifted incidence
+    fail monotonicity; sums of modular weights near 1e16 round, so a gain can
+    grow as the set does and fail submodularity."""
+    kind = rng.choice(["modular", "cut", "shifted-incidence", "coverage"])
+    if kind == "modular":
+        return modular_oracle([rng.choice([3e16, -1e16, 6.0, -3.0, 0.5]) for _ in range(n)])
+    if kind == "coverage":
+        return coverage_oracle(random_coverage_spec(rng, n, rng.randint(2, 6)))
+    graph = random_graph(rng, n)
+    return cut_oracle(graph) if kind == "cut" else shifted_incidence_oracle(graph)
 
 
 def run_module(*args):
@@ -140,7 +169,7 @@ class TestGen:
         assert main(["check", "submodular", str(path)]) == 0
         assert main(["check", "monotone", str(path)]) == 1
         assert capsys.readouterr().out == (
-            "ok\ncounterexample: {1}, {0,1} (adding 0 decreases the value)\n"
+            "ok\ncounterexample: {2}, {1,2}: adding {1} decreases the value\n"
         )
 
     def test_nae_clause_instance(self, tmp_path):
@@ -458,6 +487,58 @@ class TestCheck:
             assert main(["check", "monotone", str(path), "--mode", "sampled", *argv]) == 1
             assert capsys.readouterr().out == out
 
+    def test_counterexample_is_1indexed(self, tmp_path, capsys):
+        # the file holds obs54's heaviest edge as "edge 1 5"
+        path = gen_instance(tmp_path, "obs54", "--n", "8")
+        capsys.readouterr()
+        assert main(["check", "monotone", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "counterexample: {1}, {1,5}: adding {5} decreases the value\n"
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["submodular", "monotone"]),
+           st.sampled_from(["exhaustive", "sampled"]))
+    @settings(max_examples=80, deadline=None)
+    def test_printed_sets_violate_the_property(self, seed, prop, mode):
+        """Every set ``check`` prints parses back, 1-indexed, into a
+        violation of the property on the oracle the file holds."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        sampled = ["--mode", "sampled", "--samples", "50"] if mode == "sampled" else []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "drawn.inst"
+            write_instance(path, writable_oracle(rng, n), Subset(n, ()), Subset(n, ()),
+                           AdjacencyRule.TAR)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["check", prop, str(path), *sampled])
+            f = load_instance(path).oracle
+        if code == 0:
+            assert out.getvalue() == "ok\n"
+            return
+        assert code == 1 and out.getvalue().startswith("counterexample: ")
+        sets = [parse_ids_1indexed(t, n) for t in re.findall(r"\{[\d,]*\}", out.getvalue())]
+        if prop == "monotone":
+            s, larger, e = sets
+            assert larger == s | e and s.isdisjoint(e) and len(e) == 1
+            assert f.evaluate(larger) < f.evaluate(s) - CHECK_TOL
+            return
+        s, t, e, *g = sets
+        assert s.issubset(t) and e.isdisjoint(t) and len(e) == 1
+        assert len(g) == (mode == "exhaustive") and all(t == s | h and len(h) == 1 for h in g)
+        gain_small = f.evaluate(s | e) - f.evaluate(s)
+        assert gain_small - (f.evaluate(t | e) - f.evaluate(t)) < -CHECK_TOL
+
+    def test_drawn_oracles_fail_each_check(self):
+        # the draws above reach a counterexample of each property in each mode
+        failed = Counter()
+        for seed in range(200):
+            rng = random.Random(seed)
+            f = writable_oracle(rng, rng.randint(1, 6))
+            for check in (check_submodular, check_monotone):
+                failed[check.__name__, "exhaustive"] += not check(f)
+                failed[check.__name__, "sampled"] += not check(f, "sampled", 50)
+        assert min(failed.values()) >= 15, failed
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_sampled_mode_needs_a_sample(self, tmp_path, capsys, samples):
         path = gen_instance(tmp_path, "obs55")
@@ -538,6 +619,14 @@ class TestInputErrors:
         path = tmp_path / "z.inst"
         assert main(["gen", "obs54", "--n", "0", "--out", str(path)]) == 3
         assert "positive multiple of 4" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["vc2msreco", "minvc2tjar"])
+    def test_non_cover_is_named_as_written(self, tmp_path, capsys, name):
+        path = tmp_path / "vc.inst"
+        flags = ["--graph", str(write_p4(tmp_path)), "--x", "1,2", "--y", "2,3"]
+        assert main(["gen", name, *flags, "--out", str(path)]) == 3
+        assert capsys.readouterr().err == "error: {1,2} is not a vertex cover\n"
         assert not path.exists()
 
     def test_gadget_size_differs_from_weights(self, tmp_path, capsys):

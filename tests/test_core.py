@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from subreco import (
     AdjacencyRule,
     BudgetExceededError,
-    CheckVerdict,
     CnfFormula,
     CoverageSpec,
     GroundSet,
@@ -22,6 +21,7 @@ from subreco import (
     SetFunctionOracle,
     Subset,
     UniverseMismatchError,
+    Verdict,
     WeightedGraph,
     astar,
     build_value_table,
@@ -583,7 +583,7 @@ class TestProblemInstance:
 # structural checks
 
 
-def reference_submodular(oracle: SetFunctionOracle) -> CheckVerdict:
+def reference_submodular(oracle: SetFunctionOracle) -> Verdict:
     """The exhaustive diminishing-returns scan as a plain loop over (S, e, g)."""
     n = oracle.universe.n
     table = [oracle.evaluate(Subset.from_mask(n, m)) for m in range(1 << n)]
@@ -597,15 +597,21 @@ def reference_submodular(oracle: SetFunctionOracle) -> CheckVerdict:
                 with_g = table[s_mask | 1 << g]
                 with_both = table[s_mask | 1 << e | 1 << g]
                 if (with_e - base) - (with_both - with_g) < -CHECK_TOL:
-                    return CheckVerdict(
+                    return Verdict(
                         False,
-                        (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << g), e),
-                        f"gain of {e} grows when {g} is added",
+                        None,
+                        "{}, {}: gain of {} grows when {} is added",
+                        (
+                            Subset.from_mask(n, s_mask),
+                            Subset.from_mask(n, s_mask | 1 << g),
+                            Subset(n, [e]),
+                            Subset(n, [g]),
+                        ),
                     )
-    return CheckVerdict(True)
+    return Verdict(True)
 
 
-def reference_monotone(oracle: SetFunctionOracle) -> CheckVerdict:
+def reference_monotone(oracle: SetFunctionOracle) -> Verdict:
     """The exhaustive monotonicity scan as a plain loop over (S, e)."""
     n = oracle.universe.n
     table = [oracle.evaluate(Subset.from_mask(n, m)) for m in range(1 << n)]
@@ -613,12 +619,17 @@ def reference_monotone(oracle: SetFunctionOracle) -> CheckVerdict:
         base = table[s_mask]
         for e in range(n):
             if not s_mask >> e & 1 and table[s_mask | 1 << e] < base - CHECK_TOL:
-                return CheckVerdict(
+                return Verdict(
                     False,
-                    (Subset.from_mask(n, s_mask), Subset.from_mask(n, s_mask | 1 << e)),
-                    f"adding {e} decreases the value",
+                    None,
+                    "{}, {}: adding {} decreases the value",
+                    (
+                        Subset.from_mask(n, s_mask),
+                        Subset.from_mask(n, s_mask | 1 << e),
+                        Subset(n, [e]),
+                    ),
                 )
-    return CheckVerdict(True)
+    return Verdict(True)
 
 
 @st.composite
@@ -644,8 +655,8 @@ class TestChecks:
         f = SetFunctionOracle(lambda mask: float(mask.bit_count() ** 2), GroundSet(4))
         verdict = check_submodular(f)
         assert not verdict.ok
-        s, t, e = verdict.witness
-        assert s.issubset(t) and e not in t
+        s, t, e, g = verdict.subsets
+        assert s | g == t and e.isdisjoint(t) and len(e) == len(g) == 1
 
     def test_coverage_passes_exhaustive(self):
         assert check_submodular(coverage_oracle(COVER)).ok
@@ -655,8 +666,8 @@ class TestChecks:
         assert check_submodular(f).ok
         verdict = check_monotone(f)
         assert not verdict.ok
-        small, large = verdict.witness
-        assert small.issubset(large)
+        small, large, e = verdict.subsets
+        assert small | e == large and small.isdisjoint(e) and len(e) == 1
         # the witness really is a decrease
         assert f.evaluate(large) < f.evaluate(small)
 
@@ -706,7 +717,7 @@ class TestChecks:
                 scan(SetFunctionOracle(lambda mask: table[mask], GroundSet(n)))
                 for scan in (check, reference)
             )
-            assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
+            assert (got.ok, got.template, got.subsets) == (want.ok, want.template, want.subsets)
 
     @pytest.mark.parametrize(
         "kind", ["cut", "nae", "logdet", "coverage", "incidence", "shifted_incidence"]
@@ -718,7 +729,7 @@ class TestChecks:
         ):
             f, g = batch_kind_oracle(kind, 5, 9), batch_kind_oracle(kind, 5, 9)
             got, want = check(f), reference(g)
-            assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
+            assert (got.ok, got.template, got.subsets) == (want.ok, want.template, want.subsets)
             assert f.calls == g.calls == 1 << 9
 
     @given(st.integers(0, 999))

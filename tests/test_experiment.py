@@ -69,8 +69,9 @@ class TestRunExperiment:
         assert report.value == 1.0
         assert report.length == 3
         assert len(report.rows) == 4
-        # the ascent evaluates 8 of the 10 states of the size-2 slice
-        assert report.calls_setup == 2
+        # the ascent evaluates 8 of the 10 states of the size-2 slice; f(X)
+        # and f(Y) come from the walk's rows, so set-up evaluates nothing
+        assert report.calls_setup == 0
         assert report.calls_algorithm == 8
         assert report.calls_evaluation == 4
         assert report.calls_total == 12
@@ -84,7 +85,7 @@ class TestRunExperiment:
         assert report.status == "ok"
         assert report.value == pytest.approx(1.0)
         assert report.length == 7
-        assert report.calls_setup == 2
+        assert report.calls_setup == 0
         assert report.calls_algorithm == 20  # two greedy runs over 4 elements
         assert report.calls_evaluation == 8
 
@@ -115,6 +116,16 @@ class TestRunExperiment:
         )
         assert report.theta == pytest.approx(0.5)
         assert report.status == "no_path"
+
+    @pytest.mark.parametrize("threshold", [{"theta": 0.5}, {"theta_frac": 0.5}])
+    def test_no_walk_takes_the_endpoint_values_once(self, threshold):
+        # no rows to read f(X) and f(Y) from, so set-up evaluates them, once
+        report = run_experiment(
+            ExperimentConfig(algorithm="astar", instance=obs55_instance(), **threshold)
+        )
+        assert report.status == "no_path"
+        assert report.endpoint_values == (1.0, 1.0)
+        assert report.calls_setup == 2
 
     def test_file_fraction_costs_the_endpoint_values_once(self, tmp_path):
         p = tmp_path / "frac.instance"
@@ -332,5 +343,5 @@ class TestRunExperiment:
         report = run_experiment(
             ExperimentConfig(algorithm="tjar", gram_path=path, k=2)
         )
-        # the greedy's calls plus f(X) and f(Y)
-        assert report.calls_setup == f.calls + 2
+        # the greedy's calls alone: f(X) and f(Y) come from the walk's rows
+        assert report.calls_setup == f.calls
