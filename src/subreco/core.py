@@ -603,29 +603,22 @@ def validate_sequence(
 
 
 def _lattice(oracle: SetFunctionOracle, check: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every mask over the universe and f on it, by one
-    :meth:`~SetFunctionOracle.evaluate_many` (guarded at ``EXHAUSTIVE_LIMIT``).
-
-    Both arrays have one axis per element: axis ``n - 1 - e`` indexes
-    membership of ``e``, so fixing axes leaves the subsets without them in
-    ascending mask order, as C-order flattening reads them.
-    """
+    """Every mask over the universe in ascending order and f on each, by one
+    :meth:`~SetFunctionOracle.evaluate_many` (guarded at ``EXHAUSTIVE_LIMIT``)."""
     n = oracle.universe.n
     if n > EXHAUSTIVE_LIMIT:
         raise BudgetExceededError(
             f"exhaustive {check} check refused for n={n} > {EXHAUSTIVE_LIMIT}"
         )
     masks = np.arange(1 << n, dtype=np.int64)
-    return masks.reshape((2,) * n), oracle.evaluate_many(masks).reshape((2,) * n)
+    return masks, oracle.evaluate_many(masks)
 
 
-def _pin(n: int, members: dict[int, int]) -> tuple:
-    """Index of the lattice array that fixes the membership (0 or 1) of each
-    element of ``members``; the result is an array even with every axis fixed."""
-    index: list = [slice(None)] * n
-    for e, member in members.items():
-        index[n - 1 - e] = member
-    return (*index, ...)
+def _split(values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``values``, indexed by mask, at the masks without ``bit``
+    and at the same masks with it, both in ascending mask order (C order)."""
+    pair = values.reshape(-1, 2, 1 << bit)
+    return pair[:, 0], pair[:, 1]
 
 
 def _first_mask(masks: np.ndarray, bad: np.ndarray) -> Optional[int]:
@@ -659,28 +652,33 @@ def check_submodular(
 
     The exhaustive mode tabulates the whole lattice (guarded at n <= 16) with
     one :meth:`~SetFunctionOracle.evaluate_many`, so it costs ``2**n`` calls,
-    and checks every triple (S, e, g) with e, g outside S:
-    ``f(S+e) - f(S) >= f(S+g+e) - f(S+g)``.  Chaining these immediate-cover
-    inequalities is equivalent to diminishing returns for arbitrary S <= T.
-    The scan runs in numpy, one pair (e, g) at a time, and reports the first
+    and checks every triple (S, e, g) with e != g outside S, each ordered
+    pair on its own: ``f(S+e) - f(S) >= f(S+g+e) - f(S+g)``.  Chaining these
+    immediate-cover inequalities is equivalent to diminishing returns for
+    arbitrary S <= T in exact arithmetic; under rounding the tolerance can
+    add up along a chain, so sampled (S <= T) pairs can still find what the
+    exhaustive scan passes.  The scan takes each element's gains once and
+    splits them by every other element, in numpy, and reports the first
     violation in the order S ascending, then e, then g, as the subsets S,
     S + g, {e} and {g}.  Sampled mode draws random (S <= T, e) triples
-    instead and reports S, T and {e}.
+    instead and reports S, T and {e}.  Both modes compare the difference of
+    the two gains, ``(a - b) - (c - d)``, with ``-CHECK_TOL``.
     """
     n = oracle.universe.n
     if mode == "exhaustive":
         masks, table = _lattice(oracle, "submodularity")
-        found = []  # per pair (e, g), its first violation (S, e, g)
+        found = []  # per ordered pair (e, g), its first violation (S, e, g)
         with np.errstate(invalid="ignore"):  # -inf - -inf is nan, never a violation
             for e in range(n):
-                for g in range(e + 1, n):
-                    base, with_e, with_g, with_both = (
-                        table[_pin(n, {e: i & 1, g: i >> 1})] for i in range(4)
-                    )
-                    bad = (with_e - base) - (with_both - with_g) < -CHECK_TOL
-                    s = _first_mask(masks[_pin(n, {e: 0, g: 0})], bad)
-                    if s is not None:
-                        found.append((s, e, g))
+                base, with_e = _split(table, e)
+                gain, rest = with_e - base, _split(masks, e)[0].ravel()  # by masks without e
+                for g in range(n):
+                    if g != e:
+                        bit = g - (g > e)  # g's bit once e's is taken out
+                        small, large = _split(gain, bit)
+                        s = _first_mask(_split(rest, bit)[0], small - large < -CHECK_TOL)
+                        if s is not None:
+                            found.append((s, e, g))
         if not found:
             return _OK
         s, e, g = min(found)
@@ -714,17 +712,17 @@ def check_monotone(
 
     The exhaustive mode tabulates the whole lattice (guarded at n <= 16) with
     one :meth:`~SetFunctionOracle.evaluate_many`, so it costs ``2**n`` calls,
-    then scans it in numpy one e at a time and reports the first violation
-    in the order S ascending, then e.  Either mode reports the subsets S,
-    S + e and {e}.
+    then compares its two halves without and with each e in numpy and
+    reports the first violation in the order S ascending, then e.  Either
+    mode reports the subsets S, S + e and {e}.
     """
     n = oracle.universe.n
     if mode == "exhaustive":
         masks, table = _lattice(oracle, "monotonicity")
         found = []  # per element e, its first violation (S, e)
         for e in range(n):
-            base, with_e = table[_pin(n, {e: 0})], table[_pin(n, {e: 1})]
-            s = _first_mask(masks[_pin(n, {e: 0})], with_e < base - CHECK_TOL)
+            base, with_e = _split(table, e)
+            s = _first_mask(_split(masks, e)[0], with_e < base - CHECK_TOL)
             if s is not None:
                 found.append((s, e))
         if not found:

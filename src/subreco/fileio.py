@@ -16,10 +16,10 @@ Formats:
 * instance: sections ``[oracle]``, ``[endpoints]``, ``[rule]``, ``[theta]``,
   read as one ``ProblemInstance``; ``[theta]`` is ``value r`` or ``none``.
   ``[oracle]`` holds a ``kind`` line and that kind's directives (``_KINDS``;
-  ``*`` may repeat): coverage ``n items divisor cover*``; modular ``weights*``;
+  ``*`` may repeat): coverage ``n items divisor cover*``; modular ``weights``;
   cut, incidence and shifted-incidence ``n edge* graph-file``; nae ``n clause*
   cnf-file``; logdet ``gram-file``; influence ``rr-file graph-file directed
-  probability rr-count seed``; gadget ``upsilon weights*``.  An ``edge`` line
+  probability rr-count seed``; gadget ``upsilon weights``.  An ``edge`` line
   holds an edge-list row.
 """
 
@@ -516,8 +516,8 @@ _KINDS = {
 besides ``kind``, reader, writer).  A reader builds the oracle from the
 grouped lines; a writer takes the instance path and the payload of the
 oracle's ``serial = (kind, payload)``, and returns the lines after ``kind``."""
-# the directives that may appear more than once; the first 'weights' line wins
-_REPEATABLE = ("cover", "edge", "clause", "weights")
+# the directives that may appear more than once
+_REPEATABLE = ("cover", "edge", "clause")
 
 
 def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:

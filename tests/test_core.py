@@ -584,16 +584,16 @@ class TestProblemInstance:
 
 
 def reference_submodular(oracle: SetFunctionOracle) -> Verdict:
-    """The exhaustive diminishing-returns scan as a plain loop over (S, e, g)."""
+    """The exhaustive diminishing-returns scan as a plain loop over (S, e, g),
+    every ordered pair (e, g) on its own."""
     n = oracle.universe.n
     table = [oracle.evaluate(Subset.from_mask(n, m)) for m in range(1 << n)]
     for s_mask in range(1 << n):
         free = [e for e in range(n) if not s_mask >> e & 1]
         base = table[s_mask]
-        for ai in range(len(free)):
-            e = free[ai]
+        for e in free:
             with_e = table[s_mask | 1 << e]
-            for g in free[ai + 1 :]:
+            for g in (g for g in free if g != e):
                 with_g = table[s_mask | 1 << g]
                 with_both = table[s_mask | 1 << e | 1 << g]
                 if (with_e - base) - (with_both - with_g) < -CHECK_TOL:
@@ -647,6 +647,26 @@ def value_tables(draw) -> tuple[int, list[float]]:
     planted = st.tuples(st.integers(0, (1 << n) - 1), values)
     for m, v in draw(st.lists(planted, max_size=4)):
         table[m] = v
+    return n, table
+
+
+def modular_table(weights: list[float]) -> list[float]:
+    """The modular function's value on every mask, its weights summed in id order."""
+    n = len(weights)
+    return [sum((w for e, w in enumerate(weights) if m >> e & 1), 0.0) for m in range(1 << n)]
+
+
+@st.composite
+def rounding_tables(draw) -> tuple[int, list[float]]:
+    """A modular table whose weights may be near 1e16, so that its sums
+    round, with a few entries moved by about ``CHECK_TOL``."""
+    n = draw(st.integers(2, 5))
+    weight = st.sampled_from([3e16, 1e16, -1e16, 6.0, -3.0, 2.0, 1.0, 1e-9, 0.0])
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    table = modular_table(weights)
+    nudge = st.sampled_from([-2e-9, -1e-9, 1e-9, 2e-9])
+    for m, d in draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1), nudge), max_size=4)):
+        table[m] += d
     return n, table
 
 
@@ -706,6 +726,8 @@ class TestChecks:
     # a gain that shrinks, or a value that drops, by exactly CHECK_TOL is no violation
     @example((2, [0.0, 0.0, 0.0, 1e-9]))
     @example((2, [1e-9, 0.0, 0.0, 0.0]))
+    # only the order (e, g) = (1, 0) of this pair falls below -CHECK_TOL
+    @example((2, [1e-9, 0.0, 2.0, 2.0]))
     @settings(max_examples=300, deadline=None)
     def test_scans_match_the_reference_loops(self, case):
         n, table = case
@@ -718,6 +740,39 @@ class TestChecks:
                 for scan in (check, reference)
             )
             assert (got.ok, got.template, got.subsets) == (want.ok, want.template, want.subsets)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: modular_oracle([3e16, 6.0, -3.0]),  # f({0,1}) rounds to 3e16 + 8
+            # (e, g) = (1, 0) reads (2 - 1e-9) - 2, just below -CHECK_TOL
+            lambda: SetFunctionOracle([1e-9, 0.0, 2.0, 2.0].__getitem__, GroundSet(2)),
+        ],
+        ids=["modular-1e16", "table-1e-9"],
+    )
+    def test_each_order_of_a_pair_is_scanned(self, make):
+        exhaustive, sampled = check_submodular(make()), check_submodular(make(), "sampled")
+        assert exhaustive.reason == "{}, {0}: gain of {1} grows when {0} is added"
+        assert sampled.reason == "{}, {0}: gain of {1} grows from S to T"
+        assert exhaustive.subsets[:3] == sampled.subsets
+
+    @given(rounding_tables(), st.integers(0, 2**32 - 1))
+    @example((2, [1e-9, 0.0, 2.0, 2.0]), 0)
+    @example((3, modular_table([3e16, 6.0, -3.0])), 0)
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_cover_violations_fail_the_exhaustive_scan(self, case, seed):
+        """A sampled violation with T = S + g is a triple the exhaustive scan
+        reads with the same floats, so the scan fails at it or before it."""
+        n, table = case
+        f = SetFunctionOracle(table.__getitem__, GroundSet(n))
+        sampled = check_submodular(f, "sampled", 50, seed)
+        if sampled.ok or len(sampled.subsets[1] - sampled.subsets[0]) != 1:
+            return
+        s, t, e = sampled.subsets
+        exhaustive = check_submodular(f)
+        assert not exhaustive.ok
+        s2, _, e2, g2 = exhaustive.subsets
+        assert (s2.mask, e2.mask, g2.mask) <= (s.mask, e.mask, (t - s).mask)
 
     @pytest.mark.parametrize(
         "kind", ["cut", "nae", "logdet", "coverage", "incidence", "shifted_incidence"]

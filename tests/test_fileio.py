@@ -437,13 +437,15 @@ class TestInstanceFiles:
         assert (inst.x, inst.y) == (gadget.x, gadget.y)
         assert_same_values(gadget.oracle, inst.oracle)
 
-    def test_gadget_reads_the_first_weights_line(self, tmp_path):
+    def test_gadget_refuses_a_second_weights_line(self, tmp_path):
         gadget = inapprox_gadget(modular_oracle([0.3, 0.2]), 1.5)
         p = tmp_path / "gadget.instance"
         write_instance(p, gadget.oracle, gadget.x, gadget.y, AdjacencyRule.TJAR)
         text = p.read_text()
         p.write_text(text.replace("\n\n[endpoints]", "\nweights 9.0 9.0\n\n[endpoints]", 1))
-        assert_same_values(gadget.oracle, load_instance(p).oracle)
+        with pytest.raises(InstanceParseError) as exc:
+            load_instance(p)
+        assert str(exc.value) == f"{p}:5: second 'weights' line in [oracle]"
 
     def test_to_problem_instance_defaults(self, tmp_path):
         f = modular_oracle([3.0, 1.0, 2.0])
@@ -835,6 +837,12 @@ class TestParseErrorsNameTheLine:
                 "[oracle]\nkind influence\nrr-file a.rr\nrr-file b.rr\n" + _TAIL,
                 4,
             ),
+            ("case.instance", "[oracle]\nkind modular\nweights 1 2\nweights 3 4\n" + _TAIL, 4),
+            (
+                "case.instance",
+                "[oracle]\nkind gadget\nupsilon 1\nweights 1 2\nweights 3 4\n" + _TAIL,
+                5,
+            ),
             ("case.instance", "[oracle]\nkind gadget\nweights 1 2\n" + _TAIL, 0),
             ("case.instance", "[oracle]\nkind cut\nn -1\n" + _TAIL, 2),
             ("case.instance", "[oracle]\nkind nae\nn -3\n" + _TAIL, 2),
@@ -903,7 +911,8 @@ class TestParseErrorsNameTheLine:
             "edges-probability-nan", "rr-seed-hex", "second-x", "second-y",
             "second-theta", "coverage-directive", "modular-directive", "cut-directive",
             "section-rules", "section-typo", "second-divisor", "second-kind", "second-n",
-            "second-upsilon", "second-rr-file", "upsilon-missing",
+            "second-upsilon", "second-rr-file", "second-weights", "second-gadget-weights",
+            "upsilon-missing",
             "cut-n-sign", "nae-n-sign", "upsilon-sign", "rr-count-zero", "probability-mode",
             "directed-word", "gram-file-missing", "graph-file-missing", "cnf-file-missing",
             "rr-file-missing", "graph-file-directory", "coverage-n-arity", "gram-file-absent",
