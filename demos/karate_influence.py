@@ -9,23 +9,32 @@ disjoint seed sets greedily, and walk between them one exchange at a time.
 
 from pathlib import Path
 
-from subreco import ExperimentConfig, format_ids_1indexed, run_experiment
+from subreco import (
+    AdjacencyRule,
+    ExperimentConfig,
+    ProblemInstance,
+    format_ids_1indexed,
+    influence_oracle,
+    interchangeable_greedy,
+    load_edge_list,
+    run_experiment,
+    sample_rr_sets,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "karate.tsv"
+K = 8
 
 # Undirected club edges become opposite arc pairs; each arc (u, v) fires
 # with probability 1 / indegree(v).  Each RR sample reads its own block of a
 # Philox stream keyed by the seed, so the numbers below reproduce exactly.
-report = run_experiment(
-    ExperimentConfig(
-        algorithm="swap",
-        graph_path=DATA,
-        probability_mode="inverse-in-degree",
-        rr_count=100_000,
-        seed=7,
-        k=8,
-    )
-)
+graph = load_edge_list(DATA, probability_mode="inverse-in-degree")
+f = influence_oracle(sample_rr_sets(graph, 100_000, seed=7))
+x, y = interchangeable_greedy(f, K)
+
+# The same run as `subreco solve swap --graph data/karate.tsv --seed 7 --k 8`,
+# which prints the same summary line.
+instance = ProblemInstance(f, x, y, AdjacencyRule.TJ, None, K)
+report = run_experiment(ExperimentConfig(algorithm="swap", instance=instance))
 
 fx, fy = report.endpoint_values
 print(report.summary())

@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .algorithms import interchangeable_greedy
 from .core import (
     AdjacencyRule,
     BudgetExceededError,
@@ -28,15 +29,23 @@ from .experiment import ExperimentConfig, run_experiment
 from .fileio import (
     InstanceParseError,
     format_ids_1indexed,
-    ids_1indexed,
     load_cnf,
     load_edge_list,
+    load_gram,
     load_instance,
     load_sequence_csv,
     parse_ids_1indexed,
     write_instance,
+    write_sequence_csv,
 )
-from .oracles import CnfFormula, is_vertex_cover, modular_oracle
+from .oracles import (
+    CnfFormula,
+    influence_oracle,
+    is_vertex_cover,
+    logdet_oracle,
+    modular_oracle,
+    sample_rr_sets,
+)
 from .reductions import (
     SatAssignment,
     VcReconfigInstance,
@@ -70,28 +79,52 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, help="A* expansion budget (exact: summed over its rounds)")
 
 
-def _run_solver(args, algorithm: str, restriction=None) -> int:
-    cfg = ExperimentConfig(
-        algorithm=algorithm,
-        instance=args.instance,
-        graph_path=args.graph,
-        gram_path=args.gram,
-        directed=args.directed,
-        probability_mode=args.probability_mode,
-        rr_count=args.rr_count,
-        seed=args.seed,
-        k=args.k,
-        rule=None if args.rule is None else AdjacencyRule.parse(args.rule),
-        theta=args.theta,
-        theta_frac=args.theta_frac,
-        out=args.out,
-        budget=args.budget,
-        restriction=restriction,
+def _source_instance(args) -> ProblemInstance:
+    """The instance of the source flags, with its source's own threshold as
+    ``theta``: an instance file, or disjoint greedy endpoints of size ``--k``
+    on an edge list (influence, TJ) or a gram matrix (log-det, TJAR)."""
+    if sum(s is not None for s in (args.instance, args.graph, args.gram)) != 1:
+        raise ValueError("exactly one instance source must be set")
+    if args.graph is None:
+        for name in ("seed", "directed", "probability_mode", "rr_count"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"{name} applies only to an edge-list (--graph) source")
+    if args.instance is not None:
+        if args.k is not None:
+            raise ValueError("k applies only to --graph and --gram sources")
+        return load_instance(args.instance)
+    if args.k is None:
+        raise ValueError("endpoint construction needs k")
+    if args.gram is not None:
+        oracle = logdet_oracle(load_gram(args.gram))
+        return ProblemInstance(oracle, *interchangeable_greedy(oracle, args.k), AdjacencyRule.TJAR)
+    if args.seed is None:
+        raise ValueError("influence experiments need an explicit seed")
+    mode = args.probability_mode or "inverse-in-degree"
+    graph = load_edge_list(args.graph, directed=bool(args.directed), probability_mode=mode)
+    rr_count = 100_000 if args.rr_count is None else args.rr_count
+    oracle = influence_oracle(sample_rr_sets(graph, rr_count, args.seed))
+    x, y = interchangeable_greedy(oracle, args.k)
+    return ProblemInstance(oracle, x, y, AdjacencyRule.TJ, None, args.k)
+
+
+def _run_solver(args, algorithm: str, restrict=None) -> int:
+    instance = _source_instance(args)
+    n = instance.oracle.universe.n
+    restriction = None if restrict is None else parse_ids_1indexed(restrict, n)
+    rule = None if args.rule is None else AdjacencyRule.parse(args.rule)
+    report = run_experiment(
+        ExperimentConfig(
+            algorithm, instance, rule, args.theta, args.theta_frac, args.budget, restriction
+        )
     )
-    report = run_experiment(cfg)
+    # the CSV is written first, so a path that cannot be written prints no summary
+    out = None if args.out is None or not report.rows else Path(args.out)
+    if out is not None:
+        write_sequence_csv(out, report.rows)
     print(report.summary() + ("" if restriction is None else " restricted=yes"))
-    if report.csv_path is not None:
-        print(f"csv={report.csv_path}")
+    if out is not None:
+        print(f"csv={out}")
     if report.status in ("ok", "found"):
         return OK
     if report.status == "inconclusive":
@@ -104,8 +137,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    restriction = None if args.restrict is None else ids_1indexed(args.restrict)
-    return _run_solver(args, "exact", restriction)
+    return _run_solver(args, "exact", args.restrict)
 
 
 def _print_verdict(verdict: Verdict, label: str) -> int:

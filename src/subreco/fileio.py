@@ -91,16 +91,12 @@ def format_ids_1indexed(s: Subset) -> str:
     return "{" + ",".join(str(e + 1) for e in s) + "}"
 
 
-def ids_1indexed(text: str) -> list[int]:
-    """0-indexed ids of the 1-indexed ``{i,j,...}`` form (braces optional)."""
+def parse_ids_1indexed(text: str, n: int) -> Subset:
+    """The subset of the 1-indexed ``{i,j,...}`` form (braces optional)."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
-    return [int(tok) - 1 for tok in body.replace(",", " ").split()]
-
-
-def parse_ids_1indexed(text: str, n: int) -> Subset:
-    return _subset_1indexed(n, ids_1indexed(text))
+    return _subset_1indexed(n, [int(tok) - 1 for tok in body.replace(",", " ").split()])
 
 
 def _subset_1indexed(n: int, ids: Sequence[int]) -> Subset:
@@ -475,8 +471,11 @@ def _sibling(directive: str, suffix: str, save):
     that file with ``suffix``, and names it on a ``directive`` line."""
 
     def write(path: Path, payload) -> list[str]:
-        save(path.with_suffix(suffix), payload)
-        return [f"{directive} {path.with_suffix(suffix).name}"]
+        target = path.with_suffix(suffix)
+        if target == path:
+            raise ValueError(f"{path} would be its own {directive}; give it another suffix")
+        save(target, payload)
+        return [f"{directive} {target.name}"]
 
     return write
 
@@ -612,7 +611,11 @@ def write_instance(
     theta: Optional[float] = None,
 ) -> None:
     """Write an instance file that :func:`load_instance` reads back; a
-    ``theta`` becomes ``[theta]``'s ``value`` line, and None its ``none``."""
+    ``theta`` becomes ``[theta]``'s ``value`` line, and None its ``none``.
+    A non-finite ``theta``, or a path that a data file beside it would
+    overwrite, raises ``ValueError`` before any file is written."""
+    if theta is not None and not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     threshold = "none" if theta is None else f"value {theta!r}"
     path = Path(path)
     lines = [

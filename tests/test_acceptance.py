@@ -37,6 +37,7 @@ from subreco import (
     inapprox_gadget,
     influence_oracle,
     interchangeable_greedy,
+    load_edge_list,
     logdet_oracle,
     make_synthetic_gram,
     minvc_to_usreco_tjar,
@@ -368,16 +369,12 @@ def test_09_influence_estimator_accuracy_across_seeds():
 
 def test_10_karate_influence_pipeline_end_to_end(data_dir):
     with criterion("[10] karate influence pipeline end to end", budget=120.0):
-        report = run_experiment(
-            ExperimentConfig(
-                algorithm="swap",
-                graph_path=data_dir / "karate.tsv",
-                probability_mode="inverse-in-degree",
-                rr_count=100_000,
-                seed=7,
-                k=8,
-            )
-        )
+        k = 8
+        graph = load_edge_list(data_dir / "karate.tsv", probability_mode="inverse-in-degree")
+        f = influence_oracle(sample_rr_sets(graph, 100_000, seed=7))
+        x, y = interchangeable_greedy(f, k)
+        inst = ProblemInstance(f, x, y, AdjacencyRule.TJ, None, k)
+        report = run_experiment(ExperimentConfig(algorithm="swap", instance=inst))
         fx, fy = report.endpoint_values
         assert 20.0 <= fx <= 27.0
         assert 20.0 <= fy <= 27.0
@@ -386,7 +383,6 @@ def test_10_karate_influence_pipeline_end_to_end(data_dir):
         assert fy == pytest.approx(23.54194, abs=1e-9)
         assert len(report.rows) == 9
         assert report.value >= 0.8 * min(fx, fy)
-        k = 8
         assert report.calls_algorithm == k * (k + 1) + 1  # documented exact count
         assert report.calls_algorithm <= 2 * k * k
         assert report.calls_evaluation == k + 1

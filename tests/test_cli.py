@@ -32,6 +32,7 @@ from subreco import (
     AdjacencyRule,
     CoverageSpec,
     Subset,
+    WeightedGraph,
     check_monotone,
     check_submodular,
     coverage_oracle,
@@ -39,10 +40,13 @@ from subreco import (
     inapprox_gadget,
     load_instance,
     load_sequence_csv,
+    make_synthetic_gram,
     modular_oracle,
     optimal_value,
     parse_ids_1indexed,
     shifted_incidence_oracle,
+    write_edge_list,
+    write_gram,
     write_instance,
 )
 from subreco.cli import main
@@ -307,6 +311,23 @@ class TestSolve:
         assert main(["solve", "tjar", str(path), "--rule", "tjar"]) == 0
         assert "rule=tjar" in capsys.readouterr().out
 
+    def test_csv_line_names_the_path_as_given(self, tmp_path, capsys, monkeypatch):
+        path = gen_instance(tmp_path, "obs54")
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["solve", "swap", str(path), "--out", "./walk.csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "csv=walk.csv"
+        assert len(load_sequence_csv(tmp_path / "walk.csv", 8)) == 5
+
+    def test_run_without_a_walk_writes_no_csv(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs55")
+        out_csv = tmp_path / "walk.csv"
+        capsys.readouterr()
+        assert main(["solve", "astar", str(path), "--theta", "0.5", "--out", str(out_csv)]) == 1
+        out = capsys.readouterr().out
+        assert "status=no_path" in out and "csv=" not in out
+        assert not out_csv.exists()
+
 
 class TestExact:
     def test_value_line(self, tmp_path, capsys):
@@ -366,6 +387,43 @@ class TestExact:
         capsys.readouterr()
         assert main(["exact", str(path), "--budget", "-3"]) == 3
         assert "budget must be nonnegative, got -3" in capsys.readouterr().err
+
+
+class TestRawDataSources:
+    """``--graph`` and ``--gram`` build disjoint greedy endpoints of size ``--k``."""
+
+    @pytest.fixture
+    def gram(self, tmp_path):
+        path = tmp_path / "m.gram"
+        write_gram(path, make_synthetic_gram(6, seed=5))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["solve", "tjar"], "algorithm=tjar rule=tjar status=ok theta=- value=0.795302 "
+             "length=3 calls_total=10 calls_algorithm=6 calls_evaluation=4"),
+            (["exact"], "algorithm=exact rule=tjar status=found theta=- value=1.54283 "
+             "length=2 calls_total=6 calls_algorithm=3 calls_evaluation=3"),
+        ],
+        ids=["tjar", "exact"],
+    )
+    def test_gram_source(self, gram, capsys, argv, line):
+        capsys.readouterr()
+        assert main([*argv, "--gram", str(gram), "--k", "2"]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_edge_list_source(self, tmp_path, capsys):
+        # the 6-cycle; k(k+1) + 1 calls for the swap walk between disjoint endpoints
+        ring = tmp_path / "ring.tsv"
+        write_edge_list(ring, WeightedGraph.build(6, [(i, (i + 1) % 6) for i in range(6)]))
+        capsys.readouterr()
+        argv = ["solve", "swap", "--graph", str(ring), "--k", "2", "--seed", "3"]
+        assert main([*argv, "--rr-count", "500"]) == 0
+        assert capsys.readouterr().out == (
+            "algorithm=swap rule=tj status=ok theta=- value=4.116 length=2 "
+            "calls_total=10 calls_algorithm=7 calls_evaluation=3\n"
+        )
 
 
 class TestValidate:
@@ -580,7 +638,9 @@ class TestInputErrors:
         inst = gen_instance(tmp_path, "obs52")
         capsys.readouterr()
         assert main([a.format(dir=tmp_path, inst=inst) for a in argv]) == 3
-        assert capsys.readouterr().err.startswith("error: [Errno ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ")
+        assert captured.out == ""  # the file is written before the summary
 
     @pytest.mark.parametrize(
         "argv",

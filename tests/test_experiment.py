@@ -1,4 +1,12 @@
-"""Endpoint construction, synthetic matrices, and the experiment runner."""
+"""Endpoint construction, synthetic matrices, and the experiment runner.
+
+``run_experiment`` takes an in-memory instance; the raw-data sources
+(``--graph``, ``--gram``) and the flags each reads are the CLI's, so their
+tests drive ``subreco.cli.main``.
+"""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +16,12 @@ from subreco import (
     ExperimentConfig,
     ProblemInstance,
     Subset,
+    WeightedGraph,
+    influence_oracle,
     interchangeable_greedy,
+    load_edge_list,
     load_gram,
-    load_sequence_csv,
+    load_instance,
     logdet_oracle,
     make_synthetic_gram,
     modular_oracle,
@@ -18,8 +29,43 @@ from subreco import (
     obs54_instance,
     obs55_instance,
     run_experiment,
+    sample_rr_sets,
+    write_edge_list,
+    write_gram,
     write_instance,
 )
+from subreco.cli import main
+
+EXPERIMENT = Path(__file__).resolve().parent.parent / "src" / "subreco" / "experiment.py"
+
+
+def write_ring(tmp_path):
+    """The 6-cycle as an edge list."""
+    path = tmp_path / "ring.tsv"
+    write_edge_list(path, WeightedGraph.build(6, [(i, (i + 1) % 6) for i in range(6)]))
+    return path
+
+
+def write_detour(tmp_path):
+    """The coverage counterexample as an instance file."""
+    inst = obs52_instance()
+    path = tmp_path / "detour.inst"
+    write_instance(path, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
+    return path
+
+
+def write_small_gram(tmp_path, n=6):
+    path = tmp_path / "m.gram"
+    write_gram(path, make_synthetic_gram(n, seed=5))
+    return path
+
+
+def run_cli(argv, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI run; ``argv`` may hold paths."""
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestInterchangeableGreedy:
@@ -60,11 +106,8 @@ class TestSyntheticGram:
 
 
 class TestRunExperiment:
-    def test_exact_on_the_coverage_counterexample(self, tmp_path):
-        out = tmp_path / "seq.csv"
-        report = run_experiment(
-            ExperimentConfig(algorithm="exact", instance=obs52_instance(), out=out)
-        )
+    def test_exact_on_the_coverage_counterexample(self):
+        report = run_experiment(ExperimentConfig(algorithm="exact", instance=obs52_instance()))
         assert report.status == "found"
         assert report.value == 1.0
         assert report.length == 3
@@ -75,8 +118,13 @@ class TestRunExperiment:
         assert report.calls_algorithm == 8
         assert report.calls_evaluation == 4
         assert report.calls_total == 12
-        seq = load_sequence_csv(out, 5)
-        assert seq.steps == tuple(s for _, s, _ in report.rows)
+        # the detour through the universal fifth element, never below 1
+        assert report.rows == [
+            (0, Subset(5, [0, 1]), 1.0),
+            (1, Subset(5, [0, 4]), 1.0),
+            (2, Subset(5, [3, 4]), 1.0),
+            (3, Subset(5, [2, 3]), 1.0),
+        ]
 
     def test_tjar_on_the_matching_counterexample(self):
         report = run_experiment(
@@ -136,7 +184,9 @@ class TestRunExperiment:
             Subset(3, [2]),
             AdjacencyRule.TJAR,
         )
-        report = run_experiment(ExperimentConfig(algorithm="swap", instance=p, theta_frac=0.5))
+        report = run_experiment(
+            ExperimentConfig(algorithm="swap", instance=load_instance(p), theta_frac=0.5)
+        )
         assert report.theta == pytest.approx(1.0)
         assert report.calls_setup == 2  # f(X) and f(Y), taken once
 
@@ -150,7 +200,8 @@ class TestRunExperiment:
             AdjacencyRule.TJAR,
             theta=1.5,
         )
-        run = lambda **kw: run_experiment(ExperimentConfig(algorithm="swap", instance=p, **kw))
+        inst = load_instance(p)
+        run = lambda **kw: run_experiment(ExperimentConfig(algorithm="swap", instance=inst, **kw))
         assert run().theta == 1.5
         assert run(theta_frac=0.5).theta == pytest.approx(1.0)
         assert run(theta=0.25, theta_frac=0.5).theta == 0.25
@@ -179,7 +230,7 @@ class TestRunExperiment:
     def test_restriction_outside_exact_is_refused(self, algorithm):
         inst = obs52_instance()
         cfg = ExperimentConfig(
-            algorithm=algorithm, instance=inst, theta=0.5, restriction=[0, 1, 2, 3]
+            algorithm=algorithm, instance=inst, theta=0.5, restriction=Subset(5, [0, 1, 2, 3])
         )
         with pytest.raises(ValueError, match=f"{algorithm} takes no restriction"):
             run_experiment(cfg)
@@ -195,7 +246,7 @@ class TestRunExperiment:
         )
         p = tmp_path / "case.instance"
         write_instance(p, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
-        report = run_experiment(ExperimentConfig(algorithm="swap", instance=p))
+        report = run_experiment(ExperimentConfig(algorithm="swap", instance=load_instance(p)))
         assert report.status == "ok"
         assert report.endpoint_values == (2.0, 3.0)
         assert report.value == 2.0
@@ -210,33 +261,26 @@ class TestRunExperiment:
         assert "value=0.75" in text
         assert "calls_algorithm=" in text
 
-    def test_config_validation(self):
+    def test_config_validation(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(algorithm="solve", instance=obs52_instance()))
-        with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(algorithm="swap"))
-        with pytest.raises(ValueError):
-            run_experiment(
-                ExperimentConfig(
-                    algorithm="swap", instance=obs52_instance(), gram_path="x.gram"
-                )
-            )
+        path = write_detour(tmp_path)
+        gram = write_small_gram(tmp_path, 4)
+        for argv in (["solve", "swap"], ["solve", "swap", path, "--gram", gram]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (3, "")
+            assert err == "error: exactly one instance source must be set\n"
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(algorithm="astar", instance=obs52_instance()))
 
-    def test_graph_source_needs_seed_and_k(self, data_dir):
-        with pytest.raises(ValueError):
-            run_experiment(
-                ExperimentConfig(
-                    algorithm="swap", graph_path=data_dir / "karate.tsv", k=4
-                )
-            )
-        with pytest.raises(ValueError):
-            run_experiment(
-                ExperimentConfig(
-                    algorithm="swap", graph_path=data_dir / "karate.tsv", seed=1
-                )
-            )
+    def test_graph_source_needs_seed_and_k(self, data_dir, capsys):
+        karate = data_dir / "karate.tsv"
+        for flags, message in (
+            (["--k", "4"], "influence experiments need an explicit seed"),
+            (["--seed", "1"], "endpoint construction needs k"),
+        ):
+            code, out, err = run_cli(["solve", "swap", "--graph", karate, *flags], capsys)
+            assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -245,14 +289,13 @@ class TestRunExperiment:
             ({"seed": 1}, "seed applies only to"),
         ],
     )
-    def test_instance_source_refuses_k_and_seed(self, tmp_path, fields, message):
-        inst = obs52_instance()
-        path = tmp_path / "detour.inst"
-        write_instance(path, inst.oracle, inst.x, inst.y, inst.rule, theta=inst.theta)
-        for source in (inst, path):
-            with pytest.raises(ValueError, match=message):
-                run_experiment(ExperimentConfig(algorithm="swap", instance=source, **fields))
-        assert inst.oracle.calls == 0
+    def test_instance_source_refuses_k_and_seed(self, tmp_path, capsys, fields, message):
+        path = write_detour(tmp_path)
+        (name, value), = fields.items()
+        for command in (["solve", "swap"], ["exact"]):
+            code, out, err = run_cli([*command, path, f"--{name}", value], capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
         "fields",
@@ -263,58 +306,43 @@ class TestRunExperiment:
             {"directed": True, "probability_mode": "given", "rr_count": 5},
         ],
     )
-    def test_only_an_edge_list_reads_the_graph_fields(self, tmp_path, fields):
-        from subreco import write_gram
-
-        inst = obs52_instance()
-        gram = tmp_path / "m.gram"
-        write_gram(gram, make_synthetic_gram(4, seed=5))
+    def test_only_an_edge_list_reads_the_graph_fields(self, tmp_path, capsys, fields):
+        # --directed is a switch, so the CLI sets that field by naming it
+        flags = []
+        for key, value in fields.items():
+            flags += [f"--{key.replace('_', '-')}"] + ([] if key == "directed" else [value])
+        path = write_detour(tmp_path)
+        gram = write_small_gram(tmp_path, 4)
         name = next(iter(fields))
-        for source in ({"instance": inst}, {"gram_path": gram, "k": 1}):
-            with pytest.raises(ValueError, match=f"^{name} applies only to an edge-list"):
-                run_experiment(ExperimentConfig(algorithm="swap", **source, **fields))
-        assert inst.oracle.calls == 0
+        for source in ([path], ["--gram", gram, "--k", "1"]):
+            code, out, err = run_cli(["solve", "swap", *source, *flags], capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: {name} applies only to an edge-list")
 
-    def test_edge_list_defaults(self, tmp_path):
-        # unset graph fields read as directed=False and inverse in-degree
-        from subreco import WeightedGraph, write_edge_list
-
-        path = tmp_path / "ring.tsv"
-        write_edge_list(path, WeightedGraph.build(6, [(i, (i + 1) % 6) for i in range(6)]))
-        reports = [
-            run_experiment(
-                ExperimentConfig(algorithm="swap", graph_path=path, k=2, seed=3, **fields)
-            )
-            for fields in (
-                {"rr_count": 500},
-                {"rr_count": 500, "directed": False, "probability_mode": "inverse-in-degree"},
-            )
+    def test_edge_list_defaults(self, tmp_path, capsys):
+        # an unset --probability-mode reads as inverse in-degree
+        path = write_ring(tmp_path)
+        runs = [
+            run_cli(["solve", "swap", "--graph", path, "--k", "2", "--seed", "3",
+                     "--rr-count", "500", *flags], capsys)
+            for flags in ([], ["--probability-mode", "inverse-in-degree"])
         ]
-        assert reports[0] == reports[1]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
 
-    def test_gram_source_refuses_seed(self, tmp_path):
-        from subreco import write_gram
-
-        path = tmp_path / "m.gram"
-        write_gram(path, make_synthetic_gram(4, seed=5))
-        with pytest.raises(ValueError, match="seed applies only to"):
-            run_experiment(ExperimentConfig(algorithm="swap", gram_path=path, k=1, seed=3))
+    def test_gram_source_refuses_seed(self, tmp_path, capsys):
+        gram = write_small_gram(tmp_path, 4)
+        argv = ["solve", "swap", "--gram", gram, "--k", "1", "--seed", "3"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert "seed applies only to" in err
 
     def test_small_influence_pipeline(self, tmp_path):
-        from subreco import WeightedGraph, write_edge_list
-
-        g = WeightedGraph.build(6, [(i, i + 1) for i in range(5)] + [(0, 5)])
-        path = tmp_path / "ring.tsv"
-        write_edge_list(path, g)
-        report = run_experiment(
-            ExperimentConfig(
-                algorithm="swap",
-                graph_path=path,
-                k=2,
-                seed=3,
-                rr_count=500,
-            )
-        )
+        g = load_edge_list(write_ring(tmp_path), probability_mode="inverse-in-degree")
+        f = influence_oracle(sample_rr_sets(g, 500, 3))
+        x, y = interchangeable_greedy(f, 2)
+        inst = ProblemInstance(f, x, y, AdjacencyRule.TJ, None, 2)
+        report = run_experiment(ExperimentConfig(algorithm="swap", instance=inst))
         assert report.status == "ok"
         assert report.rule is AdjacencyRule.TJ
         assert report.length == len(report.rows) - 1
@@ -322,26 +350,34 @@ class TestRunExperiment:
         assert report.value >= min(report.endpoint_values) * 0.5 - 1e-9
 
     def test_small_gram_pipeline(self, tmp_path):
-        from subreco import write_gram
-
-        path = tmp_path / "m.gram"
-        write_gram(path, make_synthetic_gram(6, seed=5))
-        report = run_experiment(
-            ExperimentConfig(algorithm="tjar", gram_path=path, k=2)
-        )
+        f = logdet_oracle(load_gram(write_small_gram(tmp_path)))
+        x, y = interchangeable_greedy(f, 2)
+        inst = ProblemInstance(f, x, y, AdjacencyRule.TJAR)
+        report = run_experiment(ExperimentConfig(algorithm="tjar", instance=inst))
         assert report.status == "ok"
         assert report.rule is AdjacencyRule.TJAR
         assert report.value > 0.0
 
-    def test_setup_counts_endpoint_construction(self, tmp_path):
-        from subreco import write_gram
+    def test_setup_excludes_the_instance_construction(self, tmp_path):
+        f = logdet_oracle(load_gram(write_small_gram(tmp_path)))
+        x, y = interchangeable_greedy(f, 2)
+        greedy_calls = f.calls
+        inst = ProblemInstance(f, x, y, AdjacencyRule.TJAR)
+        report = run_experiment(ExperimentConfig(algorithm="tjar", instance=inst))
+        # f(X) and f(Y) come from the walk's rows, and the greedy built the instance
+        assert greedy_calls > 0
+        assert report.calls_setup == 0
+        assert f.calls == greedy_calls + report.calls_algorithm + report.calls_evaluation
 
-        path = tmp_path / "m.gram"
-        write_gram(path, make_synthetic_gram(6, seed=5))
-        f = logdet_oracle(load_gram(path))
-        interchangeable_greedy(f, 2)
-        report = run_experiment(
-            ExperimentConfig(algorithm="tjar", gram_path=path, k=2)
-        )
-        # the greedy's calls alone: f(X) and f(Y) come from the walk's rows
-        assert report.calls_setup == f.calls
+
+def test_the_runner_imports_nothing_from_fileio():
+    # files are read and written by the CLI; the runner takes an in-memory instance
+    tree = ast.parse(EXPERIMENT.read_text(encoding="utf-8"), str(EXPERIMENT))
+    # dotted names: "fileio.load_gram" for "from .fileio import load_gram"
+    imported = [
+        ".".join(filter(None, [getattr(node, "module", None), alias.name]))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not [name for name in imported if "fileio" in name.split(".")], imported

@@ -1,5 +1,6 @@
 """On-disk formats: edge lists, gram matrices, CNF, samples, and instances."""
 
+import math
 import re
 import tempfile
 import textwrap
@@ -481,6 +482,29 @@ class TestInstanceFiles:
         with pytest.raises(InstanceParseError, match="--theta-frac") as exc:
             load_instance(p)
         assert exc.value.line == 13
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_refused_before_writing(self, tmp_path, theta):
+        # load_instance refuses a non-finite number, so no file may hold one
+        f = logdet_oracle(make_synthetic_gram(2, seed=1))
+        p = tmp_path / "case.instance"
+        with pytest.raises(ValueError, match="theta must be finite"):
+            write_instance(p, f, Subset(2, [0]), Subset(2, [1]), AdjacencyRule.TAR, theta=theta)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_instance_named_as_its_data_file_is_refused(self, tmp_path):
+        # the sibling data file would overwrite the instance path itself
+        g = WeightedGraph.build(2, [(0, 1)], directed=True, probabilities=[0.5])
+        cases = [
+            ("m.gram", logdet_oracle(make_synthetic_gram(2, seed=1)), "gram-file"),
+            ("x.rr", influence_oracle(sample_rr_sets(g, 10, seed=2)), "rr-file"),
+        ]
+        for name, f, directive in cases:
+            with pytest.raises(ValueError, match=f"would be its own {directive}"):
+                write_instance(
+                    tmp_path / name, f, Subset(2, [0]), Subset(2, [1]), AdjacencyRule.TAR
+                )
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_oracle(self, tmp_path):
         from subreco import GroundSet, SetFunctionOracle
