@@ -43,8 +43,9 @@ print(f"start X: {format_ids_1indexed(report.rows[0][1])}")
 print(f"end   Y: {format_ids_1indexed(report.rows[-1][1])}")
 
 # The walk exchanges one seed per step, so its whole cost is transparent:
-# the greedy construction pays k(k+1)+1 oracle calls and the value column
-# is one evaluation per row.
+# the greedy construction pays at most k(k+1)+1 oracle calls (fewer here,
+# as the influence oracle claims submodularity and greedy steps are lazy)
+# and the value column is one evaluation per row.
 print(f"\nwalk of {len(report.rows)} seed sets, worst spread {report.value:.5f} "
       f"({100 * report.value / min(fx, fy):.1f}% of the weaker endpoint)")
 print("step values:", " ".join(f"{v:.2f}" for _, _, v in report.rows))

@@ -44,31 +44,57 @@ class GreedyTrace:
     oracle_calls: int
 
 
-def _best_extension(f: SetFunctionOracle, base_mask: int, candidates: int) -> tuple[int, float]:
+def _best_extension(
+    f: SetFunctionOracle, base_mask: int, candidates: int, base_value: float, seen: dict
+) -> tuple[int, float]:
     """The candidate ``e`` with the largest ``f(base + e)``, and that value.
 
-    The masks ``base | e`` go to ``f.evaluate_many`` as one batch in
-    ascending id order, so each candidate costs one call, an error is the one
-    evaluating them in that order would raise, and ties go to the smallest
-    id.  ``candidates`` must be nonempty.
+    Ties go to the smallest id; ``candidates`` must be nonempty.
+    ``base_value`` is ``f(base)``, nan if unknown.  ``seen`` maps each
+    candidate this growing set evaluated to ``(mask, f(mask + e), f(mask +
+    e) - f(mask))`` and takes what the step evaluates; a value at this base
+    is not evaluated again.  If ``f`` claims submodularity, ``base_value``
+    plus a gain at a smaller base bounds the value here, and the step is
+    lazy: it evaluates the other candidates one at a time, by descending
+    bound, then ascending id, until the next bound lies more than
+    ``VALUE_SLACK * max(1, |best|)`` below the best value so far, or to the
+    end once a value it evaluates is not finite.  So every candidate that
+    might reach the best value is evaluated, the pick is the eager one, and
+    a mask can raise only if the step reaches it.  Otherwise, or with a
+    bound unknown or not finite, the masks ``base | e`` go to
+    ``f.evaluate_many`` as one batch in ascending id order, so each costs
+    one call and an error is the one evaluating them in that order raises.
     """
     ids = list(_bits(candidates))
-    values = f.evaluate_many([base_mask | 1 << e for e in ids]).tolist()
-    best_e = -1
-    best_v = 0.0
-    for e, v in zip(ids, values):
-        if best_e < 0 or v > best_v:
-            best_e, best_v = e, v
+    values = {e: seen[e][1] for e in ids if e in seen and seen[e][0] == base_mask}
+    stale = [e for e in ids if e not in values]
+    bound = {e: base_value + seen[e][2] for e in stale if e in seen}
+    if f.claims_submodular and len(bound) == len(stale) and all(map(math.isfinite, bound.values())):
+        top = max(values.values(), default=-math.inf)
+        for e in sorted(stale, key=lambda e: (-bound[e], e)):
+            if bound[e] < top - VALUE_SLACK * max(1.0, abs(top)):
+                break
+            v = values[e] = f.evaluate(base_mask | 1 << e)
+            top = max(top, v) if math.isfinite(v) else math.nan
+    elif stale:
+        values.update(zip(stale, f.evaluate_many([base_mask | 1 << e for e in stale]).tolist()))
+    seen.update((e, (base_mask, values[e], values[e] - base_value)) for e in stale if e in values)
+    best_e, best_v = -1, 0.0
+    for e in ids:
+        if e in values and (best_e < 0 or values[e] > best_v):
+            best_e, best_v = e, values[e]
     return best_e, best_v
 
 
 def greedy(f: SetFunctionOracle, ground: Subset, k: int) -> GreedyTrace:
     """Pick ``k`` elements of ``ground`` by largest value of the grown prefix.
 
-    Step ``i`` evaluates every remaining candidate once, as one
-    ``evaluate_many`` batch, so the total cost is exactly ``sum_{i=1..k}
-    (|ground| - i + 1)`` oracle calls.  Ties go to the smallest element id.
-    For submodular ``f`` the prefix marginals are nonincreasing.
+    Each step is a :func:`_best_extension`, so ties go to the smallest id.
+    The empty set is not evaluated, so the first two steps evaluate every
+    candidate.  If ``f`` claims submodularity the later ones are lazy, with
+    the eager picks and at most as many calls, else the total is exactly
+    ``sum_{i=1..k} (|ground| - i + 1)`` calls.  For submodular ``f`` the
+    prefix marginals are nonincreasing.
     """
     if not 0 <= k <= len(ground):
         raise ValueError(f"cannot pick {k} elements from {len(ground)}")
@@ -77,8 +103,9 @@ def greedy(f: SetFunctionOracle, ground: Subset, k: int) -> GreedyTrace:
     remaining = ground.mask
     elements: list[int] = []
     values: list[float] = []
+    seen: dict = {}
     for _ in range(k):
-        e, v = _best_extension(f, chosen_mask, remaining)
+        e, v = _best_extension(f, chosen_mask, remaining, values[-1] if values else math.nan, seen)
         elements.append(e)
         values.append(v)
         chosen_mask |= 1 << e
@@ -91,18 +118,26 @@ def interchangeable_greedy(f: SetFunctionOracle, k: int) -> tuple[Subset, Subset
 
     Round ``i`` first extends X with the best element outside both partial
     sets, then extends Y with the best element outside both (including X's
-    fresh pick).  Ties go to the smallest id.  Needs ``2k <= n``.
+    fresh pick), each pick a :func:`_best_extension`, so ties go to the
+    smallest id.  Needs ``2k <= n``.  If ``f`` claims submodularity and
+    ``k >= 2``, one call evaluates the empty set, every step after X's first
+    is lazy, and Y's first takes X's first-step values (same empty base)
+    and makes no call.  At ``n > 62`` ``evaluate_many`` has no batch form,
+    so every step evaluates one mask at a time.
     """
     n = f.universe.n
     if not 0 <= k or 2 * k > n:
         raise ValueError(f"need 2k <= n to build disjoint endpoints, got k={k}, n={n}")
     everything = (1 << n) - 1
-    x_mask = 0
-    y_mask = 0
-    for _ in range(k):
-        e, _ = _best_extension(f, x_mask, everything & ~(x_mask | y_mask))
+    x_mask = y_mask = 0
+    x_value = y_value = f.evaluate(0) if f.claims_submodular and k >= 2 else math.nan
+    x_seen, y_seen = {}, {}
+    for i in range(k):
+        e, x_value = _best_extension(f, x_mask, everything & ~(x_mask | y_mask), x_value, x_seen)
         x_mask |= 1 << e
-        e, _ = _best_extension(f, y_mask, everything & ~(x_mask | y_mask))
+        if i == 0 and f.claims_submodular:
+            y_seen = dict(x_seen)
+        e, y_value = _best_extension(f, y_mask, everything & ~(x_mask | y_mask), y_value, y_seen)
         y_mask |= 1 << e
     return Subset.from_mask(n, x_mask), Subset.from_mask(n, y_mask)
 
@@ -113,10 +148,11 @@ def swap_reconfigure(
     """Exchange-walk from X to Y through greedy orderings of both sides.
 
     The shared part ``R = X & Y`` stays put.  Both private parts are ordered
-    greedily under the residual function on R, and step ``i`` keeps the first
-    ``|X - R| - i`` elements of X's order plus the first ``i`` of Y's order.
-    Consecutive steps differ by exactly one exchange and every step has size
-    ``|X|``.
+    by :func:`greedy` under the residual function on R, lazily if ``f``
+    claims submodularity and with ``k(k+1)`` calls for ``k = |X - R|``
+    otherwise, plus one for ``f(R)``.  Step ``i`` keeps the first ``k - i``
+    elements of X's order plus the first ``i`` of Y's order.  Consecutive
+    steps differ by exactly one exchange and every step has size ``|X|``.
     """
     if x.n != f.universe.n or y.n != f.universe.n:
         raise ValueError("endpoints over wrong universe")
@@ -148,10 +184,11 @@ def tjar_reconfigure(
 ) -> ReconfigSequence:
     """Shrink X to its best greedy singleton, jump, and regrow Y.
 
-    Both endpoints are ordered greedily under ``f`` itself; the sequence walks
-    down X's prefixes, exchanges the two best singletons, and walks up Y's
-    prefixes, with consecutive duplicates collapsed.  Needs nonempty
-    endpoints and at most ``|X| + |Y|`` subsets.
+    Both endpoints are ordered by :func:`greedy` under ``f`` itself, lazily
+    if ``f`` claims submodularity; the sequence walks down X's prefixes,
+    exchanges the two best singletons, and walks up Y's prefixes, with
+    consecutive duplicates collapsed.  Needs nonempty endpoints and at most
+    ``|X| + |Y|`` subsets.
     """
     if x.n != f.universe.n or y.n != f.universe.n:
         raise ValueError("endpoints over wrong universe")

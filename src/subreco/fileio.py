@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -380,6 +381,8 @@ class _OracleLines:
         if one and len(values) != 1:
             raise InstanceParseError(self.path, lineno, f"'{key}' takes one value")
         numbers = _numbers(self.path, lineno, values, convert)
+        if key == "n" and numbers[0] > sys.maxsize:  # no table of n entries can be indexed
+            raise InstanceParseError(self.path, lineno, f"'n' is at most {sys.maxsize}")
         return numbers[0] if one else numbers
 
     def file(self, key: str, needed: str = "") -> Optional[Path]:

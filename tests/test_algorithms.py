@@ -29,6 +29,7 @@ from subreco import (
     influence_oracle,
     interchangeable_greedy,
     inverse_indegree_probabilities,
+    load_gram,
     logdet_oracle,
     modular_oracle,
     residual,
@@ -152,6 +153,7 @@ class TestGreedy:
     def test_call_count_and_diminishing_prefixes(self, seed, n):
         rng = random.Random(seed)
         f = random_monotone_oracle(rng, n)
+        f.claims_submodular = False  # eager steps: every candidate, every step
         k = rng.randint(1, n)
         trace = greedy(f, Subset.full(n), k)
         assert trace.oracle_calls == sum(n - i for i in range(k))
@@ -275,9 +277,10 @@ class TestTjarReconfigure:
 # one evaluate_many batch per greedy step
 
 
-def loop_best_extension(f, base_mask, candidates):
+def loop_best_extension(f, base_mask, candidates, *_):
     """The per-mask loop the batched greedy step replaced: one ``evaluate``
-    per candidate in ascending id order, a strictly larger value winning."""
+    per candidate in ascending id order, a strictly larger value winning.
+    It ignores the base value and the recorded values lazy steps use."""
     best_e = -1
     best_v = 0.0
     m = candidates
@@ -323,6 +326,14 @@ def greedy_kind_oracle(kind, seed, n):
     return f, (f,), full
 
 
+def eager_kind_oracle(kind, seed, n):
+    """:func:`greedy_kind_oracle` without the submodularity claim, so that
+    greedy steps evaluate every candidate."""
+    f, watched, allowed = greedy_kind_oracle(kind, seed, n)
+    f.claims_submodular = False
+    return f, watched, allowed
+
+
 def greedy_outcome(run, watched):
     """What ``run()`` returned, or the error it raised, and the calls charged."""
     try:
@@ -355,9 +366,9 @@ class TestBatchedGreedyStep:
             lambda f: swap_reconfigure(f, Subset(n, x), Subset(n, y)),
         ]
         for job in jobs:
-            f, watched, _ = greedy_kind_oracle(kind, seed, n)
+            f, watched, _ = eager_kind_oracle(kind, seed, n)
             got = greedy_outcome(lambda: job(f), watched)
-            f, watched, _ = greedy_kind_oracle(kind, seed, n)
+            f, watched, _ = eager_kind_oracle(kind, seed, n)
             want = loop_reference(lambda: greedy_outcome(lambda: job(f), watched))
             assert got == want
 
@@ -372,11 +383,143 @@ class TestBatchedGreedyStep:
         runs = (lambda f: greedy(f, ground, 2), lambda f: loop_reference(lambda: greedy(f, ground, 2)))
         for run in runs:
             f = logdet_oracle(GramMatrix(a))
+            f.claims_submodular = False  # eager steps
             with pytest.raises(NotPositiveDefiniteError) as err:
                 run(f)
             outcomes.append((err.value.subset, str(err.value), f.calls))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == Subset(4, [1, 2]) and outcomes[0][2] == 4
+
+
+# ---------------------------------------------------------------------------
+# lazy greedy steps for oracles that claim submodularity
+
+
+def picks_outcome(run, watched):
+    """``run()``'s picks and prefix value bits, or the type of the error it
+    raised, and the calls charged."""
+    try:
+        got = run()
+    except ValueError as exc:
+        return type(exc), sum(o.calls for o in watched)
+    if isinstance(got, GreedyTrace):
+        got = (got.elements, [v.hex() for v in got.prefix_values])
+    return got, sum(o.calls for o in watched)
+
+
+def loop_interchangeable_greedy(f, k):
+    """Interchangeable greedy written over :func:`loop_best_extension`."""
+    n = f.universe.n
+    x = y = 0
+    for _ in range(k):
+        x |= 1 << loop_best_extension(f, x, (1 << n) - 1 & ~(x | y))[0]
+        y |= 1 << loop_best_extension(f, y, (1 << n) - 1 & ~(x | y))[0]
+    return Subset.from_mask(n, x), Subset.from_mask(n, y)
+
+
+def assert_lazy_as_eager(make, job):
+    """``job(f, interchangeable_greedy)`` on ``make()``'s ``(f, watched)``,
+    whose greedy steps are lazy, makes the picks, prefix values and errors of
+    the eager loops on a copy without the submodularity claim, and no more
+    calls; where the loop raised, the lazy steps may not reach its mask."""
+    f, watched = make()
+    got, calls = picks_outcome(lambda: job(f, interchangeable_greedy), watched)
+    f, watched = make()
+    f.claims_submodular = False
+    want, eager_calls = loop_reference(
+        lambda: picks_outcome(lambda: job(f, loop_interchangeable_greedy), watched)
+    )
+    if isinstance(want, type):
+        assert got == want or not isinstance(got, type)
+    else:
+        assert got == want and calls <= eager_calls
+
+
+def seeded_cut_graph(seed, n=24, p=0.25):
+    """A cut instance like perfbench's ``search`` graphs, drawn with ``random``."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return WeightedGraph.build(n, [(u, v, rng.uniform(0.5, 1.5)) for u, v in pairs])
+
+
+class TestLazyGreedy:
+    @given(kind=st.sampled_from(GREEDY_KINDS), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_eager_picks_and_values_with_no_more_calls(self, kind, seed, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        allowed = greedy_kind_oracle(kind, seed, n)[2]
+        ids = [e for e in range(n) if allowed >> e & 1]
+        if not ids:
+            return
+        ground = data.draw(st.lists(st.sampled_from(ids), unique=True), label="ground")
+        k = data.draw(st.integers(0, len(ground)), label="k")
+        pairs = data.draw(st.integers(0, n // 2), label="pairs")
+        x = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True), label="x")
+        y = data.draw(st.lists(st.sampled_from(ids), min_size=len(x), max_size=len(x),
+                               unique=True), label="y")
+        jobs = [
+            lambda f, ig: greedy(f, Subset(n, ground), k),
+            lambda f, ig: ig(f, pairs),
+            lambda f, ig: tjar_reconfigure(f, Subset(n, x), Subset(n, y)),
+            lambda f, ig: swap_reconfigure(f, Subset(n, x), Subset(n, y)),
+        ]
+        for job in jobs:
+            assert_lazy_as_eager(lambda: greedy_kind_oracle(kind, seed, n)[:2], job)
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 1e16]), min_size=1, max_size=10),
+           st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_tied_weights_whose_sums_round(self, weights, data):
+        # past 1e16 sums round to even, so a stale gain can bound a tied value
+        # from below by an ulp: only the slack keeps the smallest id's pick
+        n = len(weights)
+        ground = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="ground")
+        k = data.draw(st.integers(0, len(ground)), label="k")
+        pairs = data.draw(st.integers(0, n // 2), label="pairs")
+
+        def make():
+            f = modular_oracle(weights)
+            return f, [f]
+
+        for job in (lambda f, ig: greedy(f, Subset(n, ground), k), lambda f, ig: ig(f, pairs)):
+            assert_lazy_as_eager(make, job)
+
+    def test_lazy_step_raises_only_on_a_mask_it_evaluates(self):
+        # {0,1,2} has determinant -0.75; element 4's large diagonal only lets
+        # the matrix pass GramMatrix's semidefiniteness tolerance
+        a = np.diag([1.0, 3.0, 3.0, 2.0, 1e7])
+        a[0, 1] = a[1, 0] = 1.0
+        a[0, 2] = a[2, 0] = 1.5
+        # greedy picks 1, then 2; at step 3 element 3's value log 18 beats
+        # element 0's bound log 9 + log 2/3, so {0,1,2} is never evaluated
+        f = logdet_oracle(GramMatrix(a))
+        trace = greedy(f, Subset(5, [0, 1, 2, 3]), 3)
+        assert trace.elements == (1, 2, 3) and trace.oracle_calls == 4 + 3 + 1
+        # the eager step evaluates {0,1,2} first and raises
+        f.claims_submodular = False
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            greedy(f, Subset(5, [0, 1, 2, 3]), 3)
+        assert err.value.subset == Subset(5, [0, 1, 2])
+        # with 0 the last candidate, the lazy step reaches {0,1,2} and raises
+        f = logdet_oracle(GramMatrix(a))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            greedy(f, Subset(5, [0, 1, 2]), 3)
+        assert err.value.subset == Subset(5, [0, 1, 2])
+        assert f.calls == 3 + 2  # the evaluation that raised is not charged
+
+    @pytest.mark.parametrize("make, k, lazy_calls", [
+        (lambda d: logdet_oracle(load_gram(d / "gram24.txt")), 6, 42),
+        (lambda d: cut_oracle(seeded_cut_graph(3)), 8, 70),
+    ])
+    def test_interchangeable_greedy_calls_on_pinned_inputs(self, data_dir, make, k, lazy_calls):
+        f = make(data_dir)
+        assert f.claims_submodular
+        endpoints = interchangeable_greedy(f, k)
+        assert f.calls == lazy_calls
+        f = make(data_dir)
+        f.claims_submodular = False
+        assert interchangeable_greedy(f, k) == endpoints
+        assert f.calls == sum(24 - i for i in range(2 * k))  # 222 at k = 6, 264 at k = 8
 
 
 class TestDefaultHeuristic:

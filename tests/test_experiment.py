@@ -134,7 +134,7 @@ class TestRunExperiment:
         assert report.value == pytest.approx(1.0)
         assert report.length == 7
         assert report.calls_setup == 0
-        assert report.calls_algorithm == 20  # two greedy runs over 4 elements
+        assert report.calls_algorithm == 18  # two greedy runs over 4 elements, lazy from step 3
         assert report.calls_evaluation == 8
 
     def test_swap_on_the_matching_counterexample(self):

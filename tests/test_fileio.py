@@ -801,6 +801,11 @@ class TestParseErrorsNameTheLine:
             ("case.instance", "[oracle]\nkind cut\nn 2\nedge 1 2 3 4\n" + _TAIL, 4),
             (
                 "case.instance",
+                "[oracle]\nkind cut\nn 10000000000000000000000\nedge 1 2\n" + _TAIL,
+                3,
+            ),
+            (
+                "case.instance",
                 "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "\n[theta]\nvalue inf\n",
                 13,
             ),
@@ -931,7 +936,7 @@ class TestParseErrorsNameTheLine:
             "cnf-header", "cnf-literal-range", "cnf-clause-count", "gram-nan",
             "rr-seed", "rr-empty", "rr-count", "rr-vertex-range",
             "weights-nan", "divisor-inf", "upsilon-nan", "edge-weight-nan", "edge-weight-inf",
-            "edge-arity", "theta-inf", "theta-frac-nan", "edges-weight-inf",
+            "edge-arity", "n-past-maxsize", "theta-inf", "theta-frac-nan", "edges-weight-inf",
             "edges-probability-nan", "rr-seed-hex", "second-x", "second-y",
             "second-theta", "coverage-directive", "modular-directive", "cut-directive",
             "section-rules", "section-typo", "second-divisor", "second-kind", "second-n",
