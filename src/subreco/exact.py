@@ -1,15 +1,18 @@
-"""The bottleneck optimum by threshold ascent over A*.
+"""The bottleneck optimum by threshold searches over A*.
 
 The optimum is the largest threshold whose decision answer is yes, found by
-threshold ascent over :func:`~subreco.algorithms.feasible_path`, as in Gabow
-and Tarjan's reduction of bottleneck problems to threshold decisions.
-Starting at ``v = -inf``, each round asks for a walk from X to Y through
-states with ``f > v``, searching only the restriction's subsets; a walk found
-raises ``v`` to its smallest value, and a round without one proves ``v``
-optimal, with the last walk found a shortest one at that optimum.  Under the
-exchange rule (TJ) every state keeps ``|X|`` elements.  One ``mask -> value``
-memo and one expansion budget span all rounds, so no state costs more than
-one oracle call.
+searches of :func:`~subreco.algorithms.feasible_path`, as in Gabow and
+Tarjan's reduction of bottleneck problems to threshold decisions.  No walk
+beats ``top = min(f(X), f(Y))``, so an upper-bound round first asks for a
+walk through states with ``f >= top``; a walk found is optimal, and a
+shortest one at ``top``.  Otherwise a threshold ascent starts at ``v =
+-inf``: each round asks for a walk through states with ``f > v``, a walk
+found raises ``v`` to its smallest value, and a round without one proves
+``v`` optimal, with the last walk found a shortest one at that optimum.
+Every search stays inside the restriction's subsets, and under the exchange
+rule (TJ) every state keeps ``|X|`` elements.  One ``mask -> value`` memo
+and one expansion budget span all rounds, so no state costs more than one
+oracle call.
 
 :func:`build_value_table` tabulates a restricted lattice with a size guard;
 no solver uses it, and it stays for tests and the benchmark probe.
@@ -80,10 +83,12 @@ def _optimum(
     The states are the subsets of the restriction (all ``n`` elements by
     default), which must hold X and Y, and each round's search generates no
     other; under TJ X and Y must have equal size (``ValueError`` otherwise).
-    X == Y costs one evaluation and no search.  The last walk found is a
-    shortest one through the states above the previous ``v``, which hold it
-    and every walk at the optimum, so it is shortest there too.  With
-    ``walk``, an optimum of ``-inf`` costs one more search, for any walk.
+    X == Y costs one evaluation and no search.  The upper-bound round at
+    ``top`` runs first, except when ``top`` is ``-inf`` without ``walk``.
+    When it fails, the ascent's last walk is a shortest one through the
+    states above the previous ``v``, which hold it and every walk at the
+    optimum, so it is shortest there too.  With ``walk``, an optimum of
+    ``-inf`` costs one more search, for any walk.
     """
     n = oracle.universe.n
     if restriction is None:
@@ -115,11 +120,14 @@ def _optimum(
             raise BudgetExceededError(f"search gave up after {spent} expansions")
         return chain
 
-    v, chain = -math.inf, None
-    while v < min(value(x.mask), value(y.mask)):
-        found = search(lambda m: value(m) > v)
-        if found is None:
-            break
+    top = min(value(x.mask), value(y.mask))
+    if top == -math.inf and not walk:
+        return top, None
+    chain = search(lambda m: value(m) >= top)
+    if chain is not None:
+        return top, chain
+    v = -math.inf  # no walk reaches top, so only a failing round ends the ascent
+    while (found := search(lambda m: value(m) > v)) is not None:
         chain, v = found, min(memo[m] for m in found)
     if chain is None and walk:
         chain = search(lambda m: value(m) >= v)
@@ -137,12 +145,14 @@ def optimal_value(
 ) -> float:
     """Largest ``theta`` for which an all-feasible sequence from X to Y exists.
 
-    Found by threshold ascent: each round is an A* search for a walk with
-    every value above the best found so far, until a round finds none or the
-    walk reaches ``min(f(X), f(Y))``.  A memo shared by the rounds evaluates
-    X, Y and the states the searches pop, each at most once.  Under TJ every
-    set of the walk has ``|X|`` elements, and X and Y must have equal size.
-    ``budget`` caps the expansions of all rounds together; running out raises
+    One A* search first asks for a walk with every value at least
+    ``min(f(X), f(Y))``, which no walk can beat.  Only when it finds none
+    does a threshold ascent follow: each round is an A* search for a walk
+    with every value above the best found so far, until a round finds none.
+    A memo shared by the rounds evaluates X, Y and the states the searches
+    pop, each at most once.  Under TJ every set of the walk has ``|X|``
+    elements, and X and Y must have equal size.  ``budget`` caps the
+    expansions of all rounds together; running out raises
     ``BudgetExceededError``, and a negative budget raises ``ValueError``.
     Without one, each round gets :func:`~subreco.algorithms.astar`'s default
     of ``2 ** min(n, 24)``, which no search over at most 24 elements exhausts.
@@ -161,9 +171,10 @@ def optimal_sequence(
 ) -> tuple[float, ReconfigSequence]:
     """Optimal threshold plus a shortest sequence attaining it.
 
-    The sequence is the last walk the ascent of :func:`optimal_value` found,
-    at the same oracle calls and expansions.  When the optimum is ``-inf``
-    one more search, spending from the same ``budget``, finds a shortest walk.
+    The sequence is the last walk the searches of :func:`optimal_value`
+    found, at the same oracle calls and expansions.  When the optimum is
+    ``-inf`` one more search, spending from the same ``budget``, finds a
+    shortest walk.
     """
     best, chain = _optimum(oracle, x, y, rule, restriction, budget, walk=True)
     if chain is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
@@ -106,6 +107,86 @@ def random_nonnegative_oracle(rng: random.Random, n: int) -> SetFunctionOracle:
 
 def random_subset(rng: random.Random, n: int, size: int) -> Subset:
     return Subset(n, rng.sample(range(n), size))
+
+
+# ---------------------------------------------------------------------------
+# graph families for the vertex cover reductions
+
+
+def small_graph_family():
+    """All 4-vertex graphs with an edge, then seeded random graphs up to n=8."""
+    pool4 = list(combinations(range(4), 2))
+    for mask in range(1, 1 << len(pool4)):
+        yield WeightedGraph.build(4, [pool4[i] for i in range(6) if mask >> i & 1])
+    rng = random.Random(808)
+    for n in range(5, 9):
+        pool = list(combinations(range(n), 2))
+        for _ in range(3):
+            while True:
+                edges = [e for e in pool if rng.random() < 0.45]
+                if edges:
+                    break
+            yield WeightedGraph.build(n, edges)
+
+
+def covers_of_min_size(g):
+    def is_cover(mask):
+        return all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges)
+
+    for size in range(g.n + 1):
+        covers = [
+            Subset(g.n, c)
+            for c in combinations(range(g.n), size)
+            if is_cover(sum(1 << e for e in c))
+        ]
+        if covers:
+            return size, covers
+    raise AssertionError("every graph is covered by its full vertex set")
+
+
+def _relabelled(n: int, edges, seed: Optional[int]) -> WeightedGraph:
+    """The graph on ``edges`` with its vertices renamed by a seeded shuffle."""
+    label = list(range(n))
+    if seed is not None:
+        random.Random(seed).shuffle(label)
+    return WeightedGraph.build(n, [(label[u], label[v]) for u, v in edges])
+
+
+def grid_graph(rows: int, cols: int, seed: Optional[int] = None) -> WeightedGraph:
+    """The ``rows`` x ``cols`` grid; ``seed`` shuffles the vertex ids."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return _relabelled(rows * cols, edges, seed)
+
+
+def cycle_graph(length: int, seed: Optional[int] = None) -> WeightedGraph:
+    """The cycle C_length; ``seed`` shuffles the vertex ids."""
+    return _relabelled(length, [(i, (i + 1) % length) for i in range(length)], seed)
+
+
+def colour_classes(g: WeightedGraph) -> tuple[Subset, Subset]:
+    """The two sides of a connected bipartite graph, the side of vertex 0 first.
+
+    On an even cycle or a grid both sides are minimum vertex covers, and
+    neither can be exchanged into the other: no-instances of the paper's
+    reduction from vertex cover reconfiguration.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    side = {0: 0}
+    queue = [0]
+    for u in queue:
+        for v in adj[u]:
+            if v not in side:
+                side[v] = 1 - side[u]
+                queue.append(v)
+            elif side[v] == side[u]:
+                raise ValueError("graph is not bipartite")
+    if len(side) != g.n:
+        raise ValueError("graph is not connected")
+    return tuple(Subset(g.n, [u for u in side if side[u] == s]) for s in (0, 1))
 
 
 BATCH_KINDS = ("modular", "cut", "coverage", "incidence", "shifted_incidence", "nae", "logdet")

@@ -17,10 +17,12 @@ import pytest
 
 from conftest import (
     bfs_shortest_feasible,
+    covers_of_min_size,
     exact_influence,
     random_monotone_oracle,
     random_nonnegative_oracle,
     random_subset,
+    small_graph_family,
 )
 from subreco import (
     AdjacencyRule,
@@ -191,40 +193,6 @@ def test_07_search_matches_exhaustive_shortest_paths():
             else:
                 assert res.status == "found"
                 assert res.sequence.length == ref
-
-
-# -- reduction soundness helpers --------------------------------------------
-
-
-def small_graph_family():
-    """All 4-vertex graphs with an edge, then seeded random graphs up to n=8."""
-    pool4 = list(combinations(range(4), 2))
-    for mask in range(1, 1 << len(pool4)):
-        yield WeightedGraph.build(4, [pool4[i] for i in range(6) if mask >> i & 1])
-    rng = random.Random(808)
-    for n in range(5, 9):
-        pool = list(combinations(range(n), 2))
-        for _ in range(3):
-            while True:
-                edges = [e for e in pool if rng.random() < 0.45]
-                if edges:
-                    break
-            yield WeightedGraph.build(n, edges)
-
-
-def covers_of_min_size(g):
-    def is_cover(mask):
-        return all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges)
-
-    for size in range(g.n + 1):
-        covers = [
-            Subset(g.n, c)
-            for c in combinations(range(g.n), size)
-            if is_cover(sum(1 << e for e in c))
-        ]
-        if covers:
-            return size, covers
-    raise AssertionError("every graph is covered by its full vertex set")
 
 
 def test_08_reduction_soundness_suites():

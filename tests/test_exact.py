@@ -23,6 +23,8 @@ from subreco import (
     interchangeable_greedy,
     load_gram,
     logdet_oracle,
+    make_synthetic_gram,
+    minvc_to_usreco_tjar,
     modular_oracle,
     obs52_instance,
     obs54_instance,
@@ -30,11 +32,17 @@ from subreco import (
     optimal_value,
     sequence_value,
     validate_sequence,
+    vc_to_msreco,
+    VcReconfigInstance,
     WeightedGraph,
 )
+from subreco.algorithms import feasible_path
 
 from conftest import (
     bfs_shortest_feasible,
+    colour_classes,
+    cycle_graph,
+    grid_graph,
     random_nonnegative_oracle,
     random_subset,
     widest_path_value,
@@ -102,6 +110,102 @@ def random_ascent_case(rng: random.Random, max_n: int):
         values[x.mask], values[y.mask] = rng.choice(pool), rng.choice(pool)
     f = SetFunctionOracle(lambda mask: values[mask], GroundSet(n))
     return f, x, y, rule, restriction
+
+
+def ascent_reference(f, x, y, rule, restriction=None, walk=True):
+    """The optimum and last walk of the threshold ascent from ``-inf`` alone.
+
+    ``exact``'s schedule without its upper-bound round: every round asks for
+    a walk above the best walk's value so far, until one fails or the walk
+    reaches ``min(f(X), f(Y))``.
+    """
+    if x == y:
+        return f.evaluate(x), [x.mask]
+    ground = (Subset.full(f.universe.n) if restriction is None else restriction).mask
+    memo = {}
+
+    def value(mask):
+        if mask not in memo:
+            memo[mask] = f.evaluate(mask)
+        return memo[mask]
+
+    def search(feasible):
+        status, chain, _ = feasible_path(rule, ground, x.mask, y.mask, feasible, 1 << 24)
+        assert status != "inconclusive"
+        return chain
+
+    v, chain = -math.inf, None
+    while v < min(value(x.mask), value(y.mask)):
+        found = search(lambda m: value(m) > v)
+        if found is None:
+            break
+        chain, v = found, min(memo[m] for m in found)
+    if chain is None and walk:
+        chain = search(lambda m: value(m) >= v)
+    return v, chain
+
+
+class TestUpperBoundRound:
+    def test_matches_the_ascent_reference(self):
+        # the same optimum and walk as the ascent from -inf, in no more calls,
+        # whether the upper-bound round finds the walk or fails first
+        seen, calls = Counter(), Counter()
+        for seed in range(1000):
+            f, x, y, rule, restriction = random_ascent_case(random.Random(seed), 8)
+            top = min(f.evaluate(x), f.evaluate(y))
+            for walk in (False, True):
+                before = f.calls
+                expected, chain = ascent_reference(f, x, y, rule, restriction, walk)
+                reference, before = f.calls - before, f.calls
+                if walk:
+                    v, seq = optimal_sequence(f, x, y, rule, restriction=restriction)
+                    assert [s.mask for s in seq] == chain
+                else:
+                    v = optimal_value(f, x, y, rule, restriction=restriction)
+                assert v == expected
+                assert f.calls - before <= reference
+                calls["reference"] += reference
+                calls["upper bound first"] += f.calls - before
+            if x != y:
+                seen["at the bound" if v == top else "below it"] += 1
+        assert seen["at the bound"] >= 600 and seen["below it"] >= 40
+        # the upper-bound round saves calls only where it finds the walk
+        assert calls == {"reference": 8143, "upper bound first": 8057}
+
+    @pytest.mark.parametrize("reduce", [vc_to_msreco, minvc_to_usreco_tjar])
+    def test_no_instances_ascend_as_before(self, reduce):
+        # the upper-bound round fails on the colour classes of a grid or an
+        # even cycle; the ascent that follows gives the same optimum and walk
+        # at the same calls, since the ascent's last, failing round evaluates
+        # every state the upper-bound round did
+        for g in (grid_graph(4, 4, seed=1), cycle_graph(12, seed=2), cycle_graph(20, seed=3)):
+            x, y = colour_classes(g)
+            inst = reduce(VcReconfigInstance(g, x, y))
+            f = inst.oracle
+            expected, chain = ascent_reference(f, x, y, inst.rule)
+            reference, before = f.calls, f.calls
+            v, seq = optimal_sequence(f, x, y, inst.rule)
+            assert v == expected < inst.theta
+            assert [s.mask for s in seq] == chain
+            assert f.calls - before == reference
+
+    def test_one_search_settles_a_synthetic_gram(self):
+        # greedy endpoints at k = 6 under TJAR inside X | Y: the optimum is
+        # min(f(X), f(Y)), and one search expanding the 7 states of its 6-step
+        # walk finds it
+        f = logdet_oracle(make_synthetic_gram(24, 1))
+        x, y = interchangeable_greedy(f, 6)
+        args = (f, x, y, AdjacencyRule.TJAR)
+        calls = f.calls
+        v, seq = optimal_sequence(*args, restriction=x | y)
+        assert f.calls - calls == 17
+        calls = f.calls
+        assert ascent_reference(*args, x | y)[0] == v
+        assert f.calls - calls == 21
+        assert v == min(f.evaluate(x), f.evaluate(y)) and seq.length == 6
+        with pytest.raises(BudgetExceededError, match="^search gave up after 6 expansions$"):
+            optimal_sequence(*args, restriction=x | y, budget=6)
+        assert optimal_sequence(*args, restriction=x | y, budget=7) == (v, seq)
 
 
 class TestOptimalValue:
@@ -323,18 +427,20 @@ class TestBudget:
         assert f.calls == 1
 
     def test_budget_spans_rounds_and_the_sequence_pass(self):
-        # two rounds of 3 and 4 expansions; the walk is the last round's, so
-        # the sequence costs no expansion of its own
+        # the optimum is min(f(X), f(Y)) = 1, so the upper-bound round finds
+        # the 4-state walk in 4 expansions and no ascent follows; the walk is
+        # that round's, so the sequence costs no expansion of its own
         inst = obs52_instance()
         args = (inst.oracle, inst.x, inst.y, inst.rule)
         for solve in (optimal_value, optimal_sequence):
-            with pytest.raises(BudgetExceededError, match="^search gave up after 6 expansions$"):
-                solve(*args, budget=6)
-        assert optimal_value(*args, budget=7) == 1.0
-        assert optimal_sequence(*args, budget=7)[0] == 1.0
+            with pytest.raises(BudgetExceededError, match="^search gave up after 3 expansions$"):
+                solve(*args, budget=3)
+        assert optimal_value(*args, budget=4) == 1.0
+        assert optimal_sequence(*args, budget=4)[0] == 1.0
 
     def test_default_budget_is_per_search(self):
-        # the three rounds expand 9 states of an 8-state lattice in total
+        # the failing upper-bound round (1 expansion) and three ascent rounds
+        # (4, 4 and 1) expand 10 states of an 8-state lattice in total
         f = cut_oracle(WeightedGraph.build(3, [(0, 1), (1, 2)]))
         x, y = Subset(3, [1]), Subset(3, [0, 2])
         with pytest.raises(BudgetExceededError, match="^search gave up after 8 expansions$"):

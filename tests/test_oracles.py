@@ -435,6 +435,16 @@ class TestLogdet:
         assert f.evaluate(Subset(2, [0])) == pytest.approx(0.0)
         assert f.evaluate(Subset.full(2)) == float("-inf")
 
+    def test_tiny_pivot_returns_minus_inf(self):
+        # the factorization succeeds, but its second pivot (about 4.5e-7,
+        # squared) falls below the tolerance; both forms read that as -inf
+        a = np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]])
+        assert 0.0 < np.linalg.cholesky(a)[1, 1] ** 2 < oracles.LOGDET_PIVOT_TOL
+        f = logdet_oracle(GramMatrix(a))
+        assert f.evaluate(Subset(2, [0])) == 0.0
+        assert f.evaluate(Subset.full(2)) == -math.inf
+        assert f.evaluate_many([0b01, 0b11]).tolist() == [0.0, -math.inf]
+
     def test_indefinite_submatrix_raises(self):
         # the large diagonal entry loosens the whole-matrix tolerance enough
         # to admit a slightly indefinite 2x2 block; querying that block alone

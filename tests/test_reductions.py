@@ -36,7 +36,14 @@ from subreco import (
     vc_to_msreco,
 )
 
-from conftest import random_graph
+from conftest import (
+    colour_classes,
+    covers_of_min_size,
+    cycle_graph,
+    grid_graph,
+    random_graph,
+    small_graph_family,
+)
 
 P3 = WeightedGraph.build(3, [(0, 1), (1, 2)])
 C4 = WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -169,6 +176,50 @@ class TestMinCoverAddRemoveReduction:
             VcReconfigInstance(C4, Subset(4, [0, 2]), Subset(4, [1, 3]))
         )
         assert astar(inst).status == "no_path"
+
+
+def gap_instances():
+    """Vertex cover reconfiguration instances, each with its yes/no answer.
+
+    The first 8 pairs of minimum covers of each graph of the small family,
+    answered by A* under :func:`vc_to_msreco`; then the colour classes of a
+    grid and two even cycles (no-instances), and a path whose covers
+    exchange (a yes-instance).
+    """
+    for g in small_graph_family():
+        _, covers = covers_of_min_size(g)
+        for a, b in list(combinations(covers, 2))[:8]:
+            vc = VcReconfigInstance(g, a, b)
+            yield vc, astar(vc_to_msreco(vc)).status == "found"
+    for g in (grid_graph(4, 4, seed=1), cycle_graph(12, seed=2), cycle_graph(20, seed=3)):
+        yield VcReconfigInstance(g, *colour_classes(g)), False
+    yield VcReconfigInstance(P4, Subset(4, [0, 2]), Subset(4, [1, 3])), True
+
+
+class TestOptimumGap:
+    """PAPER.md's gap: optimum |E| on yes-instances, at most |E| - 1 on no-instances."""
+
+    def test_cover_exchange_optimum(self):
+        answers, values = {True: 0, False: 0}, []
+        for vc, yes in gap_instances():
+            inst = vc_to_msreco(vc)
+            v = optimal_value(inst.oracle, inst.x, inst.y, inst.rule)
+            edges = vc.graph.edge_count
+            assert v == edges if yes else v <= edges - 1
+            answers[yes] += 1
+            values.append(v)
+        # 106 yes and 3 no from the small family, then the four named instances
+        assert answers == {True: 107, False: 6}
+        assert values[-4:] == [22, 11, 19, 3]  # 4x4 grid, C_12, C_20, P4
+
+    def test_min_cover_add_remove_optimum(self):
+        values = []
+        for vc, yes in gap_instances():
+            inst = minvc_to_usreco_tjar(vc)
+            v = optimal_value(inst.oracle, inst.x, inst.y, inst.rule)
+            assert v == inst.theta if yes else v < inst.theta
+            values.append((v, inst.theta))
+        assert values[-4] == (27.0, 28.0)  # the 4x4 grid
 
 
 class TestNaeReduction:
