@@ -65,6 +65,7 @@ class GroundSet:
             raise ValueError(f"ground set size must be nonnegative, got {self.n}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Subset:
     """Immutable subset of a ground set, stored as a bitmask.
 
@@ -73,7 +74,8 @@ class Subset:
     :class:`UniverseMismatchError`.
     """
 
-    __slots__ = ("mask", "n")
+    mask: int
+    n: int
 
     def __init__(self, n: int, members: Iterable[int] = ()):
         mask = 0
@@ -101,9 +103,6 @@ class Subset:
     def full(cls, n: int) -> "Subset":
         return cls.from_mask(n, (1 << n) - 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Subset is immutable")
-
     # -- container protocol -------------------------------------------------
 
     def __contains__(self, e: int) -> bool:
@@ -117,16 +116,6 @@ class Subset:
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subset)
-            and self.mask == other.mask
-            and self.n == other.n
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.n))
 
     # -- set algebra --------------------------------------------------------
 
@@ -209,8 +198,8 @@ class SetFunctionOracle:
     :meth:`evaluate` takes a :class:`Subset` or a mask of any integer type
     (read by ``operator.index``), and raises :class:`UniverseMismatchError`
     for one outside the universe.  The call counter increases by one per
-    completed evaluation; it takes no lock, since the package runs in a
-    single thread.
+    completed evaluation; it takes no lock, since oracles are evaluated from
+    the calling thread only.
 
     ``batch_fn`` (optional) is the same function over many subsets at once:
     it takes a 1-D int64 array of in-range masks and returns their values as
@@ -401,10 +390,11 @@ def modular_upper_bound(oracle: SetFunctionOracle, r: Subset) -> SetFunctionOrac
     )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ReconfigSequence:
     """Ordered sequence of subsets ``S(0)..S(l)``; its length is ``l``."""
 
-    __slots__ = ("steps",)
+    steps: tuple[Subset, ...]
 
     def __init__(self, steps: Sequence[Subset]):
         steps = tuple(steps)
@@ -415,9 +405,6 @@ class ReconfigSequence:
             if s.n != n:
                 raise UniverseMismatchError("sequence mixes universes")
         object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReconfigSequence is immutable")
 
     @property
     def length(self) -> int:
@@ -431,12 +418,6 @@ class ReconfigSequence:
 
     def __getitem__(self, i: int) -> Subset:
         return self.steps[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReconfigSequence) and self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
 
     def __repr__(self) -> str:
         return "<" + ", ".join(str(s) for s in self.steps) + ">"

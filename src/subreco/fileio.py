@@ -66,12 +66,14 @@ PathLike = Union[str, Path]
 
 
 class InstanceParseError(ValueError):
-    """A file did not match its expected format; carries path and line."""
+    """A file did not match its expected format; carries path, line and message."""
 
     def __init__(self, path: PathLike, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = str(path)
-        self.line = line
+        self.path, self.line, self.message = str(path), line, message
+
+    def __reduce__(self):
+        return type(self), (self.path, self.line, self.message)
 
 
 def _lines(path: Path):
@@ -407,7 +409,8 @@ def _read_coverage(d: _OracleLines) -> SetFunctionOracle:
             raise InstanceParseError(d.path, lineno, f"cover items lie in 1..{items}")
         covers.append(tuple(i - 1 for i in ids))
     if len(covers) != n:
-        raise InstanceParseError(d.path, 0, f"expected {n} 'cover' lines, got {len(covers)}")
+        message = f"expected {n} 'cover' lines, got {len(covers)}"
+        raise InstanceParseError(d.path, d.groups["n"][0][0], message)
     return coverage_oracle(CoverageSpec(items, tuple(covers), divisor))
 
 
@@ -526,7 +529,7 @@ def _build_oracle(path: Path, entries: list) -> SetFunctionOracle:
     d = _OracleLines(path, entries)
     kind = d.first("kind", str)
     if kind not in _KINDS:
-        raise InstanceParseError(path, 0, f"unknown oracle kind {kind!r}")
+        raise InstanceParseError(path, d.groups["kind"][0][0], f"unknown oracle kind {kind!r}")
     known = ("kind", *_KINDS[kind][0].split())
     # the first line whose directive the kind does not read, or reads only once
     bad = [(ls[0][0], f"{kind} oracle has no directive {k!r}") for k, ls in d.groups.items()
@@ -572,7 +575,9 @@ def load_instance(path: PathLike) -> ProblemInstance:
         raise InstanceParseError(path, 0, "endpoints need both 'x' and 'y'")
     rule_entries = sections["rule"]
     if len(rule_entries) != 1 or len(rule_entries[0][1]) != 1:
-        raise InstanceParseError(path, 0, "[rule] holds exactly one token")
+        # the second line, else the one line with more than one token; 0 if none
+        lineno = rule_entries[:2][-1][0] if rule_entries else 0
+        raise InstanceParseError(path, lineno, "[rule] holds exactly one token")
     try:
         rule = AdjacencyRule.parse(rule_entries[0][1][0])
     except ValueError as exc:

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    _BATCH_BITS,
     GroundSet,
     SetFunctionOracle,
     Subset,
@@ -77,6 +78,9 @@ class NotPositiveDefiniteError(ValueError):
     def __init__(self, subset: Subset, message: str):
         super().__init__(message)
         self.subset = subset
+
+    def __reduce__(self):
+        return type(self), (self.subset, *self.args)
 
 
 def modular_oracle(weights: Sequence[float]) -> SetFunctionOracle:
@@ -159,15 +163,20 @@ def _union_count_oracle(words: Sequence[int], value, **kwargs) -> SetFunctionOra
     masks, ORing the members' words over 64-bit columns (bit ``i`` of a word
     is bit ``i % 64`` of column ``i // 64``).  A count is a small int either
     way, so a formula applied to it gives the same float in both forms.
+    Past ``_BATCH_BITS`` elements ``evaluate_many`` runs no batch form, so
+    none is built.
     """
     n = len(words)
+
+    def fn(mask: int) -> float:
+        return value(float(_union_count(words, mask)), mask)
+
+    if n > _BATCH_BITS:
+        return SetFunctionOracle(fn, GroundSet(n), **kwargs)
     cols = max(1, (max((w.bit_length() for w in words), default=0) + 63) // 64)
     columns = np.frombuffer(
         b"".join(w.to_bytes(8 * cols, "little") for w in words), dtype="<u8"
     ).reshape(n, cols)
-
-    def fn(mask: int) -> float:
-        return value(float(_union_count(words, mask)), mask)
 
     def batch_fn(masks: np.ndarray) -> np.ndarray:
         acc = np.zeros((len(masks), cols), dtype=np.uint64)
@@ -305,12 +314,12 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
 
     An edge is cut exactly when one of its ends is in S, so the XOR of the
     members' incident-edge words is the word of cut edges.  Construction
-    tabulates, for each run of 4 vertex ids, the XOR of every subset of
-    their words: 16 words per 4 vertices, each ``|E|`` bits wide.  An
-    evaluation XORs one entry per 4 bits of the mask, then walks the cut
-    word a byte at a time and adds each cut edge's weight in ascending edge
-    index, the order a plain loop over the edges adds them in, so the value
-    is the same float.
+    tabulates, for each run of 4 vertex ids up to the last id that ends an
+    edge, the XOR of every subset of their words: 16 words per 4 vertices,
+    each ``|E|`` bits wide; higher ids cut nothing.  An evaluation XORs one
+    entry per 4 bits of the mask, then walks the cut word a byte at a time
+    and adds each cut edge's weight in ascending edge index, the order a
+    plain loop over the edges adds them in, so the value is the same float.
 
     The batch form (``evaluate_many``) reads each mask's member bits as rows,
     takes an edge's cut row as the XOR of its ends' rows, and adds the edge
@@ -321,9 +330,10 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
         raise ValueError("cut oracle expects an undirected graph")
     edges = g.edges
     weights = g.weights
-    words = _edge_words(g) + [0] * (-g.n % 4)
+    top = 1 + max(map(max, edges), default=-1)
+    words = _edge_words(g)[:top] + [0] * (-top % 4)
     tables = []
-    for lo in range(0, g.n, 4):
+    for lo in range(0, top, 4):
         table = [0] * 16
         for k in range(1, 16):
             low = k & -k

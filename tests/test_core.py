@@ -1,6 +1,8 @@
 """Subsets, oracles, adjacency, sequence validation, and structural checks."""
 
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -13,6 +15,7 @@ from subreco import (
     BudgetExceededError,
     CnfFormula,
     CoverageSpec,
+    ExperimentConfig,
     GroundSet,
     OracleDomainError,
     ProblemInstance,
@@ -39,6 +42,7 @@ from subreco import (
     neighbors,
     optimal_sequence,
     residual,
+    run_experiment,
     sample_rr_sets,
     sequence_value,
     shifted_incidence_oracle,
@@ -114,6 +118,12 @@ class TestSubset:
         assert s == Subset(3, [1])
         assert hash(s) == hash(Subset(3, [1]))
         assert len({s, Subset(3, [1]), Subset(3, [2])}) == 2
+
+    def test_hash_is_that_of_mask_and_n(self):
+        for n in range(5):
+            for mask in range(1 << n):
+                s = Subset.from_mask(n, mask)
+                assert hash(s) == hash((s.mask, s.n))
 
     def test_str_is_ascending_braced(self):
         assert str(Subset(5, [4, 0, 2])) == "{0,2,4}"
@@ -577,6 +587,51 @@ class TestProblemInstance:
         f = modular_oracle([1.0, 1.0])
         with pytest.raises(UniverseMismatchError):
             ProblemInstance(f, Subset(3, [0]), Subset(3, [1]), AdjacencyRule.TAR)
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+class TestCopyAndPickle:
+    """Subsets and walks, and the results that hold them, copy and pickle to
+    equal values; an instance holds an oracle's closures, so it deep-copies
+    but does not pickle."""
+
+    WALK = ReconfigSequence([Subset(3, [0]), Subset(3, [1]), Subset(3, [2])])
+
+    @staticmethod
+    def task(theta):
+        f = modular_oracle([1.0, 2.0, 3.0])
+        return ProblemInstance(f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ, theta=theta)
+
+    def results(self):
+        failed = validate_sequence(self.task(2.0), self.WALK)
+        found = astar(self.task(1.0))
+        assert not failed and failed.subsets and found.sequence is not None
+        return [Subset(3, [0, 2]), Subset.empty(0), self.WALK, failed, found]
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip_keeps_value_and_hash(self, clone):
+        for obj in self.results():
+            twin = clone(obj)
+            assert type(twin) is type(obj) and twin == obj
+            assert hash(twin) == hash(obj)
+        with pytest.raises(AttributeError):
+            clone(Subset(3, [1])).mask = 0
+        with pytest.raises(AttributeError):
+            clone(self.WALK).steps = ()
+
+    def test_instance_and_report_deep_copy(self):
+        task = self.task(1.0)
+        twin = copy.deepcopy(task)
+        assert (twin.x, twin.y, twin.rule, twin.theta) == (task.x, task.y, task.rule, task.theta)
+        assert twin.oracle is not task.oracle and twin.oracle.evaluate(0b101) == 4.0
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(task)
+        report = run_experiment(ExperimentConfig("swap", task))
+        assert copy.deepcopy(report) == report
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """On-disk formats: edge lists, gram matrices, CNF, samples, and instances."""
 
 import math
+import pickle
 import re
 import tempfile
 import textwrap
@@ -904,7 +905,7 @@ class TestParseErrorsNameTheLine:
             ),
             ("case.instance", "[oracle]\nkind coverage\nn 3 4\nitems 2\n" + _TAIL, 3),
             ("case.instance", "[oracle]\nkind logdet\n" + _TAIL, 0),
-            ("case.instance", "[oracle]\nkind coverage\nn 2\nitems 2\ncover 1\n" + _TAIL, 0),
+            ("case.instance", "[oracle]\nkind coverage\nn 2\nitems 2\ncover 1\n" + _TAIL, 3),
             (
                 "case.instance",
                 "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\n\n[rule]\ntar\n",
@@ -913,7 +914,7 @@ class TestParseErrorsNameTheLine:
             (
                 "case.instance",
                 "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\ny 2\n\n[rule]\ntar tj\n",
-                0,
+                10,
             ),
             (
                 "case.instance",
@@ -924,6 +925,13 @@ class TestParseErrorsNameTheLine:
                 "case.instance",
                 "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\ny 1 2\n\n[rule]\ntj\n",
                 10,
+            ),
+            ("case.instance", "[oracle]\nkind modulr\nweights 1 2\n" + _TAIL, 2),
+            ("case.instance", "[oracle]\nkind modular\nweights 1 2\n" + _TAIL + "tj\n", 11),
+            (
+                "case.instance",
+                "[oracle]\nkind modular\nweights 1 2\n\n[endpoints]\nx 1\ny 2\n\n[rule]\n",
+                0,
             ),
         ],
         ids=[
@@ -946,7 +954,7 @@ class TestParseErrorsNameTheLine:
             "directed-word", "gram-file-missing", "graph-file-missing", "cnf-file-missing",
             "rr-file-missing", "graph-file-directory", "coverage-n-arity", "gram-file-absent",
             "cover-count", "endpoint-y-absent", "rule-arity", "theta-value-arity",
-            "tj-endpoint-sizes",
+            "tj-endpoint-sizes", "unknown-kind", "rule-second-line", "rule-empty",
         ],
     )
     def test_message_carries_path_and_line(self, tmp_path, name, content, line):
@@ -958,6 +966,16 @@ class TestParseErrorsNameTheLine:
             self.LOADERS[name](p)
         assert exc.value.line == line
         assert str(exc.value).startswith(f"{p}:{line}: ")
+
+    def test_error_pickles_with_its_fields(self, tmp_path):
+        p = tmp_path / "case.instance"
+        p.write_text("[oracle]\nkind modular\nweights 1 x\n" + _TAIL)
+        with pytest.raises(InstanceParseError) as exc:
+            load_instance(p)
+        twin = pickle.loads(pickle.dumps(exc.value))
+        assert type(twin) is InstanceParseError
+        assert (twin.path, twin.line, twin.message) == (str(p), 3, "bad number 'x'")
+        assert str(twin) == str(exc.value) == f"{p}:3: bad number 'x'"
 
     @pytest.mark.parametrize("ids, bad", [("1 9", 9), ("0 2", 0)])
     def test_endpoint_id_is_named_as_written(self, tmp_path, ids, bad):

@@ -1,9 +1,12 @@
 """Concrete oracle families: values, claims, validation, and sampling."""
 
 import math
+import pickle
 import random
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +319,44 @@ def test_cut_adds_weights_in_edge_order():
     assert cut_oracle(g).evaluate(Subset(4, [0])) == 1e16
 
 
+class TestIsolatedHighIds:
+    """Two million vertices, of which only ids 0..9 end an edge: the cut
+    tables stop at id 9, and the union-count kinds, past 62 elements, build
+    no batch form, whose columns would hold a word per vertex."""
+
+    N = 2_000_000
+    G = WeightedGraph.build(N, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0), (5, 9, 8.0)])
+
+    def masks(self):
+        # ids up to 15, so some past the last id that ends an edge
+        rng = random.Random(5)
+        return [rng.getrandbits(16) for _ in range(256)]
+
+    def test_cut_builds_and_evaluates_in_time(self):
+        # 0.01 s on a 2-core host; a table for every 4 vertex ids took 7.5 s
+        masks = self.masks()
+        start = time.perf_counter()
+        f = cut_oracle(self.G)
+        values = [f.evaluate(mask) for mask in masks]
+        assert time.perf_counter() - start < 2.0
+        assert values == [reference_cut(self.G, mask) for mask in masks]
+
+    @pytest.mark.parametrize("build, shift", [(incidence_oracle, 0.0),
+                                              (shifted_incidence_oracle, 0.5)])
+    def test_union_count_builds_no_batch_form(self, build, shift):
+        # the edge-word list alone is 16 MB; with the batch columns the peak was 291 MB
+        tracemalloc.start()
+        try:
+            f = build(self.G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        masks = self.masks()
+        want = [reference_incidence(self.G, m) + shift * (self.N - m.bit_count()) for m in masks]
+        assert f.evaluate_many(masks).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # CNF formulas and the clause-splitting oracle
 
@@ -456,6 +497,9 @@ class TestLogdet:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             f.evaluate(Subset(3, [0, 1]))
         assert exc.value.subset == Subset(3, [0, 1])
+        twin = pickle.loads(pickle.dumps(exc.value))
+        assert type(twin) is NotPositiveDefiniteError
+        assert (twin.subset, str(twin)) == (exc.value.subset, str(exc.value))
 
     def test_claims_hold_on_positive_definite(self):
         rng = np.random.default_rng(3)
