@@ -308,9 +308,14 @@ def feasible_path(
     return "no_path", None, expansions
 
 
+def default_budget(n: int) -> int:
+    """``2 ** min(n, 24)`` expansions: no search over at most 24 elements exhausts it."""
+    return 1 << min(n, 24)
+
+
 @dataclass
 class AstarConfig:
-    """Node-expansion ``budget`` for :func:`astar` (default ``2 ** min(n, 24)``)."""
+    """Node-expansion ``budget`` for :func:`astar` (default :func:`default_budget`)."""
 
     budget: Optional[int] = None
 
@@ -344,7 +349,7 @@ def astar(instance: ProblemInstance, cfg: Optional[AstarConfig] = None) -> Astar
     cfg = cfg or AstarConfig()
     f = instance.oracle
     n = f.universe.n
-    budget = cfg.budget if cfg.budget is not None else 1 << min(n, 24)
+    budget = cfg.budget if cfg.budget is not None else default_budget(n)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     bound = instance.theta - VALUE_SLACK

@@ -9,6 +9,7 @@ expansion budget of ``exact``), 3 for input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,6 @@ from .core import (
     Verdict,
     check_monotone,
     check_submodular,
-    resolve_threshold,
     total_curvature,
     validate_sequence,
 )
@@ -108,16 +108,29 @@ def _source_instance(args) -> ProblemInstance:
     return ProblemInstance(oracle, x, y, AdjacencyRule.TJ, None, args.k)
 
 
-def _run_solver(args, algorithm: str, restrict=None) -> int:
+def _with_run_options(args, instance: ProblemInstance) -> ProblemInstance:
+    """``instance`` under ``--rule`` (TJ then fixes the size at |X|) and
+    ``--theta``, else ``--theta-frac`` times min(f(X), f(Y))."""
+    rule = instance.rule if args.rule is None else AdjacencyRule.parse(args.rule)
+    if rule is not instance.rule:
+        k = len(instance.x) if rule is AdjacencyRule.TJ else None
+        instance = replace(instance, rule=rule, cardinality_k=k)
+    theta, frac = args.theta, args.theta_frac
+    if not all(t is None or math.isfinite(t) for t in (theta, frac)):
+        raise ValueError(f"threshold must be finite, got theta={theta} theta_frac={frac}")
+    if theta is None and frac is not None:
+        f = instance.oracle
+        theta = frac * min(f.evaluate(instance.x), f.evaluate(instance.y))
+    return instance if theta is None else replace(instance, theta=theta)
+
+
+def _cmd_solve(args) -> int:
+    """``solve`` and ``exact``: one algorithm on the source instance."""
     instance = _source_instance(args)
     n = instance.oracle.universe.n
-    restriction = None if restrict is None else parse_ids_1indexed(restrict, n)
-    rule = None if args.rule is None else AdjacencyRule.parse(args.rule)
-    report = run_experiment(
-        ExperimentConfig(
-            algorithm, instance, rule, args.theta, args.theta_frac, args.budget, restriction
-        )
-    )
+    restriction = None if args.restrict is None else parse_ids_1indexed(args.restrict, n)
+    instance = _with_run_options(args, instance)
+    report = run_experiment(ExperimentConfig(args.solver, instance, args.budget, restriction))
     # the CSV is written first, so a path that cannot be written prints no summary
     out = None if args.out is None or not report.rows else Path(args.out)
     if out is not None:
@@ -132,14 +145,6 @@ def _run_solver(args, algorithm: str, restrict=None) -> int:
     return INFEASIBLE
 
 
-def _cmd_solve(args) -> int:
-    return _run_solver(args, args.solver)
-
-
-def _cmd_exact(args) -> int:
-    return _run_solver(args, "exact", args.restrict)
-
-
 def _print_verdict(verdict: Verdict, label: str) -> int:
     """Print ``ok``, or ``label`` and the failure with 1-indexed ids."""
     if verdict:
@@ -150,13 +155,9 @@ def _print_verdict(verdict: Verdict, label: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    instance = load_instance(args.instance)
-    f, x, y = instance.oracle, instance.x, instance.y
-    theta = resolve_threshold(
-        args.theta, args.theta_frac, instance.theta, lambda: min(f.evaluate(x), f.evaluate(y))
-    )
-    seq = load_sequence_csv(args.sequence, f.universe.n)
-    verdict = validate_sequence(replace(instance, theta=theta), seq)
+    instance = _with_run_options(args, load_instance(args.instance))
+    seq = load_sequence_csv(args.sequence, instance.oracle.universe.n)
+    verdict = validate_sequence(instance, seq)
     return _print_verdict(verdict, f"invalid at step {verdict.index}")
 
 
@@ -241,19 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run an approximation or search algorithm")
     p.add_argument("solver", choices=["swap", "tjar", "astar"])
     _add_source_flags(p)
-    p.set_defaults(fn=_cmd_solve)
+    p.set_defaults(fn=_cmd_solve, restrict=None)
 
     p = sub.add_parser("exact", help="optimal threshold and a shortest sequence")
     _add_source_flags(p)
     p.add_argument("--restrict", help="1-indexed ground restriction, e.g. '1,2,3,4'")
-    p.set_defaults(fn=_cmd_exact)
+    p.set_defaults(fn=_cmd_solve, solver="exact")
 
     p = sub.add_parser("validate", help="check a sequence CSV against an instance")
     p.add_argument("instance")
     p.add_argument("sequence")
     p.add_argument("--theta", type=float)
     p.add_argument("--theta-frac", type=float)
-    p.set_defaults(fn=_cmd_validate)
+    p.set_defaults(fn=_cmd_validate, rule=None)
 
     p = sub.add_parser("gen", help="emit a named instance to a file")
     p.add_argument("name", choices=list(_GENERATORS))

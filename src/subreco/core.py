@@ -16,7 +16,6 @@ alone, so one subset format prints every id in it.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -458,30 +457,6 @@ class ProblemInstance:
                     f"endpoints must have size {self.cardinality_k}, "
                     f"got {len(self.x)} and {len(self.y)}"
                 )
-
-
-def resolve_threshold(
-    theta: Optional[float],
-    theta_frac: Optional[float],
-    source: Optional[float],
-    endpoint_min: Callable[[], float],
-) -> Optional[float]:
-    """``theta`` if given, else ``theta_frac * min(f(X), f(Y))``, else the
-    instance source's own threshold ``source``, which may be None.
-
-    ``endpoint_min`` returns ``min(f(X), f(Y))`` and is called only for the
-    fractional form, so an absolute or absent threshold costs no oracle calls.
-    A non-finite ``theta`` or ``theta_frac`` raises ``ValueError``.
-    """
-    if theta is None and theta_frac is None:
-        theta = source
-    if not all(t is None or math.isfinite(t) for t in (theta, theta_frac)):
-        raise ValueError(f"threshold must be finite, got theta={theta} theta_frac={theta_frac}")
-    if theta is not None:
-        return theta
-    if theta_frac is not None:
-        return theta_frac * endpoint_min()
-    return None
 
 
 def is_adjacent(rule: AdjacencyRule, s: Subset, t: Subset) -> bool:

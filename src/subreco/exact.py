@@ -31,7 +31,7 @@ from .core import (
     SetFunctionOracle,
     Subset,
 )
-from .algorithms import feasible_path
+from .algorithms import default_budget, feasible_path
 
 FULL_LATTICE_LIMIT = 20
 
@@ -111,7 +111,7 @@ def _optimum(
 
     def search(feasible) -> Optional[list[int]]:
         nonlocal spent
-        left = 1 << min(n, 24) if budget is None else budget - spent
+        left = default_budget(n) if budget is None else budget - spent
         status, chain, expansions = feasible_path(
             rule, restriction.mask, x.mask, y.mask, feasible, left
         )
@@ -154,8 +154,7 @@ def optimal_value(
     elements, and X and Y must have equal size.  ``budget`` caps the
     expansions of all rounds together; running out raises
     ``BudgetExceededError``, and a negative budget raises ``ValueError``.
-    Without one, each round gets :func:`~subreco.algorithms.astar`'s default
-    of ``2 ** min(n, 24)``, which no search over at most 24 elements exhausts.
+    Without one, each round gets :func:`~subreco.algorithms.default_budget`.
     """
     return _optimum(oracle, x, y, rule, restriction, budget, walk=False)[0]
 

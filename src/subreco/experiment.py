@@ -1,18 +1,15 @@
 """Experiment orchestration: run one algorithm on one instance, report.
 
-:func:`run_experiment` takes an in-memory :class:`ProblemInstance`; reading
-instance files and raw data, and writing the walk's CSV, is the CLI's job.
-The runner keeps oracle-call accounting honest by snapshotting the counter
-around each phase: set-up (threshold resolution), the algorithm itself, and
-the final per-step evaluation that fills the report's rows.  The endpoint
-values f(X) and f(Y) are the walk's first and last rows; set-up evaluates
-them only for a fractional threshold or for a run that found no walk, and
-then once.
+:func:`run_experiment` runs the in-memory :class:`ProblemInstance` it is
+given, under its own rule and threshold; the CLI reads files and raw data,
+applies the run options and writes the walk's CSV.  The runner calls the
+oracle only in the algorithm and in the evaluation that fills the report's
+rows, so ``calls_total`` counts every call of the run.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -25,7 +22,6 @@ from .core import (
     ProblemInstance,
     ReconfigSequence,
     Subset,
-    resolve_threshold,
     validate_sequence,
 )
 from .exact import optimal_sequence
@@ -49,32 +45,23 @@ def make_synthetic_gram(n: int, seed: int) -> GramMatrix:
 
 @dataclass
 class ExperimentConfig:
-    """One algorithm on one in-memory instance.
-
-    ``rule`` overrides the instance's rule (TJ then fixes the size at |X|).
-    ``theta``, else ``theta_frac`` times min(f(X), f(Y)), overrides the
-    instance's own threshold.  ``budget`` caps the A* expansions of
-    ``astar``, or of all ``exact``'s searches.  ``restriction`` confines
-    ``exact``'s lattice to its subsets; the other algorithms refuse it.
+    """One algorithm on one in-memory instance, which carries its rule and
+    threshold.  ``budget`` caps the A* expansions of ``astar``, or of all
+    ``exact``'s searches.  ``restriction`` confines ``exact``'s lattice to
+    its subsets; the other algorithms refuse it.
     """
 
     algorithm: str
     instance: ProblemInstance
-    rule: Optional[AdjacencyRule] = None
-    theta: Optional[float] = None
-    theta_frac: Optional[float] = None
     budget: Optional[int] = None
     restriction: Optional[Subset] = None
 
 
 @dataclass
 class Report:
-    """Outcome of one run, including the per-phase oracle-call split.
-
-    ``calls_setup`` counts only the calls :func:`run_experiment` makes
-    outside the algorithm and the evaluation (f(X) and f(Y) for a fractional
-    threshold or a run without a walk), never the calls that built the
-    instance.
+    """Outcome of one run, with its oracle calls split between the algorithm
+    and the evaluation.  ``endpoint_values`` is (f(X), f(Y)) from the walk's
+    first and last rows, or None when the run found no walk.
     """
 
     algorithm: str
@@ -84,8 +71,7 @@ class Report:
     rows: list[tuple[int, Subset, float]]
     value: Optional[float]
     length: Optional[int]
-    endpoint_values: tuple[float, float]
-    calls_setup: int
+    endpoint_values: Optional[tuple[float, float]]
     calls_algorithm: int
     calls_evaluation: int
     expansions: Optional[int] = None
@@ -112,10 +98,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     if cfg.restriction is not None and cfg.algorithm != "exact":
         raise ValueError(f"{cfg.algorithm} takes no restriction; only exact does")
     instance = cfg.instance
-    calls_start = instance.oracle.calls
-    if cfg.rule is not None and cfg.rule is not instance.rule:
-        k = len(instance.x) if cfg.rule is AdjacencyRule.TJ else None
-        instance = replace(instance, rule=cfg.rule, cardinality_k=k)
     # the rules under which each constructive walk is a valid sequence
     walk_rules = {"swap": ("tj", "tjar"), "tjar": ("tjar",)}.get(cfg.algorithm)
     if walk_rules and instance.rule.token not in walk_rules:
@@ -123,14 +105,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
             f"{cfg.algorithm} needs rule {' or '.join(walk_rules)}, "
             f"not {instance.rule.token}"
         )
+    theta = instance.theta
+    if theta is not None and not math.isfinite(theta):
+        raise ValueError(f"threshold must be finite, got theta={theta}")
     f = instance.oracle
-
-    @functools.cache  # f(X) and f(Y), evaluated when first asked for
-    def endpoints() -> tuple[float, float]:
-        return f.evaluate(instance.x), f.evaluate(instance.y)
-
-    theta = resolve_threshold(cfg.theta, cfg.theta_frac, instance.theta, lambda: min(endpoints()))
-
     c0 = f.calls
     status = "ok"
     expansions = None
@@ -143,7 +121,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     elif cfg.algorithm == "astar":
         if theta is None:
             raise ValueError("astar needs --theta or --theta-frac")
-        result = astar(replace(instance, theta=theta), AstarConfig(budget=cfg.budget))
+        result = astar(instance, AstarConfig(budget=cfg.budget))
         status = result.status
         seq = result.sequence
         expansions = result.expansions
@@ -166,8 +144,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         if not verdict:
             raise RuntimeError(f"algorithm produced an invalid sequence: {verdict.reason}")
     c2 = f.calls
-    # the walk starts at X and ends at Y; without one, f(X) and f(Y) are set-up calls
-    fx, fy = (rows[0][2], rows[-1][2]) if rows else endpoints()
     return Report(
         algorithm=cfg.algorithm,
         rule=instance.rule,
@@ -176,8 +152,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         rows=rows,
         value=value,
         length=length,
-        endpoint_values=(fx, fy),
-        calls_setup=c0 - calls_start + f.calls - c2,
+        endpoint_values=(rows[0][2], rows[-1][2]) if rows else None,
         calls_algorithm=c1 - c0,
         calls_evaluation=c2 - c1,
         expansions=expansions,

@@ -36,6 +36,7 @@ from subreco import (
     nae_clause_oracle,
     shifted_incidence_oracle,
 )
+from subreco.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -43,6 +44,14 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+def run_cli(argv, capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI run; ``argv`` may hold paths."""
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 # ---------------------------------------------------------------------------

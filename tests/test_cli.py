@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import random
 import re
@@ -23,6 +24,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ import subreco
 from subreco import (
     AdjacencyRule,
     CoverageSpec,
+    GramMatrix,
     Subset,
     WeightedGraph,
     check_monotone,
@@ -40,6 +43,7 @@ from subreco import (
     inapprox_gadget,
     load_instance,
     load_sequence_csv,
+    logdet_oracle,
     make_synthetic_gram,
     modular_oracle,
     optimal_value,
@@ -52,12 +56,20 @@ from subreco import (
 from subreco.cli import main
 from subreco.core import CHECK_TOL
 
-from conftest import random_coverage_spec, random_graph
+from conftest import random_coverage_spec, random_graph, run_cli
 
 
 def gen_instance(tmp_path, name, *extra):
     path = tmp_path / f"{name}.inst"
     assert main(["gen", name, "--out", str(path), *extra]) == 0
+    return path
+
+
+def write_modular(tmp_path, weights, rule, theta=None):
+    """Modular ``weights`` on three elements, X = {1} and Y = {3}, as an instance file."""
+    path = tmp_path / "modular.inst"
+    write_instance(path, modular_oracle(weights), Subset(3, [0]), Subset(3, [2]), rule,
+                   theta=theta)
     return path
 
 
@@ -387,6 +399,118 @@ class TestExact:
         capsys.readouterr()
         assert main(["exact", str(path), "--budget", "-3"]) == 3
         assert "budget must be nonnegative, got -3" in capsys.readouterr().err
+
+
+class TestRunOptions:
+    """``--rule``, ``--theta`` and ``--theta-frac`` replace the instance's own
+    rule and threshold before the run; a fraction's f(X) and f(Y) are taken
+    then, outside the run's ``calls_total``."""
+
+    def test_astar_frac_threshold(self, tmp_path, capsys):
+        # endpoints of the single-edge instance both have value 1
+        path = gen_instance(tmp_path, "obs55")
+        code, out, _ = run_cli(["solve", "astar", path, "--theta-frac", "0.5"], capsys)
+        assert code == 1
+        assert "status=no_path theta=0.5 " in out
+
+    def test_no_walk_counts_the_same_under_either_threshold(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs55")
+        line = (
+            "algorithm=astar rule=tar status=no_path theta=0.5 value=- length=- "
+            "calls_total=4 calls_algorithm=4 calls_evaluation=0\n"
+        )
+        for flag in ("--theta", "--theta-frac"):
+            assert run_cli(["solve", "astar", path, flag, "0.5"], capsys) == (1, line, "")
+
+    def test_file_fraction_is_evaluated_outside_the_run(self, tmp_path, capsys):
+        path = write_modular(tmp_path, [2.0, 1.0, 3.0], AdjacencyRule.TJAR)
+        calls = "calls_total=5 calls_algorithm=3 calls_evaluation=2\n"
+        assert run_cli(["solve", "swap", path, "--theta-frac", "0.5"], capsys) == (
+            0, f"algorithm=swap rule=tjar status=ok theta=1 value=2 length=1 {calls}", ""
+        )
+        _, out, _ = run_cli(["solve", "swap", path], capsys)
+        assert out.endswith(f"theta=- value=2 length=1 {calls}")
+
+    @pytest.mark.parametrize("weights, rule", [
+        ([2.0, 1.0, 3.0], AdjacencyRule.TJAR), ([3.0, 1.0, 2.0], AdjacencyRule.TJ),
+    ], ids=["tjar", "tj"])
+    def test_run_options_override_the_file_threshold(self, tmp_path, capsys, weights, rule):
+        # min(f(X), f(Y)) is 2 in both files; --theta beats --theta-frac
+        path = write_modular(tmp_path, weights, rule, theta=1.5)
+        for flags, theta in (
+            ([], "1.5"),
+            (["--theta-frac", "0.5"], "1"),
+            (["--theta", "0.25", "--theta-frac", "0.5"], "0.25"),
+        ):
+            code, out, _ = run_cli(["solve", "swap", path, *flags], capsys)
+            assert code == 0
+            assert out.startswith(f"algorithm=swap rule={rule.token} status=ok theta={theta} ")
+
+    def test_rule_override_relaxes_the_instance(self, tmp_path, capsys):
+        path = gen_instance(tmp_path, "obs52")
+        code, out, _ = run_cli(["exact", path, "--rule", "tjar"], capsys)
+        assert code == 0
+        assert out.startswith("algorithm=exact rule=tjar status=found theta=- value=1 ")
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["solve", "swap", "obs55"], ["--theta", "nan"]),
+        (["solve", "tjar", "obs52"], ["--theta-frac", "inf"]),
+    ], ids=["swap-under-tar", "tjar-under-tj"])
+    def test_a_non_finite_flag_is_reported_before_the_walk_rule(self, tmp_path, capsys, argv,
+                                                                flags):
+        *command, name = argv
+        code, out, err = run_cli([*command, gen_instance(tmp_path, name), *flags], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: threshold must be finite, got ")
+
+    @pytest.mark.parametrize("frac, theta", [("0.5", "-inf"), ("0", "nan"), ("-1", "inf")])
+    def test_a_fraction_of_a_singular_endpoint_is_refused(self, tmp_path, capsys, frac, theta):
+        # f(X) is the log-determinant of a singular minor, so min(f(X), f(Y)) is -inf
+        gram = GramMatrix(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                                    [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]))
+        path = tmp_path / "singular.inst"
+        write_instance(path, logdet_oracle(gram), Subset(4, [0, 1]), Subset(4, [2, 3]),
+                       AdjacencyRule.TJAR)
+        for command in (["solve", "swap"], ["solve", "tjar"], ["solve", "astar"], ["exact"]):
+            assert run_cli([*command, path, f"--theta-frac={frac}"], capsys) == (
+                3, "", f"error: threshold must be finite, got theta={theta}\n"
+            )
+
+    def test_drawn_run_options_exit_0_to_3(self, tmp_path):
+        """Seeded draws of every run option, including non-finite, negative and
+        out-of-range values, end in an exit code and never in a traceback."""
+        paths = [gen_instance(tmp_path, name) for name in ("obs52", "obs54", "obs55")]
+        paths.append(gen_instance(tmp_path, "gadget", "--upsilon", "6", "--weights", "0.3,0.2"))
+        codes = Counter()
+        number = st.one_of(
+            st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e300]), st.floats(-3, 3)
+        )
+
+        @given(
+            st.sampled_from(paths),
+            st.sampled_from([["solve", "swap"], ["solve", "tjar"], ["solve", "astar"], ["exact"]]),
+            st.sampled_from([None, "tj", "tar", "tjar"]),
+            number,
+            number,
+            st.sampled_from([None, -1, 0, 1, 3, 1000]),
+            st.sampled_from([None, "1,2,3,4", "0,2", "x"]),
+        )
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        def run(path, command, rule, theta, frac, budget, restrict):
+            argv = [*command, str(path)]
+            for flag, value in (("rule", rule), ("theta", theta), ("theta-frac", frac),
+                                ("budget", budget), ("restrict", restrict)):
+                if value is not None and (flag != "restrict" or command == ["exact"]):
+                    argv.append(f"--{flag}={value}")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err.getvalue(), argv
+            codes[code] += 1
+
+        run()
+        assert sorted(codes) == [0, 1, 2, 3], codes  # the draws reach every exit code
 
 
 class TestRawDataSources:

@@ -6,6 +6,7 @@ tests drive ``subreco.cli.main``.
 """
 
 import ast
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,8 @@ from subreco import (
     write_gram,
     write_instance,
 )
-from subreco.cli import main
+
+from conftest import run_cli
 
 EXPERIMENT = Path(__file__).resolve().parent.parent / "src" / "subreco" / "experiment.py"
 
@@ -58,14 +60,6 @@ def write_small_gram(tmp_path, n=6):
     path = tmp_path / "m.gram"
     write_gram(path, make_synthetic_gram(n, seed=5))
     return path
-
-
-def run_cli(argv, capsys) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one CLI run; ``argv`` may hold paths."""
-    capsys.readouterr()
-    code = main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestInterchangeableGreedy:
@@ -113,8 +107,8 @@ class TestRunExperiment:
         assert report.length == 3
         assert len(report.rows) == 4
         # the ascent evaluates 8 of the 10 states of the size-2 slice; f(X)
-        # and f(Y) come from the walk's rows, so set-up evaluates nothing
-        assert report.calls_setup == 0
+        # and f(Y) come from the walk's rows
+        assert report.endpoint_values == (1.0, 1.0)
         assert report.calls_algorithm == 8
         assert report.calls_evaluation == 4
         assert report.calls_total == 12
@@ -133,7 +127,6 @@ class TestRunExperiment:
         assert report.status == "ok"
         assert report.value == pytest.approx(1.0)
         assert report.length == 7
-        assert report.calls_setup == 0
         assert report.calls_algorithm == 18  # two greedy runs over 4 elements, lazy from step 3
         assert report.calls_evaluation == 8
 
@@ -146,74 +139,53 @@ class TestRunExperiment:
 
     def test_astar_both_sides_of_threshold(self):
         found = run_experiment(
-            ExperimentConfig(algorithm="astar", instance=obs55_instance(), theta=0.0)
+            ExperimentConfig(algorithm="astar", instance=replace(obs55_instance(), theta=0.0))
         )
         assert found.status == "found"
         assert found.length == 2
         assert found.expansions is not None
         blocked = run_experiment(
-            ExperimentConfig(algorithm="astar", instance=obs55_instance(), theta=0.5)
+            ExperimentConfig(algorithm="astar", instance=replace(obs55_instance(), theta=0.5))
         )
         assert blocked.status == "no_path"
         assert blocked.rows == [] and blocked.value is None and blocked.length is None
 
-    def test_astar_frac_threshold(self):
-        # endpoints of the single-edge instance both have value 1
-        report = run_experiment(
-            ExperimentConfig(algorithm="astar", instance=obs55_instance(), theta_frac=0.5)
-        )
-        assert report.theta == pytest.approx(0.5)
+    def test_no_walk_has_no_endpoint_values(self):
+        # without rows to read f(X) and f(Y) from, the run does not evaluate them
+        inst = replace(obs55_instance(), theta=0.5)
+        report = run_experiment(ExperimentConfig(algorithm="astar", instance=inst))
         assert report.status == "no_path"
+        assert report.endpoint_values is None
+        assert inst.oracle.calls == report.calls_total == 4
+        assert "calls_setup" not in {f.name for f in fields(report)}
 
-    @pytest.mark.parametrize("threshold", [{"theta": 0.5}, {"theta_frac": 0.5}])
-    def test_no_walk_takes_the_endpoint_values_once(self, threshold):
-        # no rows to read f(X) and f(Y) from, so set-up evaluates them, once
-        report = run_experiment(
-            ExperimentConfig(algorithm="astar", instance=obs55_instance(), **threshold)
-        )
-        assert report.status == "no_path"
-        assert report.endpoint_values == (1.0, 1.0)
-        assert report.calls_setup == 2
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_instance_threshold_is_refused(self, theta):
+        inst = replace(obs55_instance(), theta=theta)
+        with pytest.raises(ValueError, match=f"threshold must be finite, got theta={theta}"):
+            run_experiment(ExperimentConfig(algorithm="exact", instance=inst))
+        assert inst.oracle.calls == 0
 
-    def test_file_fraction_costs_the_endpoint_values_once(self, tmp_path):
-        p = tmp_path / "frac.instance"
-        write_instance(
-            p,
-            modular_oracle([2.0, 1.0, 3.0]),
-            Subset(3, [0]),
-            Subset(3, [2]),
-            AdjacencyRule.TJAR,
-        )
-        report = run_experiment(
-            ExperimentConfig(algorithm="swap", instance=load_instance(p), theta_frac=0.5)
-        )
-        assert report.theta == pytest.approx(1.0)
-        assert report.calls_setup == 2  # f(X) and f(Y), taken once
-
-    def test_run_options_override_the_file_threshold(self, tmp_path):
-        p = tmp_path / "value.instance"
-        write_instance(
-            p,
-            modular_oracle([2.0, 1.0, 3.0]),
-            Subset(3, [0]),
-            Subset(3, [2]),
-            AdjacencyRule.TJAR,
-            theta=1.5,
-        )
-        inst = load_instance(p)
-        run = lambda **kw: run_experiment(ExperimentConfig(algorithm="swap", instance=inst, **kw))
-        assert run().theta == 1.5
-        assert run(theta_frac=0.5).theta == pytest.approx(1.0)
-        assert run(theta=0.25, theta_frac=0.5).theta == 0.25
-
-    def test_rule_override_relaxes_the_instance(self):
-        report = run_experiment(
-            ExperimentConfig(
-                algorithm="exact", instance=obs52_instance(), rule=AdjacencyRule.TJAR
-            )
-        )
-        assert report.rule is AdjacencyRule.TJAR
-        assert report.value == 1.0
+    @pytest.mark.parametrize(
+        "algorithm, instance, budget, status",
+        [
+            ("swap", obs54_instance(8), None, "ok"),
+            ("tjar", obs54_instance(8), None, "ok"),
+            ("astar", replace(obs55_instance(), theta=0.0), None, "found"),
+            ("astar", replace(obs55_instance(), theta=0.5), None, "no_path"),
+            ("astar", replace(obs52_instance(), theta=1.0), 0, "inconclusive"),
+            ("exact", obs52_instance(), None, "found"),
+            ("exact", replace(obs52_instance(), theta=1.01), None, "no_path"),
+        ],
+        ids=["swap", "tjar", "astar-found", "astar-no-path", "astar-inconclusive",
+             "exact-found", "exact-no-path"],
+    )
+    def test_calls_total_counts_every_call_of_the_run(self, algorithm, instance, budget, status):
+        f = instance.oracle
+        before = f.calls
+        report = run_experiment(ExperimentConfig(algorithm, instance, budget=budget))
+        assert report.status == status
+        assert f.calls - before == report.calls_total
 
     def test_exact_with_restriction(self):
         inst = obs52_instance()
@@ -230,7 +202,9 @@ class TestRunExperiment:
     def test_restriction_outside_exact_is_refused(self, algorithm):
         inst = obs52_instance()
         cfg = ExperimentConfig(
-            algorithm=algorithm, instance=inst, theta=0.5, restriction=Subset(5, [0, 1, 2, 3])
+            algorithm=algorithm,
+            instance=replace(inst, theta=0.5),
+            restriction=Subset(5, [0, 1, 2, 3]),
         )
         with pytest.raises(ValueError, match=f"{algorithm} takes no restriction"):
             run_experiment(cfg)
@@ -366,7 +340,6 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(algorithm="tjar", instance=inst))
         # f(X) and f(Y) come from the walk's rows, and the greedy built the instance
         assert greedy_calls > 0
-        assert report.calls_setup == 0
         assert f.calls == greedy_calls + report.calls_algorithm + report.calls_evaluation
 
 
