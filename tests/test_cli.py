@@ -413,14 +413,14 @@ class TestRunOptions:
         assert code == 1
         assert "status=no_path theta=0.5 " in out
 
-    def test_no_walk_counts_the_same_under_either_threshold(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--theta", "--theta-frac"], ids=["theta", "theta-frac"])
+    def test_no_walk_counts_the_same_under_either_threshold(self, tmp_path, capsys, flag):
         path = gen_instance(tmp_path, "obs55")
         line = (
             "algorithm=astar rule=tar status=no_path theta=0.5 value=- length=- "
             "calls_total=4 calls_algorithm=4 calls_evaluation=0\n"
         )
-        for flag in ("--theta", "--theta-frac"):
-            assert run_cli(["solve", "astar", path, flag, "0.5"], capsys) == (1, line, "")
+        assert run_cli(["solve", "astar", path, flag, "0.5"], capsys) == (1, line, "")
 
     def test_file_fraction_is_evaluated_outside_the_run(self, tmp_path, capsys):
         path = write_modular(tmp_path, [2.0, 1.0, 3.0], AdjacencyRule.TJAR)
