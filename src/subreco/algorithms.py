@@ -142,6 +142,14 @@ def interchangeable_greedy(f: SetFunctionOracle, k: int) -> tuple[Subset, Subset
     return Subset.from_mask(n, x_mask), Subset.from_mask(n, y_mask)
 
 
+def _prefix_masks(order: tuple[int, ...]) -> list[int]:
+    """Masks of the first 0, 1, ..., ``len(order)`` elements of ``order``."""
+    masks = [0]
+    for e in order:
+        masks.append(masks[-1] | 1 << e)
+    return masks
+
+
 def swap_reconfigure(
     f: SetFunctionOracle, x: Subset, y: Subset
 ) -> ReconfigSequence:
@@ -165,18 +173,11 @@ def swap_reconfigure(
     if k == 0:
         return ReconfigSequence([x])
     res = residual(f, shared)
-    order_x = greedy(res, x_only, k).elements
-    order_y = greedy(res, y_only, k).elements
-    n = x.n
-    steps = []
-    for i in range(k + 1):
-        mask = shared.mask
-        for e in order_x[: k - i]:
-            mask |= 1 << e
-        for e in order_y[:i]:
-            mask |= 1 << e
-        steps.append(Subset.from_mask(n, mask))
-    return ReconfigSequence(steps)
+    px = _prefix_masks(greedy(res, x_only, k).elements)
+    py = _prefix_masks(greedy(res, y_only, k).elements)
+    return ReconfigSequence(
+        [Subset.from_mask(x.n, shared.mask | px[k - i] | py[i]) for i in range(k + 1)]
+    )
 
 
 def tjar_reconfigure(
@@ -194,24 +195,12 @@ def tjar_reconfigure(
         raise ValueError("endpoints over wrong universe")
     if len(x) == 0 or len(y) == 0:
         raise ValueError("endpoints must be nonempty")
-    order_x = greedy(f, x, len(x)).elements
-    order_y = greedy(f, y, len(y)).elements
-    n = x.n
-    prefixes_down = []
-    mask = 0
-    for e in order_x:
-        mask |= 1 << e
-        prefixes_down.append(mask)
-    raw = [Subset.from_mask(n, m) for m in reversed(prefixes_down)]
-    mask = 0
-    for e in order_y:
-        mask |= 1 << e
-        raw.append(Subset.from_mask(n, mask))
-    steps = [raw[0]]
-    for s in raw[1:]:
-        if s != steps[-1]:
-            steps.append(s)
-    return ReconfigSequence(steps)
+    px = _prefix_masks(greedy(f, x, len(x)).elements)
+    py = _prefix_masks(greedy(f, y, len(y)).elements)
+    masks = px[:0:-1] + py[1:]
+    return ReconfigSequence(
+        [Subset.from_mask(x.n, m) for i, m in enumerate(masks) if i == 0 or m != masks[i - 1]]
+    )
 
 
 def step_bound(rule: AdjacencyRule, mask: int, y_mask: int) -> float:

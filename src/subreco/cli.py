@@ -109,12 +109,11 @@ def _source_instance(args) -> ProblemInstance:
 
 
 def _with_run_options(args, instance: ProblemInstance) -> ProblemInstance:
-    """``instance`` under ``--rule`` (TJ then fixes the size at |X|) and
-    ``--theta``, else ``--theta-frac`` times min(f(X), f(Y))."""
+    """``instance`` under ``--rule`` and ``--theta``, else ``--theta-frac``
+    times min(f(X), f(Y)); the new instance checks the rule and threshold."""
     rule = instance.rule if args.rule is None else AdjacencyRule.parse(args.rule)
     if rule is not instance.rule:
-        k = len(instance.x) if rule is AdjacencyRule.TJ else None
-        instance = replace(instance, rule=rule, cardinality_k=k)
+        instance = replace(instance, rule=rule, cardinality_k=None)
     theta, frac = args.theta, args.theta_frac
     if not all(t is None or math.isfinite(t) for t in (theta, frac)):
         raise ValueError(f"threshold must be finite, got theta={theta} theta_frac={frac}")
@@ -130,6 +129,8 @@ def _cmd_solve(args) -> int:
     n = instance.oracle.universe.n
     restriction = None if args.restrict is None else parse_ids_1indexed(args.restrict, n)
     instance = _with_run_options(args, instance)
+    if args.solver == "astar" and instance.theta is None:
+        raise ValueError("astar needs --theta or --theta-frac")
     report = run_experiment(ExperimentConfig(args.solver, instance, args.budget, restriction))
     # the CSV is written first, so a path that cannot be written prints no summary
     out = None if args.out is None or not report.rows else Path(args.out)

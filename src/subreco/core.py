@@ -16,6 +16,7 @@ alone, so one subset format prints every id in it.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -431,11 +432,11 @@ def sequence_value(oracle: SetFunctionOracle, seq: ReconfigSequence) -> float:
 class ProblemInstance:
     """A reconfiguration task: transform X into Y under a rule.
 
-    ``theta`` (optional) is the feasibility threshold every step must meet;
-    ``cardinality_k`` (optional) pins all steps to a fixed size and requires
-    the TJ rule.  The standing assumption ``theta <= min(f(X), f(Y))`` is not
-    checked at construction (it would evaluate the oracle); solvers enforce it
-    behaviorally by rejecting infeasible endpoints.
+    ``theta`` is None or the finite threshold every step must meet.  Under
+    TJ, X and Y have one size, which ``cardinality_k`` (TJ only) may restate;
+    construction raises ``ValueError`` otherwise.  The standing assumption
+    ``theta <= min(f(X), f(Y))`` is not checked (it would evaluate the
+    oracle); solvers enforce it by rejecting infeasible endpoints.
     """
 
     oracle: SetFunctionOracle
@@ -449,14 +450,13 @@ class ProblemInstance:
         n = self.oracle.universe.n
         if self.x.n != n or self.y.n != n:
             raise UniverseMismatchError("endpoints over wrong universe")
-        if self.cardinality_k is not None:
-            if self.rule is not AdjacencyRule.TJ:
-                raise ValueError("fixed-cardinality instances use the TJ rule")
-            if len(self.x) != self.cardinality_k or len(self.y) != self.cardinality_k:
-                raise ValueError(
-                    f"endpoints must have size {self.cardinality_k}, "
-                    f"got {len(self.x)} and {len(self.y)}"
-                )
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(f"threshold must be finite, got theta={self.theta}")
+        if self.cardinality_k is not None and self.rule is not AdjacencyRule.TJ:
+            raise ValueError("fixed-cardinality instances use the TJ rule")
+        k = len(self.x) if self.cardinality_k is None else self.cardinality_k
+        if self.rule is AdjacencyRule.TJ and not len(self.x) == len(self.y) == k:
+            raise ValueError(f"endpoints must have size {k}, got {len(self.x)} and {len(self.y)}")
 
 
 def is_adjacent(rule: AdjacencyRule, s: Subset, t: Subset) -> bool:

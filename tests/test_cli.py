@@ -73,6 +73,17 @@ def write_modular(tmp_path, weights, rule, theta=None):
     return path
 
 
+def write_singular(tmp_path):
+    """A log-det instance whose f(X) is the log-determinant of a singular
+    minor, so min(f(X), f(Y)) is -inf."""
+    gram = GramMatrix(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                                [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]))
+    path = tmp_path / "singular.inst"
+    write_instance(path, logdet_oracle(gram), Subset(4, [0, 1]), Subset(4, [2, 3]),
+                   AdjacencyRule.TJAR)
+    return path
+
+
 def write_p3(tmp_path):
     # path on three vertices: edges (1,2), (2,3) in file ids
     path = tmp_path / "p3.tsv"
@@ -465,30 +476,39 @@ class TestRunOptions:
 
     @pytest.mark.parametrize("frac, theta", [("0.5", "-inf"), ("0", "nan"), ("-1", "inf")])
     def test_a_fraction_of_a_singular_endpoint_is_refused(self, tmp_path, capsys, frac, theta):
-        # f(X) is the log-determinant of a singular minor, so min(f(X), f(Y)) is -inf
-        gram = GramMatrix(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
-                                    [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]))
-        path = tmp_path / "singular.inst"
-        write_instance(path, logdet_oracle(gram), Subset(4, [0, 1]), Subset(4, [2, 3]),
-                       AdjacencyRule.TJAR)
-        for command in (["solve", "swap"], ["solve", "tjar"], ["solve", "astar"], ["exact"]):
-            assert run_cli([*command, path, f"--theta-frac={frac}"], capsys) == (
+        path = write_singular(tmp_path)
+        walk = tmp_path / "walk.csv"
+        assert run_cli(["exact", path, "--out", walk], capsys)[0] == 0
+        for argv in (["solve", "swap", path], ["solve", "tjar", path], ["solve", "astar", path],
+                     ["exact", path], ["validate", path, walk]):
+            assert run_cli([*argv, f"--theta-frac={frac}"], capsys) == (
                 3, "", f"error: threshold must be finite, got theta={theta}\n"
             )
 
     def test_drawn_run_options_exit_0_to_3(self, tmp_path):
         """Seeded draws of every run option, including non-finite, negative and
-        out-of-range values, end in an exit code and never in a traceback."""
+        out-of-range values, end in an exit code and never in a traceback;
+        ``validate`` draws the threshold flags against a walk ``exact`` wrote.
+        A threshold that is not finite, as given or as a fraction of
+        min(f(X), f(Y)), is an input error for every command."""
         paths = [gen_instance(tmp_path, name) for name in ("obs52", "obs54", "obs55")]
         paths.append(gen_instance(tmp_path, "gadget", "--upsilon", "6", "--weights", "0.3,0.2"))
-        codes = Counter()
+        paths.append(write_singular(tmp_path))
+        walks, lowest = {}, {}
+        for path in paths:
+            walks[path] = path.with_suffix(".csv")
+            assert main(["exact", str(path), "--out", str(walks[path])]) == 0
+            inst = load_instance(path)
+            lowest[path] = min(inst.oracle.evaluate(inst.x), inst.oracle.evaluate(inst.y))
+        codes, non_finite = Counter(), Counter()
         number = st.one_of(
             st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e300]), st.floats(-3, 3)
         )
 
         @given(
             st.sampled_from(paths),
-            st.sampled_from([["solve", "swap"], ["solve", "tjar"], ["solve", "astar"], ["exact"]]),
+            st.sampled_from([["solve", "swap"], ["solve", "tjar"], ["solve", "astar"], ["exact"],
+                             ["validate"]]),
             st.sampled_from([None, "tj", "tar", "tjar"]),
             number,
             number,
@@ -498,6 +518,9 @@ class TestRunOptions:
         @settings(max_examples=100, deadline=None, derandomize=True, database=None)
         def run(path, command, rule, theta, frac, budget, restrict):
             argv = [*command, str(path)]
+            if command == ["validate"]:
+                argv.append(str(walks[path]))
+                rule = budget = None
             for flag, value in (("rule", rule), ("theta", theta), ("theta-frac", frac),
                                 ("budget", budget), ("restrict", restrict)):
                 if value is not None and (flag != "restrict" or command == ["exact"]):
@@ -508,9 +531,14 @@ class TestRunOptions:
             assert code in (0, 1, 2, 3), argv
             assert "Traceback" not in err.getvalue(), argv
             codes[code] += 1
+            threshold = frac * lowest[path] if theta is None and frac is not None else theta
+            if threshold is not None and not math.isfinite(threshold):
+                assert code == 3, argv
+                non_finite[command[0]] += 1
 
         run()
         assert sorted(codes) == [0, 1, 2, 3], codes  # the draws reach every exit code
+        assert sorted(non_finite) == ["exact", "solve", "validate"], non_finite
 
 
 class TestRawDataSources:

@@ -583,6 +583,14 @@ class TestProblemInstance:
                 f, Subset(3, [0]), Subset(3, [1, 2]), AdjacencyRule.TJ, cardinality_k=1
             )
 
+    def test_tj_endpoints_of_two_sizes_are_refused(self):
+        # no TJ step changes the size, so no walk joins them
+        f = modular_oracle([1.0] * 16)
+        x, y = Subset(16, range(4)), Subset(16, range(4, 9))
+        with pytest.raises(ValueError, match="^endpoints must have size 4, got 4 and 5$"):
+            ProblemInstance(f, x, y, AdjacencyRule.TJ, theta=1.0)
+        assert ProblemInstance(f, x, y, AdjacencyRule.TJAR, theta=1.0).theta == 1.0
+
     def test_endpoint_universe_checked(self):
         f = modular_oracle([1.0, 1.0])
         with pytest.raises(UniverseMismatchError):

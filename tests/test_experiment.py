@@ -161,9 +161,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
     def test_a_non_finite_instance_threshold_is_refused(self, theta):
-        inst = replace(obs55_instance(), theta=theta)
+        # the instance refuses it when built, so no run can be given one
+        inst = obs55_instance()
         with pytest.raises(ValueError, match=f"threshold must be finite, got theta={theta}"):
-            run_experiment(ExperimentConfig(algorithm="exact", instance=inst))
+            replace(inst, theta=theta)
         assert inst.oracle.calls == 0
 
     @pytest.mark.parametrize(
@@ -244,8 +245,14 @@ class TestRunExperiment:
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (3, "")
             assert err == "error: exactly one instance source must be set\n"
-        with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(algorithm="astar", instance=obs52_instance()))
+        # the library names no CLI flag; the CLI names its own
+        inst = obs52_instance()
+        with pytest.raises(ValueError, match="^astar needs a threshold$"):
+            run_experiment(ExperimentConfig(algorithm="astar", instance=inst))
+        assert inst.oracle.calls == 0
+        assert run_cli(["solve", "astar", path], capsys) == (
+            3, "", "error: astar needs --theta or --theta-frac\n"
+        )
 
     def test_graph_source_needs_seed_and_k(self, data_dir, capsys):
         karate = data_dir / "karate.tsv"
