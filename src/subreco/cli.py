@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 for success (including a feasible search), 1 for a definite
-negative answer (no sequence, failed validation, counterexample found), 2 for
-an inconclusive answer (a search or check budget ran out, including the
-expansion budget of ``exact``), 3 for input errors.
+Exit codes: 0 for success (a walk that meets any threshold set), 1 for a
+definite negative answer (no walk meets the threshold, failed validation,
+counterexample found), 2 for an inconclusive answer (a search or check budget
+ran out, including the expansion budget of ``exact``), 3 for input errors.
 """
 
 from __future__ import annotations
@@ -286,9 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_thresholds(argv: list[str]) -> list[str]:
+    """``--theta T`` and ``--theta-frac T`` as ``--theta=T`` wherever T reads
+    as a float, since argparse takes ``-1e-3`` or ``-inf`` for an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--theta", "--theta-frac"):
+            try:
+                float(token)
+                out[-1] += "=" + token
+                continue
+            except ValueError:
+                pass
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_thresholds(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

@@ -141,23 +141,9 @@ class Subset:
         self._check(other)
         return Subset.from_mask(self.n, self.mask ^ other.mask)
 
-    def add(self, e: int) -> "Subset":
-        if not 0 <= e < self.n:
-            raise UniverseMismatchError(f"element {e} outside universe of size {self.n}")
-        return Subset.from_mask(self.n, self.mask | 1 << e)
-
-    def remove(self, e: int) -> "Subset":
-        if e not in self:
-            raise KeyError(e)
-        return Subset.from_mask(self.n, self.mask ^ 1 << e)
-
     def issubset(self, other: "Subset") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "Subset") -> bool:
-        self._check(other)
-        return self.mask & other.mask == 0
 
     def __repr__(self) -> str:
         return f"Subset({self.n}, {{{','.join(str(e) for e in self)}}})"

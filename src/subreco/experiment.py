@@ -19,7 +19,6 @@ from .core import (
     VALUE_SLACK,
     AdjacencyRule,
     ProblemInstance,
-    ReconfigSequence,
     Subset,
     validate_sequence,
 )
@@ -46,8 +45,8 @@ def make_synthetic_gram(n: int, seed: int) -> GramMatrix:
 class ExperimentConfig:
     """One algorithm on one in-memory instance, which carries its rule and
     threshold.  ``budget`` caps the A* expansions of ``astar``, or of all
-    ``exact``'s searches.  ``restriction`` confines ``exact``'s lattice to
-    its subsets; the other algorithms refuse it.
+    ``exact``'s searches; ``swap`` and ``tjar`` refuse it.  ``restriction``
+    confines ``exact``'s lattice to its subsets; the others refuse it.
     """
 
     algorithm: str
@@ -59,8 +58,10 @@ class ExperimentConfig:
 @dataclass
 class Report:
     """Outcome of one run, with its oracle calls split between the algorithm
-    and the evaluation.  ``endpoint_values`` is (f(X), f(Y)) from the walk's
-    first and last rows, or None when the run found no walk.
+    and the evaluation.  ``rows`` holds ``(index, set, f(set))`` for each
+    step of the walk, or nothing when the run found none; ``value`` (the
+    walk's minimum), ``length`` and ``endpoint_values`` (f(X), f(Y)) are
+    read from the rows, and are None without them.
     """
 
     algorithm: str
@@ -68,20 +69,28 @@ class Report:
     theta: Optional[float]
     status: str
     rows: list[tuple[int, Subset, float]]
-    value: Optional[float]
-    length: Optional[int]
-    endpoint_values: Optional[tuple[float, float]]
     calls_algorithm: int
     calls_evaluation: int
     expansions: Optional[int] = None
+
+    @property
+    def value(self) -> Optional[float]:
+        return min(r[2] for r in self.rows) if self.rows else None
+
+    @property
+    def length(self) -> Optional[int]:
+        return len(self.rows) - 1 if self.rows else None
+
+    @property
+    def endpoint_values(self) -> Optional[tuple[float, float]]:
+        return (self.rows[0][2], self.rows[-1][2]) if self.rows else None
 
     @property
     def calls_total(self) -> int:
         return self.calls_algorithm + self.calls_evaluation
 
     def summary(self) -> str:
-        value = "-" if self.value is None else f"{self.value:.6g}"
-        length = "-" if self.length is None else str(self.length)
+        value, length = (f"{self.value:.6g}", str(self.length)) if self.rows else ("-", "-")
         theta = "-" if self.theta is None else f"{self.theta:.6g}"
         return (
             f"algorithm={self.algorithm} rule={self.rule.token} status={self.status} "
@@ -93,11 +102,15 @@ class Report:
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run ``cfg.algorithm`` on ``cfg.instance``: ``swap`` needs rule TJ or
-    TJAR, ``tjar`` rule TJAR, and ``astar`` a threshold on the instance."""
+    TJAR, ``tjar`` rule TJAR, and ``astar`` a threshold on the instance.
+    ``swap`` and ``tjar`` walks are ``ok``, ``exact``'s ``found``; any walk
+    whose minimum lies below ``theta - VALUE_SLACK`` is ``no_path``."""
     if cfg.algorithm not in ("swap", "tjar", "astar", "exact"):
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
     if cfg.restriction is not None and cfg.algorithm != "exact":
         raise ValueError(f"{cfg.algorithm} takes no restriction; only exact does")
+    if cfg.budget is not None and cfg.algorithm in ("swap", "tjar"):
+        raise ValueError(f"{cfg.algorithm} takes no budget; only astar and exact do")
     instance = cfg.instance
     # the rules under which each constructive walk is a valid sequence
     walk_rules = {"swap": ("tj", "tjar"), "tjar": ("tjar",)}.get(cfg.algorithm)
@@ -111,8 +124,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     c0 = f.calls
     status = "ok"
     expansions = None
-    value = None
-    seq: Optional[ReconfigSequence] = None
     if cfg.algorithm == "swap":
         seq = swap_reconfigure(f, instance.x, instance.y)
     elif cfg.algorithm == "tjar":
@@ -123,34 +134,19 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         seq = result.sequence
         expansions = result.expansions
     else:
-        value, seq = optimal_sequence(
+        status = "found"
+        seq = optimal_sequence(
             f, instance.x, instance.y, instance.rule, restriction=cfg.restriction, budget=cfg.budget
-        )
-        # like astar: a set threshold above the optimum has no sequence
-        status = "no_path" if theta is not None and value < theta - VALUE_SLACK else "found"
+        )[1]
     c1 = f.calls
 
-    rows: list[tuple[int, Subset, float]] = []
-    length = None
+    rows = [(i, s, f.evaluate(s)) for i, s in enumerate(seq or ())]
     if seq is not None:
-        for i, s in enumerate(seq):
-            rows.append((i, s, f.evaluate(s)))
-        value = min(r[2] for r in rows)
-        length = seq.length
         verdict = validate_sequence(replace(instance, theta=None), seq)
         if not verdict:
             raise RuntimeError(f"algorithm produced an invalid sequence: {verdict.reason}")
-    c2 = f.calls
-    return Report(
-        algorithm=cfg.algorithm,
-        rule=instance.rule,
-        theta=theta,
-        status=status,
-        rows=rows,
-        value=value,
-        length=length,
-        endpoint_values=(rows[0][2], rows[-1][2]) if rows else None,
-        calls_algorithm=c1 - c0,
-        calls_evaluation=c2 - c1,
-        expansions=expansions,
-    )
+    report = Report(cfg.algorithm, instance.rule, theta, status, rows, c1 - c0, f.calls - c1,
+                    expansions)
+    if rows and theta is not None and report.value < theta - VALUE_SLACK:
+        report.status = "no_path"
+    return report

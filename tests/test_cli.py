@@ -40,6 +40,7 @@ from subreco import (
     check_submodular,
     coverage_oracle,
     cut_oracle,
+    format_ids_1indexed,
     inapprox_gadget,
     load_instance,
     load_sequence_csv,
@@ -56,7 +57,7 @@ from subreco import (
 from subreco.cli import main
 from subreco.core import CHECK_TOL
 
-from conftest import random_coverage_spec, random_graph, run_cli
+from conftest import colour_classes, grid_graph, random_coverage_spec, random_graph, run_cli
 
 
 def gen_instance(tmp_path, name, *extra):
@@ -433,6 +434,36 @@ class TestRunOptions:
         )
         assert run_cli(["solve", "astar", path, flag, "0.5"], capsys) == (1, line, "")
 
+    @pytest.mark.parametrize("flag", ["--theta", "--theta-frac"], ids=["theta", "theta-frac"])
+    @pytest.mark.parametrize("token, theta", [("-1e-3", "-0.001"), ("-2E1", "-20"), ("-inf", None)],
+                             ids=["exponent", "capital-exponent", "minus-inf"])
+    def test_a_negative_threshold_token_is_read_as_a_number(self, tmp_path, capsys, flag, token,
+                                                            theta):
+        # argparse takes "-1e-3" or "-inf" for an option; the CLI joins it to its flag
+        path = gen_instance(tmp_path, "obs55")  # min(f(X), f(Y)) is 1
+        got = run_cli(["solve", "astar", path, flag, token], capsys)
+        assert got == run_cli(["solve", "astar", path, f"{flag}={token}"], capsys)
+        if theta is None:
+            assert got[:2] == (3, "") and got[2].startswith("error: threshold must be finite")
+        else:
+            assert got[0] == 0 and f" status=found theta={theta} " in got[1]
+
+    @pytest.mark.parametrize("name, solver, line", [
+        ("vc2msreco", "swap", "algorithm=swap rule=tj status=no_path theta=24 value=19 length=8 "
+         "calls_total=66 calls_algorithm=57 calls_evaluation=9"),
+        ("minvc2tjar", "tjar", "algorithm=tjar rule=tjar status=no_path theta=28 value=11.5 "
+         "length=15 calls_total=72 calls_algorithm=56 calls_evaluation=16"),
+    ], ids=["swap", "tjar"])
+    def test_a_walk_below_the_threshold_is_no_path(self, tmp_path, capsys, name, solver, line):
+        # the 4x4 grid's colour classes are a no-instance of both reductions:
+        # the file's threshold is a yes-instance's optimum, so every walk dips below it
+        grid = grid_graph(4, 4)
+        graph = tmp_path / "grid.tsv"
+        write_edge_list(graph, grid)
+        x, y = (format_ids_1indexed(s) for s in colour_classes(grid))
+        path = gen_instance(tmp_path, name, "--graph", str(graph), "--x", x, "--y", y)
+        assert run_cli(["solve", solver, path], capsys) == (1, line + "\n", "")
+
     def test_file_fraction_is_evaluated_outside_the_run(self, tmp_path, capsys):
         path = write_modular(tmp_path, [2.0, 1.0, 3.0], AdjacencyRule.TJAR)
         calls = "calls_total=5 calls_algorithm=3 calls_evaluation=2\n"
@@ -501,8 +532,10 @@ class TestRunOptions:
             inst = load_instance(path)
             lowest[path] = min(inst.oracle.evaluate(inst.x), inst.oracle.evaluate(inst.y))
         codes, non_finite = Counter(), Counter()
+        # tokens as typed: exponent-form negatives are read whether or not "=" joins them
         number = st.one_of(
-            st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 1e300]), st.floats(-3, 3)
+            st.none(), st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e-3", "-2E1"]),
+            st.floats(-3, 3).map(repr),
         )
 
         @given(
@@ -514,24 +547,32 @@ class TestRunOptions:
             number,
             st.sampled_from([None, -1, 0, 1, 3, 1000]),
             st.sampled_from([None, "1,2,3,4", "0,2", "x"]),
+            st.booleans(),
         )
         @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-        def run(path, command, rule, theta, frac, budget, restrict):
+        def run(path, command, rule, theta, frac, budget, restrict, joined):
             argv = [*command, str(path)]
             if command == ["validate"]:
                 argv.append(str(walks[path]))
                 rule = budget = None
             for flag, value in (("rule", rule), ("theta", theta), ("theta-frac", frac),
                                 ("budget", budget), ("restrict", restrict)):
-                if value is not None and (flag != "restrict" or command == ["exact"]):
+                if value is None or (flag == "restrict" and command != ["exact"]):
+                    continue
+                if joined or not flag.startswith("theta"):
                     argv.append(f"--{flag}={value}")
+                else:
+                    argv += [f"--{flag}", value]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv)
             assert code in (0, 1, 2, 3), argv
             assert "Traceback" not in err.getvalue(), argv
+            assert "expected one argument" not in err.getvalue(), argv
             codes[code] += 1
-            threshold = frac * lowest[path] if theta is None and frac is not None else theta
+            threshold = None if theta is None else float(theta)
+            if threshold is None and frac is not None:
+                threshold = float(frac) * lowest[path]
             if threshold is not None and not math.isfinite(threshold):
                 assert code == 3, argv
                 non_finite[command[0]] += 1
@@ -729,11 +770,11 @@ class TestCheck:
         sets = [parse_ids_1indexed(t, n) for t in re.findall(r"\{[\d,]*\}", out.getvalue())]
         if prop == "monotone":
             s, larger, e = sets
-            assert larger == s | e and s.isdisjoint(e) and len(e) == 1
+            assert larger == s | e and s.mask & e.mask == 0 and len(e) == 1
             assert f.evaluate(larger) < f.evaluate(s) - CHECK_TOL
             return
         s, t, e, *g = sets
-        assert s.issubset(t) and e.isdisjoint(t) and len(e) == 1
+        assert s.issubset(t) and e.mask & t.mask == 0 and len(e) == 1
         assert len(g) == (mode == "exhaustive") and all(t == s | h and len(h) == 1 for h in g)
         gain_small = f.evaluate(s | e) - f.evaluate(s)
         assert gain_small - (f.evaluate(t | e) - f.evaluate(t)) < -CHECK_TOL
@@ -937,6 +978,13 @@ class TestInputErrors:
         code = main(["solve", "astar", str(path), "--theta", "1", "--budget", "-3"])
         assert code == 3
         assert capsys.readouterr().err == "error: budget must be nonnegative, got -3\n"
+
+    @pytest.mark.parametrize("solver", ["swap", "tjar"])
+    def test_a_walk_takes_no_budget(self, tmp_path, capsys, solver):
+        path = gen_instance(tmp_path, "obs54")
+        assert run_cli(["solve", solver, path, "--budget", "5"], capsys) == (
+            3, "", f"error: {solver} takes no budget; only astar and exact do\n"
+        )
 
     @pytest.mark.parametrize("ids, bad", [("1,9", 9), ("0,2", 0)])
     def test_restriction_id_is_named_as_written(self, tmp_path, capsys, ids, bad):

@@ -16,6 +16,7 @@ from subreco import (
     AdjacencyRule,
     ExperimentConfig,
     ProblemInstance,
+    Report,
     Subset,
     WeightedGraph,
     influence_oracle,
@@ -73,7 +74,7 @@ class TestInterchangeableGreedy:
     def test_disjointness(self):
         f = modular_oracle([1.0] * 6)
         x, y = interchangeable_greedy(f, 3)
-        assert x.isdisjoint(y)
+        assert x.mask & y.mask == 0
         assert len(x) == len(y) == 3
 
     def test_needs_room_for_both(self):
@@ -172,13 +173,17 @@ class TestRunExperiment:
         [
             ("swap", obs54_instance(8), None, "ok"),
             ("tjar", obs54_instance(8), None, "ok"),
+            ("tjar", replace(obs54_instance(8), theta=0.5), None, "ok"),
+            ("swap", replace(obs54_instance(8), theta=0.5), None, "no_path"),
+            ("tjar", replace(obs54_instance(8), theta=1.5), None, "no_path"),
             ("astar", replace(obs55_instance(), theta=0.0), None, "found"),
             ("astar", replace(obs55_instance(), theta=0.5), None, "no_path"),
             ("astar", replace(obs52_instance(), theta=1.0), 0, "inconclusive"),
             ("exact", obs52_instance(), None, "found"),
             ("exact", replace(obs52_instance(), theta=1.01), None, "no_path"),
         ],
-        ids=["swap", "tjar", "astar-found", "astar-no-path", "astar-inconclusive",
+        ids=["swap", "tjar", "tjar-above-theta", "swap-below-theta", "tjar-below-theta",
+             "astar-found", "astar-no-path", "astar-inconclusive",
              "exact-found", "exact-no-path"],
     )
     def test_calls_total_counts_every_call_of_the_run(self, algorithm, instance, budget, status):
@@ -198,6 +203,26 @@ class TestRunExperiment:
             )
         )
         assert report.value == 0.75
+
+    @pytest.mark.parametrize("algorithm", ["swap", "tjar"])
+    def test_a_walk_takes_no_budget(self, algorithm):
+        inst = obs54_instance(8)
+        with pytest.raises(ValueError, match=f"^{algorithm} takes no budget; only astar and exact"):
+            run_experiment(ExperimentConfig(algorithm, inst, budget=10))
+        assert inst.oracle.calls == 0
+
+    def test_a_walk_below_the_threshold_keeps_its_rows(self):
+        # the threshold judges the walk after it is evaluated, so the report
+        # still reads its value, length and endpoints
+        report = run_experiment(ExperimentConfig("swap", replace(obs54_instance(8), theta=0.5)))
+        assert (report.status, report.value, report.length) == ("no_path", 0.0, 4)
+        assert report.endpoint_values == (report.rows[0][2], report.rows[-1][2])
+
+    def test_the_report_stores_only_what_the_rows_do_not_hold(self):
+        assert [f.name for f in fields(Report)] == [
+            "algorithm", "rule", "theta", "status", "rows", "calls_algorithm",
+            "calls_evaluation", "expansions",
+        ]
 
     @pytest.mark.parametrize("algorithm", ["swap", "tjar", "astar"])
     def test_restriction_outside_exact_is_refused(self, algorithm):
