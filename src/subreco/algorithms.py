@@ -13,13 +13,17 @@ The two constructive algorithms trade generality for guarantees:
 :func:`astar` finds a shortest sequence whose every step clears a threshold,
 at exponential worst-case cost; it answers exactly or reports that its node
 budget ran out.  Its loop, :func:`feasible_path`, is the package's one
-thresholded walk search: :mod:`subreco.exact` runs it too.
+thresholded walk search: :mod:`subreco.exact` runs it too.  Among several
+shortest walks it returns the one its pop order reaches first: lowest
+``g + step_bound``, then largest ``g``, then most recent push, with
+neighbours generated in :func:`~subreco.core.neighbor_masks` order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import (
@@ -243,7 +247,12 @@ def feasible_path(
     count as expansions.  The open list is a monotone bucket queue: bucket
     ``2 * (g +`` :func:`step_bound` ``)`` is a stack of ``(parent, state,
     g)`` triples, each laid flat as three list items (a tuple per push
-    costs memory), popped lowest bucket first and most recent push first.
+    costs memory), popped lowest bucket first, then largest ``g``, then most
+    recent push.  All states of the last bucket tie with Y, and the deepest
+    of them are the closest to it, so this order crosses that final plateau
+    without going back to shallow entries first.  A bucket is stably sorted
+    by ``g`` when it becomes current and stays sorted: a push into it
+    carries the popped ``g`` plus one, above every entry left.
     A triple is stale exactly when its ``g`` is no longer the state's best
     step count, since a shorter path pushed the state again later.  A push
     computes its bucket inline as ``2 * g + a * |T ^ Y| + c * abs(|T| -
@@ -267,6 +276,9 @@ def feasible_path(
         stack = buckets[b]
         if not stack:
             b += 1
+            if b < len(buckets) and len(buckets[b]) > 3:
+                triples = sorted(zip(*[iter(buckets[b])] * 3), key=itemgetter(2))
+                buckets[b] = [item for triple in triples for item in triple]
             continue
         g = stack.pop()
         mask = stack.pop()

@@ -10,7 +10,9 @@ shortest one at ``top``.  Otherwise a threshold ascent starts at ``v =
 found raises ``v`` to its smallest value, and a round without one proves
 ``v`` optimal, with the last walk found a shortest one at that optimum.
 Every search stays inside the restriction's subsets, and under the exchange
-rule (TJ) every state keeps ``|X|`` elements.  One ``mask -> value`` memo
+rule (TJ) every state keeps ``|X|`` elements.  Of several shortest walks, a
+round returns the one :func:`~subreco.algorithms.feasible_path` reaches
+first, popping the deepest of equal scores first.  One ``mask -> value`` memo
 and one expansion budget span all rounds, so no state costs more than one
 oracle call.
 

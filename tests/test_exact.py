@@ -170,7 +170,7 @@ class TestUpperBoundRound:
                 seen["at the bound" if v == top else "below it"] += 1
         assert seen["at the bound"] >= 600 and seen["below it"] >= 40
         # the upper-bound round saves calls only where it finds the walk
-        assert calls == {"reference": 8143, "upper bound first": 8057}
+        assert calls == {"reference": 8115, "upper bound first": 8033}
 
     @pytest.mark.parametrize("reduce", [vc_to_msreco, minvc_to_usreco_tjar])
     def test_no_instances_ascend_as_before(self, reduce):
@@ -351,6 +351,19 @@ class TestOptimalSequence:
         assert v == 1.0
         steps = ([0, 1], [0, 4], [3, 4], [2, 3])
         assert seq == ReconfigSequence([Subset(5, s) for s in steps])
+
+    @pytest.mark.parametrize(
+        "reduce, optimum, length, calls",
+        [(vc_to_msreco, 22.0, 8, 256), (minvc_to_usreco_tjar, 27.0, 10, 780)],
+    )
+    def test_grid_no_instance_is_pinned(self, reduce, optimum, length, calls):
+        # the 4x4 grid's colour classes, a no-instance of both reductions
+        g = grid_graph(4, 4)
+        inst = reduce(VcReconfigInstance(g, *colour_classes(g)))
+        f = inst.oracle
+        before = f.calls
+        v, seq = optimal_sequence(f, inst.x, inst.y, inst.rule)
+        assert (v, seq.length, f.calls - before) == (optimum, length, calls)
 
     def test_gram24_lattice_walk_is_pinned(self, data_dir):
         # greedy endpoints at k = 6 under TJAR, searched inside X | Y only
