@@ -23,7 +23,6 @@ from .core import (
     check_monotone,
     check_submodular,
     is_adjacent,
-    modular_upper_bound,
     neighbors,
     residual,
     sequence_value,

@@ -3,7 +3,7 @@
 Exit codes: 0 for success (a walk that meets any threshold set), 1 for a
 definite negative answer (no walk meets the threshold, failed validation,
 counterexample found), 2 for an inconclusive answer (a search or check budget
-ran out, including the expansion budget of ``exact``), 3 for input errors.
+ran out, including the expansion budget of ``exact``, or memory), 3 for input errors.
 """
 
 from __future__ import annotations
@@ -309,6 +309,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BudgetExceededError as exc:
         print(f"inconclusive: {exc}")
+        return INCONCLUSIVE
+    except MemoryError:
+        print("inconclusive: out of memory")
         return INCONCLUSIVE
     except (InstanceParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

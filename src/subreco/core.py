@@ -336,46 +336,6 @@ def total_curvature(oracle: SetFunctionOracle) -> float:
     return min(1.0, max(0.0, 1.0 - worst))
 
 
-def modular_upper_bound(oracle: SetFunctionOracle, r: Subset) -> SetFunctionOracle:
-    """Modular bound ``S -> sum_{e in S} (f({e} + R) - f(R))`` masking R.
-
-    For a monotone submodular oracle with curvature ``kappa`` this sandwiches
-    the residual: ``(1 - kappa) * bound(S) <= residual(S) <= bound(S)``.
-    Singleton residual values are evaluated eagerly, so construction costs
-    ``n - |R| + 1`` base evaluations and later queries are free.
-    """
-    if not (oracle.claims_monotone and oracle.claims_submodular):
-        raise ValueError("modular upper bound needs a monotone submodular oracle")
-    res = residual(oracle, r)
-    n = oracle.universe.n
-    r_mask = r.mask
-    weights = {}
-    for e in range(n):
-        if not r_mask >> e & 1:
-            weights[e] = res.evaluate(1 << e)
-
-    def fn(mask: int) -> float:
-        if mask & r_mask:
-            raise OracleDomainError(
-                f"modular bound query {Subset.from_mask(n, mask)} intersects masked set {r}"
-            )
-        # in order: built-in sum() compensates from Python 3.12
-        total = 0.0
-        for e in _bits(mask):
-            total += weights[e]
-        return total
-
-    return SetFunctionOracle(
-        fn,
-        oracle.universe,
-        claims_monotone=oracle.claims_monotone,
-        claims_submodular=True,
-        claims_nonnegative=oracle.claims_monotone,
-        name=f"modular_bound({oracle.name or 'f'}, {r})",
-        serial=("modular", tuple(weights.get(e, 0.0) for e in range(n))),
-    )
-
-
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class ReconfigSequence:
     """Ordered sequence of subsets ``S(0)..S(l)``; its length is ``l``."""

@@ -155,8 +155,9 @@ def _union_count(words: Sequence[int], mask: int) -> int:
     return acc.bit_count()
 
 
-def _union_count_oracle(words: Sequence[int], value, **kwargs) -> SetFunctionOracle:
-    """The oracle ``S -> value(c, mask)``, ``c`` the union count of S's members' words.
+def _union_count_oracle(n: int, words: Sequence[int], value, **kwargs) -> SetFunctionOracle:
+    """The oracle ``S -> value(c, mask)`` on ``n`` elements, ``c`` the union
+    count of S's members' words; elements past the end of ``words`` have none.
 
     ``evaluate`` hands ``value`` the count as a float and the mask as an int;
     the batch form hands it a float64 array of counts and the int64 array of
@@ -166,13 +167,14 @@ def _union_count_oracle(words: Sequence[int], value, **kwargs) -> SetFunctionOra
     Past ``_BATCH_BITS`` elements ``evaluate_many`` runs no batch form, so
     none is built.
     """
-    n = len(words)
+    low = (1 << len(words)) - 1
 
     def fn(mask: int) -> float:
-        return value(float(_union_count(words, mask)), mask)
+        return value(float(_union_count(words, mask & low)), mask)
 
     if n > _BATCH_BITS:
         return SetFunctionOracle(fn, GroundSet(n), **kwargs)
+    words = list(words) + [0] * (n - len(words))
     cols = max(1, (max((w.bit_length() for w in words), default=0) + 63) // 64)
     columns = np.frombuffer(
         b"".join(w.to_bytes(8 * cols, "little") for w in words), dtype="<u8"
@@ -192,7 +194,7 @@ def coverage_oracle(spec: CoverageSpec) -> SetFunctionOracle:
     """Weighted coverage ``f(S) = |union of covered sets| / divisor``."""
     divisor = spec.divisor
     return _union_count_oracle(
-        [sum(1 << item for item in v) for v in spec.covered],
+        spec.n, [sum(1 << item for item in v) for v in spec.covered],
         lambda c, mask: c / divisor,
         claims_monotone=True,
         claims_submodular=True,
@@ -301,8 +303,8 @@ def inverse_indegree_probabilities(g: WeightedGraph) -> WeightedGraph:
 
 
 def _edge_words(g: WeightedGraph) -> list[int]:
-    """Per vertex, the word with bit ``i`` set for each edge ``i`` it ends."""
-    words = [0] * g.n
+    """Per vertex up to the last that ends an edge, bit ``i`` set for each edge ``i`` it ends."""
+    words = [0] * (1 + max(map(max, g.edges), default=-1))
     for i, (u, v) in enumerate(g.edges):
         words[u] |= 1 << i
         words[v] |= 1 << i
@@ -330,8 +332,9 @@ def cut_oracle(g: WeightedGraph) -> SetFunctionOracle:
         raise ValueError("cut oracle expects an undirected graph")
     edges = g.edges
     weights = g.weights
-    top = 1 + max(map(max, edges), default=-1)
-    words = _edge_words(g)[:top] + [0] * (-top % 4)
+    words = _edge_words(g)
+    top = len(words)
+    words += [0] * (-top % 4)
     tables = []
     for lo in range(0, top, 4):
         table = [0] * 16
@@ -379,7 +382,7 @@ def incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
     if g.directed:
         raise ValueError("incidence oracle expects an undirected graph")
     return _union_count_oracle(
-        _edge_words(g),
+        g.n, _edge_words(g),
         lambda c, mask: c,
         claims_monotone=True,
         claims_submodular=True,
@@ -406,7 +409,7 @@ def shifted_incidence_oracle(g: WeightedGraph) -> SetFunctionOracle:
         return c + 0.5 * (n - size)
 
     return _union_count_oracle(
-        _edge_words(g),
+        g.n, _edge_words(g),
         value,
         claims_monotone=False,
         claims_submodular=True,
@@ -557,10 +560,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    def principal(self, indices: Sequence[int]) -> "GramMatrix":
-        idx = np.asarray(list(indices), dtype=int)
-        return GramMatrix(self.a[np.ix_(idx, idx)])
 
 
 def logdet_oracle(gram: GramMatrix) -> SetFunctionOracle:

@@ -999,6 +999,39 @@ class TestInputErrors:
         code = main(["validate", str(path), str(tmp_path / "nope.csv"), "--theta", "1"])
         assert code == 3
 
+    def test_huge_vertex_count_exits_0_to_3(self, tmp_path, capsys):
+        """A graph instance declaring 10**18 vertices and one edge loads: the
+        walks that touch only the edge's ends answer, and a command that must
+        hold a whole-ground-set mask or table is inconclusive, out of memory
+        (neither ``[0] * 10**18`` nor ``1 << 10**18`` fits any address space,
+        so nothing is allocated)."""
+        walk = tmp_path / "walk.csv"
+        walk.write_text('index,set,value\n0,"1",0\n1,"2",0\n', encoding="utf-8")
+        oom = (2, "inconclusive: out of memory\n", "")
+        refused = (2, "inconclusive: exhaustive submodularity check refused for "
+                      "n=1000000000000000000 > 16\n", "")
+        not_monotone = (3, "", "error: total curvature needs a monotone nonnegative oracle\n")
+        for kind, value in (("cut", "1"), ("incidence", "1"), ("shifted-incidence", "5e+17")):
+            path = tmp_path / f"{kind}.inst"
+            path.write_text(f"[oracle]\nkind {kind}\nn 1000000000000000000\nedge 1 2\n\n"
+                            "[endpoints]\nx 1\ny 2\n\n[rule]\ntj\n", encoding="utf-8")
+            swap = (0, f"algorithm=swap rule=tj status=ok theta=- value={value} length=1 "
+                       "calls_total=5 calls_algorithm=3 calls_evaluation=2\n", "")
+            expected = {
+                "validate": (0, "ok\n", ""),
+                "solve swap": swap,
+                "exact": oom,
+                "solve astar --theta 0": oom,
+                "curvature": oom if kind == "incidence" else not_monotone,
+                "check submodular": refused,
+            }
+            for command, outcome in expected.items():
+                argv = command.split()
+                argv.insert(2 if command.startswith(("solve", "check")) else 1, path)
+                if command == "validate":
+                    argv.append(walk)
+                assert run_cli(argv, capsys) == outcome, (kind, command)
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
