@@ -4,30 +4,29 @@ Instance files and the command line
 
 Every generator writes a small self-describing text format, and the
 ``subreco`` command covers the generate / solve / validate loop without any
-Python.  This script drives the command as ``python -m subreco`` (the same
-entry point as the installed script, so it also runs from a checkout with
-``PYTHONPATH=src``) through a scratch directory and shows each file it
-produces.
+Python.  This script drives the command through ``subreco.cli.main``, the
+entry point behind both the installed script and ``python -m subreco``, in
+a scratch directory, shows each file it produces, and checks each exit code
+it narrates.
 """
 
-import subprocess
-import sys
+import io
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from subreco.cli import main
 
-def run(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "subreco", *args],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
+
+def run(*args, expect=0):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in args])
     print(f"$ subreco {' '.join(str(a) for a in args)}")
-    for line in (proc.stdout + proc.stderr).strip().splitlines():
+    for line in (out.getvalue() + err.getvalue()).strip().splitlines():
         print(f"  {line}")
-    print(f"  (exit {proc.returncode})")
-    return proc
+    print(f"  (exit {code})")
+    assert code == expect, f"exit {code}, expected {expect}"
 
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -52,4 +51,4 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # tightening the threshold past the optimum flips the exit code to 1
     run("exact", inst)
-    run("validate", inst, seq, "--theta", "1.01")
+    run("validate", inst, seq, "--theta", "1.01", expect=1)

@@ -7,9 +7,9 @@ so fixtures stay diffable.
 Formats:
 
 * edge list: one ``u v [weight-or-probability]`` row per line, ``%``
-  comments, and an optional ``% n <count>`` comment pinning the vertex count;
+  comments, and at most one ``% n <count>`` comment, pinning the vertex count;
 * gram matrix: first line ``n``, then ``n`` rows of ``n`` reals;
-* CNF: DIMACS-like (``c`` comments, ``p cnf <vars> <clauses>``, clauses as
+* CNF: DIMACS-like (``c`` comments, one ``p cnf <vars> <clauses>``, clauses as
   signed integers terminated by 0);
 * reverse-reachable collection: header ``n count seed``, then one vertex set
   per line;
@@ -181,6 +181,8 @@ def load_edge_list(
         if text.startswith("%"):
             tokens = text[1:].split()
             if len(tokens) == 2 and tokens[0] == "n":
+                if header_n is not None:
+                    raise InstanceParseError(path, lineno, "second '% n' line")
                 header_n = _numbers(path, lineno, tokens[1:])[0]
                 if header_n < 0:
                     raise InstanceParseError(path, lineno, "vertex count must be nonnegative")
@@ -262,6 +264,8 @@ def load_cnf(path: PathLike) -> CnfFormula:
         if text.startswith(("c", "%")):
             continue
         if text.startswith("p"):
+            if n_vars is not None:
+                raise InstanceParseError(path, lineno, "second 'p cnf' line")
             parts = text.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise InstanceParseError(path, lineno, f"bad problem line {text!r}")

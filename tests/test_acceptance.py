@@ -17,8 +17,11 @@ import pytest
 
 from conftest import (
     bfs_shortest_feasible,
+    colour_classes,
     covers_of_min_size,
+    cycle_graph,
     exact_influence,
+    grid_graph,
     random_monotone_oracle,
     random_nonnegative_oracle,
     random_subset,
@@ -59,6 +62,7 @@ from subreco import (
     validate_sequence,
     vc_to_msreco,
 )
+from subreco.algorithms import default_budget, feasible_path
 
 
 @contextmanager
@@ -395,3 +399,39 @@ def test_12_exhaustive_audit_of_a_16_element_gram():
         assert check_submodular(f).ok
         assert check_monotone(f).ok
         assert f.calls == 2 * (1 << 16)
+
+
+def test_13_walks_against_the_exact_optimum_on_no_instances():
+    # PAPER.md's no-instances: the colour classes of a grid or an even cycle
+    # are minimum vertex covers no exchange sequence joins, so the optimum
+    # lies below theta.  Triples are (optimum, swap or tjar walk, shortest
+    # walk with every state feasible); kappa = 1 on every TJ oracle here.
+    pinned = {
+        ("4x4", "tj"): (22, 19, 21), ("4x4", "tjar"): (27, 11.5, 25),
+        ("C_12", "tj"): (11, 7, 11), ("C_12", "tjar"): (14.5, 7.5, 14),
+        ("C_20", "tj"): (19, 11, 19), ("C_20", "tjar"): (24.5, 11.5, 24),
+    }
+    with criterion("[13] walks against the exact optimum on no-instances", budget=5.0):
+        for name, g in (("4x4", grid_graph(4, 4)), ("C_12", cycle_graph(12)),
+                        ("C_20", cycle_graph(20))):
+            x, y = colour_classes(g)
+            for reduce, walker in ((vc_to_msreco, swap_reconfigure),
+                                   (minvc_to_usreco_tjar, tjar_reconfigure)):
+                inst = reduce(VcReconfigInstance(g, x, y))
+                f = inst.oracle
+                best = optimal_value(f, x, y, inst.rule)
+                walk = walk_value(f, walker(f, x, y))
+                status, chain, _ = feasible_path(
+                    inst.rule, (1 << g.n) - 1, x.mask, y.mask, lambda m: True, default_budget(g.n)
+                )
+                assert status == "found"
+                shortest = min(f.evaluate(m) for m in chain)
+                assert (best, walk, shortest) == pinned[name, inst.rule.token]
+                assert max(walk, shortest) <= best < inst.theta
+                top = min(f.evaluate(x), f.evaluate(y))
+                if inst.rule is AdjacencyRule.TJ:
+                    kappa = total_curvature(f)
+                    assert kappa == 1.0
+                    assert walk >= max(0.5, (1.0 - kappa) ** 2) * top
+                else:
+                    assert walk >= top / g.n

@@ -1,8 +1,4 @@
-"""Smoke test: the demos run to completion in-process.
-
-``files_and_cli.py`` is left out: its CLI steps are covered by
-``test_cli.py`` and it is the slowest demo.
-"""
+"""Smoke test: the demos run to completion in-process."""
 
 import runpy
 from pathlib import Path
@@ -17,6 +13,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     [
         "counterexample_tour.py",
         "determinant_walks.py",
+        "files_and_cli.py",
         "karate_influence.py",
         "reductions_tour.py",
     ],

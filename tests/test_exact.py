@@ -112,7 +112,7 @@ def random_ascent_case(rng: random.Random, max_n: int):
     return f, x, y, rule, restriction
 
 
-def ascent_reference(f, x, y, rule, restriction=None, walk=True):
+def ascent_reference(f, x, y, rule, restriction=None):
     """The optimum and last walk of the threshold ascent from ``-inf`` alone.
 
     ``exact``'s schedule without its upper-bound round: every round asks for
@@ -140,7 +140,7 @@ def ascent_reference(f, x, y, rule, restriction=None, walk=True):
         if found is None:
             break
         chain, v = found, min(memo[m] for m in found)
-    if chain is None and walk:
+    if chain is None:
         chain = search(lambda m: value(m) >= v)
     return v, chain
 
@@ -155,7 +155,7 @@ class TestUpperBoundRound:
             top = min(f.evaluate(x), f.evaluate(y))
             for walk in (False, True):
                 before = f.calls
-                expected, chain = ascent_reference(f, x, y, rule, restriction, walk)
+                expected, chain = ascent_reference(f, x, y, rule, restriction)
                 reference, before = f.calls - before, f.calls
                 if walk:
                     v, seq = optimal_sequence(f, x, y, rule, restriction=restriction)
@@ -170,7 +170,7 @@ class TestUpperBoundRound:
                 seen["at the bound" if v == top else "below it"] += 1
         assert seen["at the bound"] >= 600 and seen["below it"] >= 40
         # the upper-bound round saves calls only where it finds the walk
-        assert calls == {"reference": 8115, "upper bound first": 8033}
+        assert calls == {"reference": 8224, "upper bound first": 8142}
 
     @pytest.mark.parametrize("reduce", [vc_to_msreco, minvc_to_usreco_tjar])
     def test_no_instances_ascend_as_before(self, reduce):
@@ -209,6 +209,25 @@ class TestUpperBoundRound:
 
 
 class TestOptimalValue:
+    def test_is_the_optimum_of_optimal_sequence(self):
+        # one procedure behind both entry points: the same optimum at the same
+        # calls, also where the optimum is -inf and the walk search still runs
+        cases = [random_ascent_case(random.Random(seed), 8) for seed in range(1000)]
+        g = grid_graph(4, 4, seed=1)
+        x, y = colour_classes(g)
+        for reduce in (vc_to_msreco, minvc_to_usreco_tjar):
+            inst = reduce(VcReconfigInstance(g, x, y))
+            cases.append((inst.oracle, x, y, inst.rule, None))
+        minus_inf = 0
+        for f, x, y, rule, restriction in cases:
+            before = f.calls
+            v = optimal_value(f, x, y, rule, restriction=restriction)
+            calls, before = f.calls - before, f.calls
+            assert v == optimal_sequence(f, x, y, rule, restriction=restriction)[0]
+            assert f.calls - before == calls
+            minus_inf += v == -math.inf
+        assert minus_inf == 114
+
     def test_singleton_exchange(self):
         f = modular_oracle([3.0, 1.0, 2.0])
         v = optimal_value(f, Subset(3, [0]), Subset(3, [2]), AdjacencyRule.TJ)
@@ -450,6 +469,17 @@ class TestBudget:
                 solve(*args, budget=3)
         assert optimal_value(*args, budget=4) == 1.0
         assert optimal_sequence(*args, budget=4)[0] == 1.0
+
+    def test_minus_inf_optimum_still_searches_for_its_walk(self):
+        # f(X) = -inf caps the optimum at -inf; the upper-bound round admits
+        # every state and its 2-state walk costs 2 expansions of the budget
+        f = SetFunctionOracle(lambda mask: -math.inf if mask == 0b01 else 0.0, GroundSet(2))
+        args = (f, Subset(2, [0]), Subset(2, [1]), AdjacencyRule.TJ)
+        for solve in (optimal_value, optimal_sequence):
+            with pytest.raises(BudgetExceededError, match="^search gave up after 1 expansions$"):
+                solve(*args, budget=1)
+        assert optimal_value(*args, budget=2) == -math.inf
+        assert optimal_sequence(*args, budget=2)[1].length == 1
 
     def test_default_budget_is_per_search(self):
         # the failing upper-bound round (1 expansion) and three ascent rounds

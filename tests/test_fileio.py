@@ -771,6 +771,7 @@ class TestParseErrorsNameTheLine:
             ),
             ("g.tsv", "1 2\n% n abc\n", 2),
             ("g.tsv", "% n -1\n", 1),
+            ("g.tsv", "% n 9\n% n 3\n1 2\n", 2),
             ("g.tsv", "1 2\n1 1\n", 2),
             ("g.tsv", "1 2\n2 3 -1\n", 2),
             ("g.tsv", "1 2\n2 3 nan\n", 2),
@@ -779,6 +780,7 @@ class TestParseErrorsNameTheLine:
             ("f.cnf", "c x\np cnf x 1\n1 0\n", 2),
             ("f.cnf", "p cnf 2 1\n1\n-3 0\n", 3),
             ("f.cnf", "p cnf 2 2\n1 2 0\n", 1),
+            ("f.cnf", "p cnf 3 1\n1 2 3 0\np cnf 5 1\n", 3),
             ("m.gram", "2\n1.0 0.0\n0.0 nan\n", 3),
             ("s.rr", "3 1 x\n1\n", 1),
             ("s.rr", "% graph abc\n3 0 5\n", 2),
@@ -934,9 +936,10 @@ class TestParseErrorsNameTheLine:
             "cover-range", "endpoint", "theta", "csv-id", "csv-range",
             "edge-range", "clause-range", "self-loop", "edge-sign", "clause-arity",
             "divisor-range",
-            "edges-n", "edges-n-sign", "edges-self-loop", "edges-weight-sign",
-            "edges-weight-nan", "edges-probability-range", "edges-probability-missing",
-            "cnf-header", "cnf-literal-range", "cnf-clause-count", "gram-nan",
+            "edges-n", "edges-n-sign", "edges-second-n", "edges-self-loop",
+            "edges-weight-sign", "edges-weight-nan", "edges-probability-range",
+            "edges-probability-missing", "cnf-header", "cnf-literal-range",
+            "cnf-clause-count", "cnf-second-header", "gram-nan",
             "rr-seed", "rr-empty", "rr-count", "rr-vertex-range",
             "weights-nan", "divisor-inf", "upsilon-nan", "edge-weight-nan", "edge-weight-inf",
             "edge-arity", "n-past-maxsize", "theta-inf", "theta-frac-nan", "edges-weight-inf",
